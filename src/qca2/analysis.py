@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -84,7 +84,7 @@ def detect_period(matrix: np.ndarray, tol: float = DEFAULT_PERIOD_TOL) -> Period
     in max norm, confirmed over at least two full repetitions."""
     if matrix.ndim != 2 or matrix.shape[1] < 1:
         raise ValueError("probability matrix must have at least one column")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tolerance must be positive")
     n_cols = matrix.shape[1]
     for p in range(1, (n_cols - 1) // 2 + 1):
@@ -128,24 +128,8 @@ def check_translation(config: QcaConfig, steps: int = 20) -> CheckReport:
     if config.boundary is not BoundaryCondition.CYCLIC:
         raise ValueError("translation covariance is defined for cyclic boundaries only")
     perm = cell_shift_permutation(config.n_cells)
-    base = QcaConfig(
-        n_cells=config.n_cells,
-        rule=config.rule,
-        boundary=config.boundary,
-        evaluation=config.evaluation,
-        initial_index=config.initial_index,
-        n_steps=steps,
-        record=config.record,
-    )
-    shifted = QcaConfig(
-        n_cells=config.n_cells,
-        rule=config.rule,
-        boundary=config.boundary,
-        evaluation=config.evaluation,
-        initial_index=int(perm[config.initial_index]),
-        n_steps=steps,
-        record=config.record,
-    )
+    base = replace(config, n_steps=steps)
+    shifted = replace(base, initial_index=int(perm[config.initial_index]))
     # Row perm[k] of the shifted run corresponds to row k of the base run.
     deviation = float(np.max(np.abs(evolve(shifted)[perm, :] - evolve(base))))
     return CheckReport(

@@ -18,11 +18,12 @@ Exit codes: 0 success, 1 failed check or period not found, 2 config error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
 from . import analysis, io_formats, rules
-from .rules import BoundaryCondition, QcaConfig, RecordMode
+from .rules import BoundaryCondition, RecordMode
 
 MAX_DENSE_CELLS = 5  # dense oracle path: 2 cells per qubit, 10-qubit cap
 
@@ -36,10 +37,13 @@ def _load(path: str) -> str:
 
 def _write_outputs(matrix, args) -> None:
     csv_text = io_formats.write_csv(matrix)
-    if args.out_csv:
-        Path(args.out_csv).write_text(csv_text)
-    if args.out_pgm:
-        Path(args.out_pgm).write_bytes(io_formats.render_pgm(matrix))
+    try:
+        if args.out_csv:
+            Path(args.out_csv).write_text(csv_text)
+        if args.out_pgm:
+            Path(args.out_pgm).write_bytes(io_formats.render_pgm(matrix))
+    except OSError as exc:
+        raise io_formats.ConfigError(f"cannot write output: {exc}") from None
     if not args.out_csv and not args.out_pgm:
         sys.stdout.write(csv_text)
 
@@ -56,25 +60,16 @@ def _cmd_script(args) -> int:
     return 0
 
 
-def _with_steps(config: QcaConfig, n_steps: int) -> QcaConfig:
-    return QcaConfig(
-        n_cells=config.n_cells,
-        rule=config.rule,
-        boundary=config.boundary,
-        evaluation=config.evaluation,
-        initial_index=config.initial_index,
-        n_steps=n_steps,
-        record=config.record,
-    )
-
-
 def _cmd_period(args) -> int:
     config = io_formats.parse_config(_load(args.config))
     if args.horizon < 1:
         raise io_formats.ConfigError("horizon must be at least 1 column")
+    if not args.tol > 0:
+        raise io_formats.ConfigError(f"tolerance must be positive, got {args.tol}")
     cols_per_step = 2 if config.record is RecordMode.PER_PHASE else 1
     n_steps = -(-(args.horizon - 1) // cols_per_step)  # ceil division
-    matrix = rules.evolve(_with_steps(config, n_steps))[:, : args.horizon]
+    config = dataclasses.replace(config, n_steps=n_steps)
+    matrix = rules.evolve(config)[:, : args.horizon]
     report = analysis.detect_period(matrix, args.tol)
     sys.stdout.write(io_formats.format_period_report(report))
     return 0 if report.found else 1

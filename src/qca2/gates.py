@@ -9,7 +9,7 @@ Two gate placements cover everything the automaton needs:
   inside the small matrix, mirroring the register convention.
 
 ``apply_gate`` updates a state vector without materializing the dense
-operator and is the production path; ``embed_gate``/``compose_dense`` build
+operator and runs gate scripts; ``embed_gate``/``compose_dense`` build
 dense operators (capped at 10 qubits) and serve as the testing oracle.
 """
 
@@ -48,11 +48,6 @@ def standard_gate(name: str) -> np.ndarray:
         return _STANDARD[name].copy()
     except KeyError:
         raise ValueError(f"unknown gate name {name!r}") from None
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; the left operand owns the more significant bits."""
-    return np.kron(a, b)
 
 
 def is_unitary(matrix: np.ndarray, tol: float = UNITARY_TOL) -> bool:

@@ -49,8 +49,10 @@ class ConfigError(ValueError):
 
 
 class ConfigSyntaxError(ConfigError):
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
+    """A syntax error, at `line_no` when it belongs to one line."""
+
+    def __init__(self, line_no: int | None, message: str):
+        super().__init__(message if line_no is None else f"line {line_no}: {message}")
         self.line_no = line_no
 
 
@@ -115,7 +117,9 @@ def _parse_eval(value: str, line_no: int) -> Evaluation:
     raise ConfigSyntaxError(line_no, f"unknown eval {value!r}")
 
 
-def _key_values(text: str, allowed: set[str]) -> dict[str, tuple[int, str]]:
+def _key_values(
+    text: str, allowed: set[str], required: tuple[str, ...]
+) -> dict[str, tuple[int, str]]:
     pairs: dict[str, tuple[int, str]] = {}
     for line_no, line in _split_lines(text):
         if "=" not in line:
@@ -127,15 +131,15 @@ def _key_values(text: str, allowed: set[str]) -> dict[str, tuple[int, str]]:
         if key in pairs:
             raise ConfigSyntaxError(line_no, f"duplicate key {key!r}")
         pairs[key] = (line_no, value)
+    for key in required:
+        if key not in pairs:
+            raise ConfigSyntaxError(None, f"missing required key {key!r}")
     return pairs
 
 
 def parse_config(text: str) -> QcaConfig:
     """Parse a run config; raises ConfigError subclasses on bad input."""
-    pairs = _key_values(text, _CONFIG_KEYS)
-    for required in ("cells", "rule", "steps", "initial"):
-        if required not in pairs:
-            raise ConfigSyntaxError(0, f"missing required key {required!r}")
+    pairs = _key_values(text, _CONFIG_KEYS, ("cells", "rule", "steps", "initial"))
 
     line_no, value = pairs["rule"]
     if value not in _RULES:
@@ -222,10 +226,8 @@ def parse_script(text: str) -> tuple[int, int, list[list[GateOp]]]:
         else:
             header_lines.append(line)
 
-    pairs = _key_values("\n".join(header_lines), {"cells", "initial"})
-    for required in ("cells", "initial"):
-        if required not in pairs:
-            raise ConfigSyntaxError(0, f"missing required key {required!r}")
+    header = ("cells", "initial")
+    pairs = _key_values("\n".join(header_lines), set(header), header)
     try:
         layout = RegisterLayout(_parse_int(pairs["cells"][1], pairs["cells"][0], "cells"))
     except ValueError as exc:

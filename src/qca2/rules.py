@@ -1,10 +1,11 @@
-"""Compilation of automaton configs into gate lists and their evolution.
+"""Compilation of automaton configs into one update, and its evolution.
 
 One full update is two phases.  The interaction phase flips each cell's
-controlled qubit according to the state qubits of its neighbors, using
-controlled flips whose controls are always s-bits and whose targets are
-always c-bits (so the flips commute and the s-qubits are untouched).  The
-evaluation phase applies the same two-qubit unitary inside every cell.
+controlled qubit when the state qubits of its neighbors are all 1.  The
+flips are controlled by s-bits and target c-bits, so they commute and the
+whole phase is one involutive permutation of basis indices: a single
+gather.  The evaluation phase applies the same 4x4 unitary inside every
+cell.  The gate lists of both phases compose the dense testing oracle.
 """
 
 from __future__ import annotations
@@ -111,11 +112,15 @@ class QcaConfig:
 
 @dataclass(frozen=True)
 class CompiledRule:
-    """Gate lists for one full update on a register of `n_qubits` qubits."""
+    """One full update on `n_qubits` qubits: the gather ``psi[source]``, then
+    `cell_unitary` inside every cell.  The gate lists spell out the same two
+    phases for the dense oracle."""
 
     n_qubits: int
     interaction: tuple[GateOp, ...]
     evaluation: tuple[GateOp, ...]
+    source: np.ndarray = field(compare=False, repr=False)
+    cell_unitary: np.ndarray = field(compare=False, repr=False)
 
 
 def compile_interaction(config: QcaConfig) -> list[GateOp]:
@@ -169,33 +174,40 @@ def compile_interaction(config: QcaConfig) -> list[GateOp]:
 
 _H = standard_gate("H")
 
+# Cell unitary of each preset, index bit 1 being s and bit 0 being c.
+_CELL_UNITARIES = {
+    EvaluationKind.IDENTITY: np.eye(4, dtype=np.complex128),
+    EvaluationKind.HADAMARD_BOTH: np.kron(_H, _H),
+    EvaluationKind.HADAMARD_S_THEN_CN: standard_gate("CN") @ np.kron(_H, np.eye(2)),
+}
+
+
+def _cell_unitary(evaluation: Evaluation) -> np.ndarray:
+    """The 4x4 unitary the evaluation phase applies inside every cell."""
+    return _CELL_UNITARIES.get(evaluation.kind, evaluation.matrix)
+
 
 def compile_evaluation(config: QcaConfig) -> list[GateOp]:
-    """Per-cell evaluation gate list, cell groups in ascending cell order."""
-    layout = config.layout
-    gates: list[GateOp] = []
-    for j in range(config.n_cells):
-        s, c = layout.s_bit(j), layout.c_bit(j)
-        kind = config.evaluation.kind
-        if kind is EvaluationKind.IDENTITY:
-            continue
-        if kind is EvaluationKind.HADAMARD_BOTH:
-            gates.append(LocalUnitary((s,), _H))
-            gates.append(LocalUnitary((c,), _H))
-        elif kind is EvaluationKind.HADAMARD_S_THEN_CN:
-            gates.append(LocalUnitary((s,), _H))
-            gates.append(ControlledFlip({s}, c))
-        else:
-            gates.append(LocalUnitary((c, s), config.evaluation.matrix))
-    return gates
+    """One cell-unitary gate per cell in ascending cell order; none for identity."""
+    if config.evaluation.kind is EvaluationKind.IDENTITY:
+        return []
+    layout, u = config.layout, _cell_unitary(config.evaluation)
+    cells = range(config.n_cells)
+    return [LocalUnitary((layout.c_bit(j), layout.s_bit(j)), u) for j in cells]
 
 
 def compile_rule(config: QcaConfig) -> CompiledRule:
-    return CompiledRule(
-        n_qubits=config.layout.n_qubits,
-        interaction=tuple(compile_interaction(config)),
-        evaluation=tuple(compile_evaluation(config)),
-    )
+    n_qubits = config.layout.n_qubits
+    interaction = tuple(compile_interaction(config))
+    # The flips commute and are involutions, so the image of every basis
+    # index is also the index its new amplitude is gathered from.
+    source = np.arange(1 << n_qubits)
+    for flip in interaction:
+        mask = sum(1 << c for c in flip.controls)
+        source ^= ((source & mask) == mask) << flip.target
+    evaluation = tuple(compile_evaluation(config))
+    return CompiledRule(n_qubits, interaction, evaluation, source,
+                        _cell_unitary(config.evaluation))
 
 
 def build_dense_rule(config: QcaConfig) -> np.ndarray:
@@ -209,17 +221,27 @@ def build_dense_interaction(config: QcaConfig) -> np.ndarray:
     return compose_dense(tuple(compile_interaction(config)), config.layout.n_qubits)
 
 
+def _evaluate(psi: np.ndarray, rule: CompiledRule, spare: np.ndarray):
+    """Apply the cell unitary inside every cell, ping-ponging between `psi`
+    and `spare`; returns (result, the other buffer)."""
+    u = rule.cell_unitary
+    for j in range(rule.n_qubits // 2):
+        # Axis 1 of the view is cell j's (s, c) pair.
+        np.einsum("ij,ajb->aib", u, psi.reshape(-1, 4, 4**j),
+                  out=spare.reshape(-1, 4, 4**j))
+        psi, spare = spare, psi
+    return psi, spare
+
+
 def step(state: np.ndarray, rule: CompiledRule) -> np.ndarray:
-    """Advance one full update: all interaction flips, then all evaluations."""
+    """Advance one full update: the interaction gather, then every cell's
+    evaluation.  The input is never mutated."""
     if state.size != 1 << rule.n_qubits:
         raise ValueError(
             f"state has {state.size} amplitudes, rule expects {1 << rule.n_qubits}"
         )
-    for gate in rule.interaction:
-        state = apply_gate(state, gate)
-    for gate in rule.evaluation:
-        state = apply_gate(state, gate)
-    return state
+    psi = state[rule.source]
+    return _evaluate(psi, rule, np.empty_like(psi))[0]
 
 
 def evolve(config: QcaConfig) -> np.ndarray:
@@ -230,18 +252,20 @@ def evolve(config: QcaConfig) -> np.ndarray:
     interaction phase and again after the evaluation phase of every update.
     """
     rule = compile_rule(config)
-    state = basis_state(rule.n_qubits, config.initial_index)
-    columns = [probabilities(state)]
     per_phase = config.record is RecordMode.PER_PHASE
-    for _ in range(config.n_steps):
-        for gate in rule.interaction:
-            state = apply_gate(state, gate)
+    stride = 2 if per_phase else 1
+    matrix = np.empty((1 << rule.n_qubits, 1 + stride * config.n_steps))
+    psi = basis_state(rule.n_qubits, config.initial_index)
+    spare = np.empty_like(psi)
+    matrix[:, 0] = probabilities(psi)
+    for t in range(1, config.n_steps + 1):
+        np.take(psi, rule.source, out=spare)
+        psi, spare = spare, psi
         if per_phase:
-            columns.append(probabilities(state))
-        for gate in rule.evaluation:
-            state = apply_gate(state, gate)
-        columns.append(probabilities(state))
-    return np.column_stack(columns)
+            matrix[:, 2 * t - 1] = probabilities(psi)
+        psi, spare = _evaluate(psi, rule, spare)
+        matrix[:, stride * t] = probabilities(psi)
+    return matrix
 
 
 def run_gate_script(

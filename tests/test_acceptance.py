@@ -6,6 +6,7 @@ a one-line verdict; run with ``pytest tests/test_acceptance.py -v -s``.
 
 import itertools
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -57,16 +58,6 @@ FIG3_PERIOD = 8
 
 def _ok(n, text):
     print(f"ACCEPTANCE {n}: PASS - {text}")
-
-
-def _with(config, **kw):
-    fields = dict(
-        n_cells=config.n_cells, rule=config.rule, boundary=config.boundary,
-        evaluation=config.evaluation, initial_index=config.initial_index,
-        n_steps=config.n_steps, record=config.record,
-    )
-    fields.update(kw)
-    return QcaConfig(**fields)
 
 
 def test_01_fig2_script_reproduction():
@@ -159,7 +150,7 @@ def test_06_translation_covariance():
 def test_07_periodicity_fig3_and_fig4b():
     horizon = 4096
     # Gate path.
-    matrix = evolve(_with(FIG3, n_steps=horizon - 1))
+    matrix = evolve(replace(FIG3, n_steps=horizon - 1))
     gate_report = detect_period(matrix, tol=1e-9)
     assert gate_report.found and gate_report.period == FIG3_PERIOD, gate_report
     # Dense-operator oracle.
@@ -173,7 +164,7 @@ def test_07_periodicity_fig3_and_fig4b():
     assert oracle_report.found and oracle_report.period == FIG3_PERIOD
 
     # Two-control rule: report whatever both paths agree on.
-    m4 = evolve(_with(FIG4B, n_steps=horizon - 1))
+    m4 = evolve(replace(FIG4B, n_steps=horizon - 1))
     rep4 = detect_period(m4, tol=1e-6)
     dense4 = build_dense_rule(FIG4B)
     v = basis_state(8, 128)

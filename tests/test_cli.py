@@ -107,3 +107,20 @@ class TestMatrixCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 16
         assert all(len(line.split(",")) == 16 for line in lines)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["period", "{conf}", "--tol", "-1"], "tolerance must be positive"),
+    (["period", "{conf}", "--tol", "nan"], "tolerance must be positive"),
+    (["simulate", "{conf}", "--out-csv", "{tmp}/missing/x.csv"], "cannot write"),
+    (["simulate", "{conf}", "--out-pgm", "{tmp}/missing/x.pgm"], "cannot write"),
+    (["simulate", "{no_steps}"], "error: missing required key 'steps'\n"),
+], ids=["negative-tol", "nan-tol", "unwritable-csv", "unwritable-pgm", "missing-key"])
+def test_bad_input_ends_in_one_error_line(argv, message, cyclic_conf, tmp_path, capsys):
+    no_steps = tmp_path / "no_steps.conf"
+    no_steps.write_text("cells=2\nrule=right\ninitial=0\n")
+    paths = {"conf": cyclic_conf, "tmp": tmp_path, "no_steps": no_steps}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err

@@ -160,9 +160,9 @@ class TestCompileEvaluation:
     def test_h_both_single_cell_equals_h_kron_h(self):
         cfg = make_config(1, NeighborhoodRule.RIGHT, evaluation=H_BOTH_EVAL)
         op = compose_dense(tuple(compile_evaluation(cfg)), 2)
-        from qca2.gates import kron, standard_gate
+        from qca2.gates import standard_gate
 
-        assert np.allclose(op, kron(standard_gate("H"), standard_gate("H")), atol=1e-15)
+        assert np.allclose(op, np.kron(standard_gate("H"), standard_gate("H")), atol=1e-15)
 
     def test_h_s_then_cn_entangles_single_cell(self):
         cfg = make_config(1, NeighborhoodRule.RIGHT, evaluation=H_S_THEN_CN_EVAL)
@@ -273,18 +273,52 @@ class TestInteractionProperties:
 
     def test_evaluation_cell_order_independence(self, rng):
         cfg = make_config(3, NeighborhoodRule.RIGHT, evaluation=H_S_THEN_CN_EVAL)
-        gates = compile_evaluation(cfg)
-        groups = [gates[i : i + 2] for i in range(0, len(gates), 2)]
+        gates = compile_evaluation(cfg)  # one gate per cell
         state = random_state(rng, 6)
         out_fwd = state
-        for group in groups:
-            for g in group:
-                out_fwd = apply_gate(out_fwd, g)
+        for g in gates:
+            out_fwd = apply_gate(out_fwd, g)
         out_rev = state
-        for group in reversed(groups):
-            for g in group:
-                out_rev = apply_gate(out_rev, g)
+        for g in reversed(gates):
+            out_rev = apply_gate(out_rev, g)
         assert np.max(np.abs(out_fwd - out_rev)) <= 1e-15
+
+
+def reference_interaction(n_cells, rule, boundary):
+    """Image of every basis index under the interaction phase, written from
+    the rule text: c_j ^= AND of the s-bits of cell j's neighbours, where a
+    phantom neighbour beyond a constant boundary holds that constant."""
+    offsets = {
+        NeighborhoodRule.RIGHT: (-1,),  # s_{j-1} drives c_j
+        NeighborhoodRule.LEFT: (1,),
+        NeighborhoodRule.BOTH: (-1, 1),
+    }[rule]
+    pinned = 1 if boundary is BoundaryCondition.CONST_ONE else 0
+    images = []
+    for k in range(4**n_cells):
+        s = [(k >> (2 * j + 1)) & 1 for j in range(n_cells)]
+        image = k
+        for j in range(n_cells):
+            fires = 1
+            for offset in offsets:
+                nb = j + offset
+                if boundary is BoundaryCondition.CYCLIC:
+                    fires &= s[nb % n_cells]
+                elif 0 <= nb < n_cells:
+                    fires &= s[nb]
+                else:
+                    fires &= pinned
+            image ^= fires << (2 * j)
+        images.append(image)
+    return images
+
+
+@pytest.mark.parametrize("rule", ALL_RULES)
+@pytest.mark.parametrize("boundary", ALL_BOUNDARIES)
+def test_interaction_gather_matches_rule_text(rule, boundary):
+    for n in range(1, 7):
+        source = compile_rule(make_config(n, rule, boundary)).source
+        assert source.tolist() == reference_interaction(n, rule, boundary), n
 
 
 class TestEvolve:
