@@ -1,69 +1,1 @@
 """Simulator for 1-D quantum cellular automata with two qubits per cell."""
-
-from .analysis import (
-    CheckReport,
-    PeriodReport,
-    check_interaction,
-    check_translation,
-    check_unitary,
-    detect_period,
-)
-from .gates import (
-    ControlledFlip,
-    GateOp,
-    LocalUnitary,
-    apply_gate,
-    compose_dense,
-    embed_gate,
-    standard_gate,
-)
-from .register import RegisterLayout, basis_state, probabilities
-from .rules import (
-    BoundaryCondition,
-    CompiledRule,
-    Evaluation,
-    EvaluationKind,
-    NeighborhoodRule,
-    QcaConfig,
-    RecordMode,
-    build_dense_rule,
-    compile_evaluation,
-    compile_interaction,
-    compile_rule,
-    evolve,
-    run_gate_script,
-    step,
-)
-
-__all__ = [
-    "BoundaryCondition",
-    "CheckReport",
-    "CompiledRule",
-    "ControlledFlip",
-    "Evaluation",
-    "EvaluationKind",
-    "GateOp",
-    "LocalUnitary",
-    "NeighborhoodRule",
-    "PeriodReport",
-    "QcaConfig",
-    "RecordMode",
-    "RegisterLayout",
-    "apply_gate",
-    "basis_state",
-    "build_dense_rule",
-    "check_interaction",
-    "check_translation",
-    "check_unitary",
-    "compile_evaluation",
-    "compile_interaction",
-    "compile_rule",
-    "compose_dense",
-    "detect_period",
-    "embed_gate",
-    "evolve",
-    "probabilities",
-    "run_gate_script",
-    "standard_gate",
-    "step",
-]

@@ -81,17 +81,24 @@ def check_interaction(config: QcaConfig) -> CheckReport:
 
 def detect_period(matrix: np.ndarray, tol: float = DEFAULT_PERIOD_TOL) -> PeriodReport:
     """Smallest p such that every column pair (t, t+p) agrees within `tol`
-    in max norm, confirmed over at least two full repetitions."""
+    in max norm, confirmed over at least two full repetitions.
+
+    Each lag is scanned one column pair at a time and abandoned at the first
+    pair that misses, so no temporary is larger than one column.
+    """
     if matrix.ndim != 2 or matrix.shape[1] < 1:
         raise ValueError("probability matrix must have at least one column")
     if not tol > 0:
         raise ValueError("tolerance must be positive")
     n_cols = matrix.shape[1]
     for p in range(1, (n_cols - 1) // 2 + 1):
-        deviation = float(
-            np.max(np.abs(matrix[:, : n_cols - p] - matrix[:, p:]))
-        )
-        if deviation <= tol:
+        deviation = 0.0
+        for t in range(n_cols - p):
+            d = float(np.max(np.abs(matrix[:, t] - matrix[:, t + p])))
+            if not d <= tol:  # a nan misses too
+                break
+            deviation = max(deviation, d)
+        else:
             return PeriodReport(
                 found=True,
                 period=p,

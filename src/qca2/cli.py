@@ -12,7 +12,8 @@ Subcommands:
   translation covariance for cyclic boundaries.
 * ``matrix <config>`` -- dump the dense full-update operator as CSV.
 
-Exit codes: 0 success, 1 failed check or period not found, 2 config error.
+Exit codes: 0 success, 1 failed check or period not found, 2 bad input
+(config, script, flag or output path) or a state whose norm drifted.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import sys
 from pathlib import Path
 
 from . import analysis, io_formats, rules
+from .register import NormDriftError
 from .rules import BoundaryCondition, RecordMode
 
 MAX_DENSE_CELLS = 5  # dense oracle path: 2 cells per qubit, 10-qubit cap
@@ -31,7 +33,7 @@ MAX_DENSE_CELLS = 5  # dense oracle path: 2 cells per qubit, 10-qubit cap
 def _load(path: str) -> str:
     try:
         return Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise io_formats.ConfigError(f"cannot read {path}: {exc}") from None
 
 
@@ -147,7 +149,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except io_formats.ConfigError as exc:
+    except (io_formats.ConfigError, NormDriftError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

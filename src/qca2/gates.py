@@ -1,16 +1,18 @@
-"""Gate algebra: standard matrices, placement-aware embedding, fast kernels.
+"""Gate algebra: standard matrices, two state-vector kernels, dense oracle.
 
 Two gate placements cover everything the automaton needs:
 
 * ``ControlledFlip`` -- flips one target qubit when every control qubit is 1.
   With no controls it is a plain X.  Dense form is a 0/1 permutation matrix.
-* ``LocalUnitary`` -- an arbitrary small unitary acting on a listed set of
-  bit positions; ascending bit positions map to ascending significance
-  inside the small matrix, mirroring the register convention.
+* ``LocalUnitary`` -- a small unitary on a block of contiguous bit positions;
+  ascending bit positions map to ascending significance inside the small
+  matrix, mirroring the register convention.
 
-``apply_gate`` updates a state vector without materializing the dense
-operator and runs gate scripts; ``embed_gate``/``compose_dense`` build
-dense operators (capped at 10 qubits) and serve as the testing oracle.
+``flip_source`` turns commuting flips into one index gather and ``contract``
+applies a small matrix to a block of bits.  Compiled rules and gate scripts
+(``apply_gate``) run on these two kernels alone.  ``embed_gate`` and
+``compose_dense`` build dense operators (capped at 10 qubits) without them,
+with ``kron`` and a per-index loop, and serve as the testing oracle.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ UNITARY_TOL = 1e-12
 _SQRT2_INV = 1.0 / np.sqrt(2.0)
 
 _STANDARD = {
-    "I": np.eye(2, dtype=np.complex128),
     "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
     "H": _SQRT2_INV * np.array([[1, 1], [1, -1]], dtype=np.complex128),
     # Control is the more significant qubit: |10> -> |11>, |11> -> |10>.
@@ -35,15 +36,11 @@ _STANDARD = {
         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
         dtype=np.complex128,
     ),
-    # Both controls more significant than the target: swaps |110> and |111>.
-    "CCN": np.eye(8, dtype=np.complex128)[
-        [0, 1, 2, 3, 4, 5, 7, 6]
-    ].astype(np.complex128),
 }
 
 
 def standard_gate(name: str) -> np.ndarray:
-    """Return a copy of a named standard gate matrix (I, X, H, CN, CCN)."""
+    """Return a copy of a named standard gate matrix (X, H, CN)."""
     try:
         return _STANDARD[name].copy()
     except KeyError:
@@ -80,7 +77,7 @@ class ControlledFlip:
 
 @dataclass(frozen=True)
 class LocalUnitary:
-    """A small unitary on the listed bit positions (ascending order).
+    """A small unitary on contiguous bit positions, listed in ascending order.
 
     Bit m of the small-matrix index is the qubit at ``qubits[m]``.
     """
@@ -91,9 +88,9 @@ class LocalUnitary:
     def __init__(self, qubits: Sequence[int], matrix: np.ndarray):
         qubits = tuple(int(q) for q in qubits)
         matrix = np.asarray(matrix, dtype=np.complex128)
-        if list(qubits) != sorted(set(qubits)):
-            raise ValueError("qubit positions must be strictly ascending")
-        if any(q < 0 for q in qubits):
+        if not qubits or qubits != tuple(range(qubits[0], qubits[0] + len(qubits))):
+            raise ValueError("qubit positions must be contiguous and ascending")
+        if qubits[0] < 0:
             raise ValueError("bit positions must be nonnegative")
         d = 1 << len(qubits)
         if matrix.shape != (d, d):
@@ -138,73 +135,52 @@ def embed_gate(gate: GateOp, n_qubits: int) -> np.ndarray:
             image = k ^ flip if (k & control_mask) == control_mask else k
             op[image, k] = 1.0
         return op
-    # LocalUnitary: scatter the small matrix over every setting of the
-    # untouched bits.
-    touched = list(gate.qubits)
-    rest = [p for p in range(n_qubits) if p not in gate.qubits]
-    small = gate.matrix
-    d = small.shape[0]
-    op = np.zeros((dim, dim), dtype=np.complex128)
-    for r in range(1 << len(rest)):
-        base = 0
-        for m, p in enumerate(rest):
-            if (r >> m) & 1:
-                base |= 1 << p
-        spread = [0] * d
-        for i in range(d):
-            v = 0
-            for m, p in enumerate(touched):
-                if (i >> m) & 1:
-                    v |= 1 << p
-            spread[i] = base | v
-        for i in range(d):
-            for j in range(d):
-                op[spread[i], spread[j]] = small[i, j]
-    return op
+    # LocalUnitary: identities on the bits above and below the block.
+    low, k = gate.qubits[0], len(gate.qubits)
+    above = np.eye(1 << (n_qubits - low - k))
+    return np.kron(np.kron(above, gate.matrix), np.eye(1 << low))
+
+
+def flip_source(flips: Sequence[ControlledFlip], n_qubits: int) -> np.ndarray:
+    """Gather index that applies all `flips`: ``psi[flip_source(flips, n)]``.
+
+    No flip may target a bit another flip uses as a control.  Then the flips
+    commute and are involutions, so the image of every basis index is also
+    the index its new amplitude is gathered from.
+    """
+    targets = {flip.target for flip in flips}
+    if any(flip.controls & targets for flip in flips):
+        raise ValueError("a flip targets a bit that another flip uses as a control")
+    source = np.arange(1 << n_qubits)
+    for flip in flips:
+        mask = sum(1 << c for c in flip.controls)
+        source ^= ((source & mask) == mask) << flip.target
+    return source
+
+
+def contract(u: np.ndarray, psi: np.ndarray, low: int, out: np.ndarray) -> np.ndarray:
+    """Apply the small matrix `u` to the block of bits starting at bit `low`
+    of `psi`, writing into `out`; returns `out`."""
+    d = u.shape[0]
+    # Axis 1 of the views is the block's index.
+    np.einsum("ij,ajb->aib", u, psi.reshape(-1, d, 1 << low),
+              out=out.reshape(-1, d, 1 << low))
+    return out
 
 
 def apply_gate(state: np.ndarray, gate: GateOp) -> np.ndarray:
     """Apply `gate` to `state` and return the new state vector.
 
-    The controlled-flip path is an exact amplitude permutation; the local
-    unitary path contracts the small matrix against the touched axes.  The
-    input is never mutated.
+    A flip is an exact amplitude gather; a local unitary is contracted
+    against its block of bits.  The input is never mutated.
     """
     n = int(state.size).bit_length() - 1
     if state.size != 1 << n:
         raise ValueError("state length is not a power of two")
     _check_gate_fits(gate, n)
     if isinstance(gate, ControlledFlip):
-        psi = state.copy().reshape([2] * n)
-        # Axis i of the reshaped tensor holds bit n-1-i.
-        sel: list = [slice(None)] * n
-        for c in gate.controls:
-            sel[n - 1 - c] = 1
-        t_ax = n - 1 - gate.target
-        sel0, sel1 = list(sel), list(sel)
-        sel0[t_ax] = 0
-        sel1[t_ax] = 1
-        sel0, sel1 = tuple(sel0), tuple(sel1)
-        tmp = psi[sel0].copy()
-        psi[sel0] = psi[sel1]
-        psi[sel1] = tmp
-        return psi.reshape(-1)
-    if len(gate.qubits) == 1:
-        # Dominant case in compiled rules; avoids the moveaxis round-trip.
-        p = gate.qubits[0]
-        psi = state.reshape(-1, 2, 1 << p)
-        u = gate.matrix
-        out = np.empty_like(psi)
-        a, b = psi[:, 0, :], psi[:, 1, :]
-        out[:, 0, :] = u[0, 0] * a + u[0, 1] * b
-        out[:, 1, :] = u[1, 0] * a + u[1, 1] * b
-        return out.reshape(-1)
-    k = len(gate.qubits)
-    axes = [n - 1 - p for p in reversed(gate.qubits)]
-    psi = np.moveaxis(state.reshape([2] * n), axes, range(k))
-    shape = psi.shape
-    block = gate.matrix @ psi.reshape(1 << k, -1)
-    return np.moveaxis(block.reshape(shape), range(k), axes).reshape(-1).copy()
+        return state[flip_source((gate,), n)]
+    return contract(gate.matrix, state, gate.qubits[0], np.empty_like(state))
 
 
 def compose_dense(gates: Sequence[GateOp], n_qubits: int) -> np.ndarray:

@@ -200,9 +200,10 @@ def format_config(config: QcaConfig) -> str:
 
 def _parse_qubit(token: str, layout: RegisterLayout, line_no: int) -> int:
     role = token[:1]
-    if role not in ("s", "c") or not token[1:].isdigit():
+    # isdecimal, not isdigit: int() refuses digits such as "²".
+    if role not in ("s", "c") or not token[1:].isdecimal():
         raise ConfigSyntaxError(line_no, f"bad qubit name {token!r} (want e.g. s0, c1)")
-    cell = int(token[1:])
+    cell = _parse_int(token[1:], line_no, "cell")
     try:
         return layout.bit_position(cell, role)
     except IndexError as exc:

@@ -19,6 +19,10 @@ MAX_QUBITS = 24
 NORM_TOL = 1e-9
 
 
+class NormDriftError(ValueError):
+    """A state's squared norm drifted from one by more than NORM_TOL."""
+
+
 @dataclass(frozen=True)
 class RegisterLayout:
     """Cell-to-bit-position mapping for a register of two-qubit cells."""
@@ -84,5 +88,5 @@ def probabilities(state: np.ndarray) -> np.ndarray:
     probs = np.abs(state) ** 2
     norm = probs.sum()
     if abs(norm - 1.0) > NORM_TOL:
-        raise ValueError(f"state not normalized: squared norm {norm!r}")
+        raise NormDriftError(f"state not normalized: squared norm {norm!r}")
     return probs

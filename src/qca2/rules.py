@@ -22,6 +22,8 @@ from .gates import (
     LocalUnitary,
     apply_gate,
     compose_dense,
+    contract,
+    flip_source,
     is_unitary,
     standard_gate,
 )
@@ -199,14 +201,9 @@ def compile_evaluation(config: QcaConfig) -> list[GateOp]:
 def compile_rule(config: QcaConfig) -> CompiledRule:
     n_qubits = config.layout.n_qubits
     interaction = tuple(compile_interaction(config))
-    # The flips commute and are involutions, so the image of every basis
-    # index is also the index its new amplitude is gathered from.
-    source = np.arange(1 << n_qubits)
-    for flip in interaction:
-        mask = sum(1 << c for c in flip.controls)
-        source ^= ((source & mask) == mask) << flip.target
     evaluation = tuple(compile_evaluation(config))
-    return CompiledRule(n_qubits, interaction, evaluation, source,
+    return CompiledRule(n_qubits, interaction, evaluation,
+                        flip_source(interaction, n_qubits),
                         _cell_unitary(config.evaluation))
 
 
@@ -224,12 +221,8 @@ def build_dense_interaction(config: QcaConfig) -> np.ndarray:
 def _evaluate(psi: np.ndarray, rule: CompiledRule, spare: np.ndarray):
     """Apply the cell unitary inside every cell, ping-ponging between `psi`
     and `spare`; returns (result, the other buffer)."""
-    u = rule.cell_unitary
-    for j in range(rule.n_qubits // 2):
-        # Axis 1 of the view is cell j's (s, c) pair.
-        np.einsum("ij,ajb->aib", u, psi.reshape(-1, 4, 4**j),
-                  out=spare.reshape(-1, 4, 4**j))
-        psi, spare = spare, psi
+    for low in range(0, rule.n_qubits, 2):  # cell j holds bits 2j (c) and 2j+1 (s)
+        psi, spare = contract(rule.cell_unitary, psi, low, spare), psi
     return psi, spare
 
 

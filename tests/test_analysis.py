@@ -108,6 +108,33 @@ class TestDetectPeriod:
         if small.found:
             assert large.found and large.period <= small.period
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=1, max_value=5),
+        st.integers(min_value=1, max_value=16),
+        st.sampled_from([0.0, 1e-12, 1e-10, 1e-8, 1e-3]),
+        st.booleans(),
+        st.sampled_from([1e-9, 1e-11]),
+    )
+    def test_matches_whole_matrix_formula(self, seed, period, n_cols, noise, with_nan, tol):
+        rng = np.random.default_rng(seed)
+        pattern = rng.random((int(rng.integers(1, 5)), period))
+        matrix = pattern[:, np.arange(n_cols) % period]
+        matrix = matrix + noise * rng.standard_normal(matrix.shape)
+        if with_nan:
+            matrix[rng.integers(matrix.shape[0]), rng.integers(n_cols)] = np.nan
+        # Reference: every lag compared over the whole matrix at once.
+        expected = (False, None, "nan")
+        for p in range(1, (n_cols - 1) // 2 + 1):
+            deviation = float(np.max(np.abs(matrix[:, : n_cols - p] - matrix[:, p:])))
+            if deviation <= tol:
+                expected = (True, p, repr(deviation))
+                break
+        report = detect_period(matrix, tol)
+        assert (report.found, report.period, repr(report.max_deviation)) == expected
+        assert report.columns_examined == n_cols
+
     def test_clifford_rule_exactly_periodic(self):
         # Single-control flips plus Hadamards generate a finite group, so the
         # probability pattern recurs exactly.

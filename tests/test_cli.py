@@ -115,11 +115,22 @@ class TestMatrixCommand:
     (["simulate", "{conf}", "--out-csv", "{tmp}/missing/x.csv"], "cannot write"),
     (["simulate", "{conf}", "--out-pgm", "{tmp}/missing/x.pgm"], "cannot write"),
     (["simulate", "{no_steps}"], "error: missing required key 'steps'\n"),
-], ids=["negative-tol", "nan-tol", "unwritable-csv", "unwritable-pgm", "missing-key"])
+    (["period", "{drift}", "--horizon", "4096"], "state not normalized"),
+    (["simulate", "{not_utf8}"], "cannot read"),
+], ids=["negative-tol", "nan-tol", "unwritable-csv", "unwritable-pgm", "missing-key",
+        "norm-drift", "not-utf8"])
 def test_bad_input_ends_in_one_error_line(argv, message, cyclic_conf, tmp_path, capsys):
     no_steps = tmp_path / "no_steps.conf"
     no_steps.write_text("cells=2\nrule=right\ninitial=0\n")
-    paths = {"conf": cyclic_conf, "tmp": tmp_path, "no_steps": no_steps}
+    # Unitary within 1e-12, but the squared norm grows by about 4e-12 per
+    # step on 5 cells and passes the 1e-9 check after a few hundred steps.
+    drift = tmp_path / "drift.conf"
+    diagonal = ",".join("1.0000000000004" if i % 5 == 0 else "0" for i in range(16))
+    drift.write_text(f"cells=5\nrule=both\neval=custom:{diagonal}\nsteps=0\ninitial=0\n")
+    not_utf8 = tmp_path / "not_utf8.conf"
+    not_utf8.write_bytes(b"\xff\xfe")
+    paths = {"conf": cyclic_conf, "tmp": tmp_path, "no_steps": no_steps,
+             "drift": drift, "not_utf8": not_utf8}
     assert main([arg.format(**paths) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qca2.gates import ControlledFlip, LocalUnitary
 from qca2.io_formats import (
+    ConfigError,
     ConfigRangeError,
     ConfigSyntaxError,
     NonUnitaryMatrixError,
@@ -125,6 +128,31 @@ class TestParseScript:
     def test_initial_out_of_range(self):
         with pytest.raises(ConfigRangeError):
             parse_script("cells=1\ninitial=4\nstep\nH s0\n")
+
+
+# Lines built from the words both file formats know, mixed with arbitrary
+# text, so that the fuzz reaches past the first line.
+_KEYS = ["cells", "rule", "boundary", "eval", "steps", "initial", "record"]
+_WORDS = ["1", "2", "0", "-1", "99", "right", "both", "cyclic", "const1", "h_both",
+          "custom:1,0,0,0,0,1,0,0,0,0,1,0,0,0,0,1", "custom:1e999", "phase",
+          "step", "H", "X", "CN", "CCN", "s0", "c1", "s1", "#", "="]
+_TOKEN = st.one_of(st.sampled_from(_WORDS), st.text(max_size=4))
+_LINE = st.one_of(
+    st.builds("{}={}".format, st.sampled_from(_KEYS), _TOKEN),
+    st.lists(_TOKEN, min_size=1, max_size=4).map(" ".join),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_LINE, max_size=8).map("\n".join))
+@example("cells=1\ninitial=0\nstep\nH s\u00b2\n")  # "²".isdigit(), but int() refuses it
+@example("cells=1\ninitial=0\nstep\nH s" + "1" * 5000 + "\n")  # past int()'s digit limit
+def test_parsers_return_a_result_or_raise_config_error(text):
+    for parse in (parse_config, parse_script):
+        try:
+            parse(text)
+        except ConfigError:
+            pass
 
 
 class TestCsv:
