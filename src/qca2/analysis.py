@@ -62,14 +62,10 @@ def check_interaction(config: QcaConfig) -> CheckReport:
     col_ones = np.abs(np.abs(op).sum(axis=1) - 1.0).max()
     perm_dev = max(entry_dev, float(row_ones), float(col_ones))
 
-    s_mask = 0
-    for j in range(config.n_cells):
-        s_mask |= 1 << (2 * j + 1)
-    violations = 0
+    s_mask = sum(1 << config.layout.s_bit(j) for j in range(config.n_cells))
     images = np.argmax(np.abs(op), axis=0)
-    for k in range(dim):
-        if (int(images[k]) & s_mask) != (k & s_mask):
-            violations += 1
+    kept = (images & s_mask) == (np.arange(dim) & s_mask)
+    violations = dim - int(np.count_nonzero(kept))
     deviation = perm_dev + violations
     return CheckReport(
         name="interaction-permutation",
@@ -117,16 +113,9 @@ def detect_period(matrix: np.ndarray, tol: float = DEFAULT_PERIOD_TOL) -> Period
 
 def cell_shift_permutation(n_cells: int) -> np.ndarray:
     """Basis-index permutation moving every cell's qubit pair up one cell
-    (modulo the cell count)."""
-    dim = 4**n_cells
-    perm = np.empty(dim, dtype=np.int64)
-    for k in range(dim):
-        image = 0
-        for j in range(n_cells):
-            pair = (k >> (2 * j)) & 3
-            image |= pair << (2 * ((j + 1) % n_cells))
-        perm[k] = image
-    return perm
+    (modulo the cell count): a 2-bit left rotation of the index."""
+    k = np.arange(4**n_cells, dtype=np.int64)
+    return ((k << 2) | (k >> (2 * n_cells - 2))) & (4**n_cells - 1)
 
 
 def check_translation(config: QcaConfig, steps: int = 20) -> CheckReport:
@@ -148,10 +137,4 @@ def check_translation(config: QcaConfig, steps: int = 20) -> CheckReport:
 
 
 def check_rule_unitary(config: QcaConfig, tol: float = 1e-12) -> CheckReport:
-    report = check_unitary(build_dense_rule(config), tol)
-    return CheckReport(
-        name="rule-unitary",
-        passed=report.passed,
-        worst_deviation=report.worst_deviation,
-        details=report.details,
-    )
+    return replace(check_unitary(build_dense_rule(config), tol), name="rule-unitary")

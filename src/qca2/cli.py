@@ -24,10 +24,11 @@ import sys
 from pathlib import Path
 
 from . import analysis, io_formats, rules
+from .gates import MAX_DENSE_QUBITS
 from .register import NormDriftError
 from .rules import BoundaryCondition, RecordMode
 
-MAX_DENSE_CELLS = 5  # dense oracle path: 2 cells per qubit, 10-qubit cap
+MAX_DENSE_CELLS = MAX_DENSE_QUBITS // 2  # two qubits per cell
 
 
 def _load(path: str) -> str:

@@ -10,9 +10,11 @@ Two gate placements cover everything the automaton needs:
 
 ``flip_source`` turns commuting flips into one index gather and ``contract``
 applies a small matrix to a block of bits.  Compiled rules and gate scripts
-(``apply_gate``) run on these two kernels alone.  ``embed_gate`` and
-``compose_dense`` build dense operators (capped at 10 qubits) without them,
-with ``kron`` and a per-index loop, and serve as the testing oracle.
+(``apply_gate``) run on these two kernels alone.  Dense operators (capped
+at 10 qubits) are built without them: ``permutation_matrix`` maps a list of
+flips one basis index at a time, ``embed_gate`` places one gate with
+``kron``, and ``compose_dense`` multiplies embedded gates as the tests'
+generic oracle.
 """
 
 from __future__ import annotations
@@ -117,28 +119,41 @@ def _check_gate_fits(gate: GateOp, n_qubits: int) -> None:
         )
 
 
-def embed_gate(gate: GateOp, n_qubits: int) -> np.ndarray:
-    """Dense 2**n x 2**n operator realizing `gate` on an n-qubit register."""
+def _check_dense_size(n_qubits: int) -> None:
     if n_qubits > MAX_DENSE_QUBITS:
         raise ValueError(
             f"dense operators are limited to {MAX_DENSE_QUBITS} qubits, got {n_qubits}"
         )
-    _check_gate_fits(gate, n_qubits)
-    dim = 1 << n_qubits
+
+
+def embed_gate(gate: GateOp, n_qubits: int) -> np.ndarray:
+    """Dense 2**n x 2**n operator realizing `gate` on an n-qubit register."""
     if isinstance(gate, ControlledFlip):
-        control_mask = 0
-        for c in gate.controls:
-            control_mask |= 1 << c
-        flip = 1 << gate.target
-        op = np.zeros((dim, dim), dtype=np.complex128)
-        for k in range(dim):
-            image = k ^ flip if (k & control_mask) == control_mask else k
-            op[image, k] = 1.0
-        return op
+        return permutation_matrix((gate,), n_qubits)
+    _check_dense_size(n_qubits)
+    _check_gate_fits(gate, n_qubits)
     # LocalUnitary: identities on the bits above and below the block.
     low, k = gate.qubits[0], len(gate.qubits)
     above = np.eye(1 << (n_qubits - low - k))
     return np.kron(np.kron(above, gate.matrix), np.eye(1 << low))
+
+
+def permutation_matrix(flips: Sequence[ControlledFlip], n_qubits: int) -> np.ndarray:
+    """Dense 0/1 operator applying `flips` in list order, one basis index at
+    a time.  Unlike `flip_source` it allows flips that do not commute."""
+    _check_dense_size(n_qubits)
+    for flip in flips:
+        _check_gate_fits(flip, n_qubits)
+    masks = [(sum(1 << c for c in flip.controls), 1 << flip.target) for flip in flips]
+    dim = 1 << n_qubits
+    op = np.zeros((dim, dim), dtype=np.complex128)
+    for k in range(dim):
+        image = k
+        for control_mask, flip in masks:
+            if (image & control_mask) == control_mask:
+                image ^= flip
+        op[image, k] = 1.0
+    return op
 
 
 def flip_source(flips: Sequence[ControlledFlip], n_qubits: int) -> np.ndarray:

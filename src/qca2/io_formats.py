@@ -29,6 +29,7 @@ two controls then the target.
 from __future__ import annotations
 
 import math
+from typing import Iterator
 
 import numpy as np
 
@@ -278,15 +279,31 @@ def format_complex(z: complex) -> str:
     return f"{re}{sign}{im}i"
 
 
+_BLOCK_VALUES = 1 << 10  # small blocks keep the peak memory of formatting low
+
+
+def _format_rows(matrix: np.ndarray, fmt, sep: str) -> Iterator[str]:
+    """Yield each row of `matrix`: its values formatted by `fmt`, joined by `sep`.
+
+    `fmt` is called once per distinct bit pattern (so -0.0 and 0.0 stay
+    apart) in each block of about 2**10 values.
+    """
+    bits = matrix.view(np.uint64 if matrix.itemsize == 8 else f"V{matrix.itemsize}")
+    rows_per_block = max(1, _BLOCK_VALUES // max(matrix.shape[1], 1))
+    for start in range(0, len(bits), rows_per_block):
+        block = bits[start:start + rows_per_block]
+        patterns, inverse = np.unique(block, return_inverse=True)
+        table = [fmt(v) for v in patterns.view(matrix.dtype).tolist()]
+        for row in inverse.reshape(block.shape).tolist():
+            yield sep.join([table[i] for i in row])
+
+
 def write_csv(matrix: np.ndarray) -> str:
     """Probability matrix as CSV: header ``state,t0,t1,...``, one row per
     basis state, values as shortest round-trip decimals."""
-    n_rows, n_cols = matrix.shape
-    lines = ["state," + ",".join(f"t{t}" for t in range(n_cols))]
-    for r in range(n_rows):
-        lines.append(
-            f"{r}," + ",".join(format_probability(matrix[r, c]) for c in range(n_cols))
-        )
+    rows = _format_rows(matrix, format_probability, ",")
+    lines = ["state," + ",".join(f"t{t}" for t in range(matrix.shape[1]))]
+    lines += [f"{r},{row}" for r, row in enumerate(rows)]
     return "\n".join(lines) + "\n"
 
 
@@ -308,18 +325,13 @@ def render_pgm(matrix: np.ndarray) -> bytes:
     # 255*(1-p) is nonnegative, so floor(x + 0.5) is half-away-from-zero.
     pixels = np.floor(255.0 * (1.0 - matrix) + 0.5).astype(np.int64)
     pixels = np.clip(pixels, 0, 255)
-    lines = ["P2", f"{n_cols} {n_rows}", "255"]
-    for r in range(n_rows):
-        lines.append(" ".join(str(int(v)) for v in pixels[r]))
+    lines = ["P2", f"{n_cols} {n_rows}", "255", *_format_rows(pixels, str, " ")]
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
 def write_operator_csv(op: np.ndarray) -> str:
     """Dense operator as CSV of complex entries, one matrix row per line."""
-    lines = []
-    for row in op:
-        lines.append(",".join(format_complex(complex(z)) for z in row))
-    return "\n".join(lines) + "\n"
+    return "\n".join(_format_rows(op, format_complex, ",")) + "\n"
 
 
 def format_period_report(report) -> str:

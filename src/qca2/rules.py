@@ -3,19 +3,22 @@
 One full update is two phases.  The interaction phase flips each cell's
 controlled qubit when the state qubits of its neighbors are all 1.  The
 flips are controlled by s-bits and target c-bits, so they commute and the
-whole phase is one involutive permutation of basis indices: a single
-gather.  The evaluation phase applies the same 4x4 unitary inside every
-cell.  The gate lists of both phases compose the dense testing oracle.
+whole phase is one involutive permutation P of basis indices: a single
+gather.  The evaluation phase applies the same 4x4 unitary U inside every
+cell.  The dense operator of one update is (U⊗…⊗U)·P, with P built one
+basis index at a time rather than by the gather.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
 
+# perfbench/tracing.py wraps rules.apply_gate and rules.compose_dense by name.
 from .gates import (
     ControlledFlip,
     GateOp,
@@ -25,6 +28,7 @@ from .gates import (
     contract,
     flip_source,
     is_unitary,
+    permutation_matrix,
     standard_gate,
 )
 from .register import MAX_CELLS, RegisterLayout, basis_state, probabilities
@@ -116,7 +120,7 @@ class QcaConfig:
 class CompiledRule:
     """One full update on `n_qubits` qubits: the gather ``psi[source]``, then
     `cell_unitary` inside every cell.  The gate lists spell out the same two
-    phases for the dense oracle."""
+    phases one gate at a time."""
 
     n_qubits: int
     interaction: tuple[GateOp, ...]
@@ -125,52 +129,33 @@ class CompiledRule:
     cell_unitary: np.ndarray = field(compare=False, repr=False)
 
 
+# Cell offsets of the neighbours whose s-qubits together flip a cell's c-qubit.
+_NEIGHBOUR_OFFSETS = {
+    NeighborhoodRule.RIGHT: (-1,),
+    NeighborhoodRule.LEFT: (+1,),
+    NeighborhoodRule.BOTH: (+1, -1),
+}
+
+
 def compile_interaction(config: QcaConfig) -> list[GateOp]:
-    """Controlled-flip list realizing the interaction phase with boundaries.
+    """Controlled-flip list realizing the interaction phase, one flip per
+    cell in ascending cell order.
 
-    Constant boundaries pin the phantom neighbor's s-qubit to 0 or 1: a gate
-    controlled only by a 0 is dropped, a control pinned to 1 disappears from
-    the control set (degrading to fewer controls, possibly an unconditional
-    flip).  A boundary s-qubit that would control a missing cell simply
-    controls nothing.  Cyclic boundaries wrap indices modulo the cell count.
+    Cyclic boundaries wrap neighbour indices modulo the cell count.
+    Constant boundaries pin a phantom neighbour's s-qubit to 0 or 1: a flip
+    with a control pinned to 0 never fires and is dropped, a control pinned
+    to 1 drops out of the control set (possibly leaving a plain X).
     """
-    layout = config.layout
-    n = config.n_cells
+    layout, n = config.layout, config.n_cells
     cyclic = config.boundary is BoundaryCondition.CYCLIC
-    const_one = config.boundary is BoundaryCondition.CONST_ONE
+    const_zero = config.boundary is BoundaryCondition.CONST_ZERO
     gates: list[GateOp] = []
-
-    if config.rule is NeighborhoodRule.RIGHT:
-        # s_j controls c_{j+1}; under constant boundaries c_0 has a phantom
-        # controller pinned to the boundary constant.
-        if not cyclic and const_one:
-            gates.append(ControlledFlip((), layout.c_bit(0)))
-        for j in range(n):
-            tgt = (j + 1) % n if cyclic else j + 1
-            if tgt >= n:
-                continue
-            gates.append(ControlledFlip({layout.s_bit(j)}, layout.c_bit(tgt)))
-    elif config.rule is NeighborhoodRule.LEFT:
-        for j in range(n):
-            tgt = (j - 1) % n if cyclic else j - 1
-            if tgt < 0:
-                continue
-            gates.append(ControlledFlip({layout.s_bit(j)}, layout.c_bit(tgt)))
-        if not cyclic and const_one:
-            gates.append(ControlledFlip((), layout.c_bit(n - 1)))
-    else:
-        for j in range(n):
-            controls: set[int] = set()
-            dropped = False
-            for nb in (j + 1, j - 1):
-                if cyclic:
-                    controls.add(layout.s_bit(nb % n))
-                elif 0 <= nb < n:
-                    controls.add(layout.s_bit(nb))
-                elif not const_one:
-                    dropped = True  # phantom control pinned to 0 never fires
-            if not dropped:
-                gates.append(ControlledFlip(controls, layout.c_bit(j)))
+    for j in range(n):
+        neighbours = [j + d for d in _NEIGHBOUR_OFFSETS[config.rule]]
+        present = [nb % n for nb in neighbours if cyclic or 0 <= nb < n]
+        if const_zero and len(present) < len(neighbours):
+            continue
+        gates.append(ControlledFlip({layout.s_bit(nb) for nb in present}, layout.c_bit(j)))
     return gates
 
 
@@ -207,15 +192,17 @@ def compile_rule(config: QcaConfig) -> CompiledRule:
                         _cell_unitary(config.evaluation))
 
 
-def build_dense_rule(config: QcaConfig) -> np.ndarray:
-    """Dense full-update operator (evaluation after interaction)."""
-    rule = compile_rule(config)
-    n = rule.n_qubits
-    return compose_dense(rule.interaction + rule.evaluation, n)
-
-
 def build_dense_interaction(config: QcaConfig) -> np.ndarray:
-    return compose_dense(tuple(compile_interaction(config)), config.layout.n_qubits)
+    """Dense interaction permutation P, mapped one basis index at a time."""
+    return permutation_matrix(compile_interaction(config), config.layout.n_qubits)
+
+
+def build_dense_rule(config: QcaConfig) -> np.ndarray:
+    """Dense full-update operator (U⊗…⊗U)·P: the interaction permutation,
+    then the cell unitary in every cell."""
+    interaction = build_dense_interaction(config)  # refuses oversized registers first
+    cell_unitaries = reduce(np.kron, [_cell_unitary(config.evaluation)] * config.n_cells)
+    return cell_unitaries @ interaction
 
 
 def _evaluate(psi: np.ndarray, rule: CompiledRule, spare: np.ndarray):

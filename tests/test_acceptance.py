@@ -33,7 +33,7 @@ from qca2.rules import (
     step,
 )
 
-from conftest import random_unitary
+from helpers import random_unitary
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"

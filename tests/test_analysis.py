@@ -3,13 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qca2 import analysis
 from qca2.analysis import (
+    cell_shift_permutation,
     check_interaction,
     check_translation,
     check_unitary,
     detect_period,
 )
-from qca2.gates import LocalUnitary, embed_gate, standard_gate
+from qca2.gates import ControlledFlip, LocalUnitary, embed_gate, standard_gate
 from qca2.rules import (
     BoundaryCondition,
     H_BOTH_EVAL,
@@ -52,6 +54,14 @@ class TestCheckInteraction:
     def test_three_cells_both_cyclic(self):
         cfg = QcaConfig(3, NeighborhoodRule.BOTH, BoundaryCondition.CYCLIC)
         assert check_interaction(cfg).passed
+
+    def test_counts_every_state_whose_s_bit_moves(self, monkeypatch):
+        # An X on s0 of a one-cell register moves the s-bit of all 4 states.
+        x_on_s0 = embed_gate(ControlledFlip((), 1), 2)
+        monkeypatch.setattr(analysis, "build_dense_interaction", lambda config: x_on_s0)
+        report = check_interaction(QcaConfig(1, NeighborhoodRule.RIGHT))
+        assert not report.passed and report.worst_deviation == 4.0
+        assert report.details.startswith("4 s-bit violations over 4 ")
 
 
 class TestDetectPeriod:
@@ -143,6 +153,17 @@ class TestDetectPeriod:
                             H_S_THEN_CN_EVAL, initial_index=2, n_steps=512)
             report = detect_period(evolve(cfg), tol=1e-9)
             assert report.found, (rule, report)
+
+
+def test_cell_shift_is_the_per_cell_loop():
+    for n_cells in range(1, 7):
+        expected = []
+        for k in range(4**n_cells):
+            image = 0
+            for j in range(n_cells):
+                image |= ((k >> (2 * j)) & 3) << (2 * ((j + 1) % n_cells))
+            expected.append(image)
+        assert cell_shift_permutation(n_cells).tolist() == expected
 
 
 class TestCheckTranslation:

@@ -11,11 +11,12 @@ from qca2.gates import (
     embed_gate,
     flip_source,
     is_unitary,
+    permutation_matrix,
     standard_gate,
 )
 from qca2.register import basis_state
 
-from conftest import random_state, random_unitary
+from helpers import random_state, random_unitary
 
 
 class TestStandardGates:
@@ -198,6 +199,30 @@ class TestFlipSource:
         # results, so no single gather can apply both.
         with pytest.raises(ValueError):
             flip_source([ControlledFlip({0}, 1), ControlledFlip({1}, 2)], 3)
+
+
+class TestPermutationMatrix:
+    def test_matches_product_of_embedded_flips(self, rng):
+        for _ in range(30):
+            n = int(rng.integers(2, 7))
+            flips = []
+            for _ in range(int(rng.integers(0, 5))):
+                bits = rng.permutation(n)
+                n_controls = int(rng.integers(0, min(3, n)))
+                flips.append(ControlledFlip(bits[1 : 1 + n_controls].tolist(), int(bits[0])))
+            assert np.array_equal(permutation_matrix(flips, n), compose_dense(flips, n))
+
+    def test_keeps_the_order_of_flips_that_do_not_commute(self):
+        flips = [ControlledFlip({0}, 1), ControlledFlip({1}, 2)]
+        forward = permutation_matrix(flips, 3)
+        assert np.array_equal(forward, compose_dense(flips, 3))
+        assert not np.array_equal(forward, permutation_matrix(flips[::-1], 3))
+        # |001> sets bit 1, which then flips bit 2: |111>.
+        assert np.array_equal(forward @ basis_state(3, 1), basis_state(3, 7))
+
+    def test_dense_size_limit(self):
+        with pytest.raises(ValueError):
+            permutation_matrix([], 11)
 
 
 class TestComposeDense:

@@ -11,11 +11,13 @@ from qca2.io_formats import (
     NonUnitaryMatrixError,
     format_complex,
     format_config,
+    format_probability,
     parse_config,
     parse_script,
     read_csv,
     render_pgm,
     write_csv,
+    write_operator_csv,
 )
 from qca2.rules import (
     BoundaryCondition,
@@ -26,7 +28,7 @@ from qca2.rules import (
     evolve,
 )
 
-from conftest import random_unitary
+from helpers import random_unitary
 
 FIG3_TEXT = "cells=3\nrule=right\neval=h_s_then_cn\nsteps=50\ninitial=32\n"
 
@@ -153,6 +155,53 @@ def test_parsers_return_a_result_or_raise_config_error(text):
             parse(text)
         except ConfigError:
             pass
+
+
+def _reference_csv(matrix):
+    n_rows, n_cols = matrix.shape
+    lines = ["state," + ",".join(f"t{t}" for t in range(n_cols))]
+    for r in range(n_rows):
+        values = (format_probability(matrix[r, c]) for c in range(n_cols))
+        lines.append(f"{r}," + ",".join(values))
+    return "\n".join(lines) + "\n"
+
+
+def _reference_pgm(matrix):
+    n_rows, n_cols = matrix.shape
+    pixels = np.clip(np.floor(255.0 * (1.0 - matrix) + 0.5).astype(np.int64), 0, 255)
+    lines = ["P2", f"{n_cols} {n_rows}", "255"]
+    lines += [" ".join(str(int(v)) for v in pixels[r]) for r in range(n_rows)]
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def _reference_operator(op):
+    return "\n".join(",".join(format_complex(complex(z)) for z in row) for row in op) + "\n"
+
+
+_PROBABILITIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 0.5, 1.0 - 1.0 / 510.0]),
+    st.floats(0.0, 1.0),
+)
+
+
+# Shapes reach past one formatting block of 2**10 values; a small pool of
+# values, ±0.0 among them, makes values repeat inside and across blocks.
+@settings(max_examples=12, deadline=None)
+@given(
+    pool=st.lists(_PROBABILITIES, min_size=1, max_size=12),
+    shape=st.tuples(st.integers(1, 160), st.integers(1, 160)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(pool=[0.0, -0.0, 0.25], shape=(160, 140), seed=0)
+def test_writers_match_per_value_formatting(pool, shape, seed):
+    pick = np.random.default_rng(seed).integers(0, len(pool), size=(2,) + shape)
+    values = np.array(pool)
+    matrix = values[pick[0]]
+    assert write_csv(matrix) == _reference_csv(matrix)
+    assert render_pgm(matrix) == _reference_pgm(matrix)
+    op = np.empty(shape, dtype=np.complex128)
+    op.real, op.imag = matrix, -values[pick[1]]
+    assert write_operator_csv(op) == _reference_operator(op)
 
 
 class TestCsv:

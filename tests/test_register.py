@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from qca2.register import RegisterLayout, basis_state, probabilities
 
-from conftest import random_state
+from helpers import random_state
 
 
 class TestLayout:

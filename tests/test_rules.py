@@ -23,7 +23,7 @@ from qca2.rules import (
     step,
 )
 
-from conftest import random_state, random_unitary
+from helpers import random_state, random_unitary
 
 FIG3 = QcaConfig(
     n_cells=3,
@@ -66,7 +66,7 @@ class TestCompileInteraction:
         gates = compile_interaction(
             make_config(2, NeighborhoodRule.RIGHT, BoundaryCondition.CYCLIC)
         )
-        assert gates == [ControlledFlip({1}, 2), ControlledFlip({3}, 0)]
+        assert gates == [ControlledFlip({3}, 0), ControlledFlip({1}, 2)]
 
     def test_right_const1_flips_first_c(self):
         gates = compile_interaction(
