@@ -13,13 +13,15 @@ Subcommands:
 * ``matrix <config>`` -- dump the dense full-update operator as CSV.
 
 Exit codes: 0 success, 1 failed check or period not found, 2 bad input
-(config, script, flag or output path) or a state whose norm drifted.
+(config, script, flag or output path), a run whose probability matrix and
+states would not fit in physical memory, or a state whose norm drifted.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 from pathlib import Path
 
@@ -38,6 +40,22 @@ def _load(path: str) -> str:
         raise io_formats.ConfigError(f"cannot read {path}: {exc}") from None
 
 
+def _physical_memory() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _evolve(config: rules.QcaConfig):
+    """`rules.evolve`, refused before it allocates when its estimated bytes
+    exceed physical memory."""
+    need, have = rules.evolve_bytes(config), _physical_memory()
+    if need > have:
+        raise io_formats.ConfigError(
+            f"run needs about {need / 2**30:.1f} GiB for its probability matrix "
+            f"and states, more than the {have / 2**30:.1f} GiB of physical memory"
+        )
+    return rules.evolve(config)
+
+
 def _write_outputs(matrix, args) -> None:
     csv_text = io_formats.write_csv(matrix)
     try:
@@ -53,7 +71,7 @@ def _write_outputs(matrix, args) -> None:
 
 def _cmd_simulate(args) -> int:
     config = io_formats.parse_config(_load(args.config))
-    _write_outputs(rules.evolve(config), args)
+    _write_outputs(_evolve(config), args)
     return 0
 
 
@@ -72,7 +90,7 @@ def _cmd_period(args) -> int:
     cols_per_step = 2 if config.record is RecordMode.PER_PHASE else 1
     n_steps = -(-(args.horizon - 1) // cols_per_step)  # ceil division
     config = dataclasses.replace(config, n_steps=n_steps)
-    matrix = rules.evolve(config)[:, : args.horizon]
+    matrix = _evolve(config)[:, : args.horizon]
     report = analysis.detect_period(matrix, args.tol)
     sys.stdout.write(io_formats.format_period_report(report))
     return 0 if report.found else 1

@@ -279,21 +279,50 @@ def format_complex(z: complex) -> str:
     return f"{re}{sign}{im}i"
 
 
+def _positional(token: str) -> str:
+    """Rewrite a ``repr`` token in exponent form (``1.5e-07``) positionally."""
+    mantissa, _, exponent = token.partition("e")
+    sign = "-" if mantissa.startswith("-") else ""
+    head, _, tail = mantissa.lstrip("-").partition(".")
+    digits, point = head + tail, len(head) + int(exponent)
+    if point <= 0:
+        return f"{sign}0.{'0' * -point}{digits}"
+    # repr writes an exponent only from 1e16 up, past all 17 digits.
+    return f"{sign}{digits}{'0' * (point - len(digits))}"
+
+
+def _format_floats(values: list[float]) -> list[str]:
+    """`format_probability` of every value, from one ``repr`` of the list.
+
+    ``repr`` prints the same shortest round-trip digits as numpy's Dragon4,
+    but in C; only its ``.0`` endings and exponent forms need rewriting.
+    """
+    tokens = (repr(values)[1:-1] + ", ").replace(".0, ", ", ").split(", ")[:-1]
+    return [_positional(t) if "e" in t else t for t in tokens]
+
+
+def _format_complexes(values: list[complex]) -> list[str]:
+    """`format_complex` of every value."""
+    reals = _format_floats([z.real for z in values])
+    imags = _format_floats([z.imag for z in values])
+    return [f"{re}{'' if im.startswith('-') else '+'}{im}i" for re, im in zip(reals, imags)]
+
+
 _BLOCK_VALUES = 1 << 10  # small blocks keep the peak memory of formatting low
 
 
 def _format_rows(matrix: np.ndarray, fmt, sep: str) -> Iterator[str]:
     """Yield each row of `matrix`: its values formatted by `fmt`, joined by `sep`.
 
-    `fmt` is called once per distinct bit pattern (so -0.0 and 0.0 stay
-    apart) in each block of about 2**10 values.
+    `fmt` takes the list of distinct bit patterns (so -0.0 and 0.0 stay
+    apart) of a block of about 2**10 values and returns their strings.
     """
     bits = matrix.view(np.uint64 if matrix.itemsize == 8 else f"V{matrix.itemsize}")
     rows_per_block = max(1, _BLOCK_VALUES // max(matrix.shape[1], 1))
     for start in range(0, len(bits), rows_per_block):
         block = bits[start:start + rows_per_block]
         patterns, inverse = np.unique(block, return_inverse=True)
-        table = [fmt(v) for v in patterns.view(matrix.dtype).tolist()]
+        table = fmt(patterns.view(matrix.dtype).tolist())
         for row in inverse.reshape(block.shape).tolist():
             yield sep.join([table[i] for i in row])
 
@@ -301,7 +330,7 @@ def _format_rows(matrix: np.ndarray, fmt, sep: str) -> Iterator[str]:
 def write_csv(matrix: np.ndarray) -> str:
     """Probability matrix as CSV: header ``state,t0,t1,...``, one row per
     basis state, values as shortest round-trip decimals."""
-    rows = _format_rows(matrix, format_probability, ",")
+    rows = _format_rows(matrix, _format_floats, ",")
     lines = ["state," + ",".join(f"t{t}" for t in range(matrix.shape[1]))]
     lines += [f"{r},{row}" for r, row in enumerate(rows)]
     return "\n".join(lines) + "\n"
@@ -325,13 +354,14 @@ def render_pgm(matrix: np.ndarray) -> bytes:
     # 255*(1-p) is nonnegative, so floor(x + 0.5) is half-away-from-zero.
     pixels = np.floor(255.0 * (1.0 - matrix) + 0.5).astype(np.int64)
     pixels = np.clip(pixels, 0, 255)
-    lines = ["P2", f"{n_cols} {n_rows}", "255", *_format_rows(pixels, str, " ")]
+    rows = _format_rows(pixels, lambda values: list(map(str, values)), " ")
+    lines = ["P2", f"{n_cols} {n_rows}", "255", *rows]
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
 def write_operator_csv(op: np.ndarray) -> str:
     """Dense operator as CSV of complex entries, one matrix row per line."""
-    return "\n".join(_format_rows(op, format_complex, ",")) + "\n"
+    return "\n".join(_format_rows(op, _format_complexes, ",")) + "\n"
 
 
 def format_period_report(report) -> str:

@@ -119,14 +119,13 @@ class QcaConfig:
 @dataclass(frozen=True)
 class CompiledRule:
     """One full update on `n_qubits` qubits: the gather ``psi[source]``, then
-    `cell_unitary` inside every cell.  The gate lists spell out the same two
-    phases one gate at a time."""
+    the `evaluation` gates, one cell unitary per cell.  The `interaction`
+    flips spell out the gather one gate at a time."""
 
     n_qubits: int
     interaction: tuple[GateOp, ...]
     evaluation: tuple[GateOp, ...]
     source: np.ndarray = field(compare=False, repr=False)
-    cell_unitary: np.ndarray = field(compare=False, repr=False)
 
 
 # Cell offsets of the neighbours whose s-qubits together flip a cell's c-qubit.
@@ -187,9 +186,7 @@ def compile_rule(config: QcaConfig) -> CompiledRule:
     n_qubits = config.layout.n_qubits
     interaction = tuple(compile_interaction(config))
     evaluation = tuple(compile_evaluation(config))
-    return CompiledRule(n_qubits, interaction, evaluation,
-                        flip_source(interaction, n_qubits),
-                        _cell_unitary(config.evaluation))
+    return CompiledRule(n_qubits, interaction, evaluation, flip_source(interaction, n_qubits))
 
 
 def build_dense_interaction(config: QcaConfig) -> np.ndarray:
@@ -206,10 +203,10 @@ def build_dense_rule(config: QcaConfig) -> np.ndarray:
 
 
 def _evaluate(psi: np.ndarray, rule: CompiledRule, spare: np.ndarray):
-    """Apply the cell unitary inside every cell, ping-ponging between `psi`
-    and `spare`; returns (result, the other buffer)."""
-    for low in range(0, rule.n_qubits, 2):  # cell j holds bits 2j (c) and 2j+1 (s)
-        psi, spare = contract(rule.cell_unitary, psi, low, spare), psi
+    """Apply the evaluation gates, ping-ponging between `psi` and `spare`;
+    returns (result, the other buffer)."""
+    for gate in rule.evaluation:  # cell j's gate acts on bits 2j (c) and 2j+1 (s)
+        psi, spare = contract(gate.matrix, psi, gate.qubits[0], spare), psi
     return psi, spare
 
 
@@ -222,6 +219,13 @@ def step(state: np.ndarray, rule: CompiledRule) -> np.ndarray:
         )
     psi = state[rule.source]
     return _evaluate(psi, rule, np.empty_like(psi))[0]
+
+
+def evolve_bytes(config: QcaConfig) -> int:
+    """Bytes `evolve` allocates: the float64 probability matrix and its two
+    complex128 state buffers."""
+    n_columns = 1 + (2 if config.record is RecordMode.PER_PHASE else 1) * config.n_steps
+    return config.layout.n_states * (8 * n_columns + 2 * 16)
 
 
 def evolve(config: QcaConfig) -> np.ndarray:
@@ -256,9 +260,10 @@ def run_gate_script(
     """Run an explicit per-timestep gate script, recording a probability
     column after each timestep (column 0 is the initial state)."""
     state = basis_state(n_qubits, initial_index)
-    columns = [probabilities(state)]
-    for timestep in script:
+    matrix = np.empty((state.size, 1 + len(script)))
+    matrix[:, 0] = probabilities(state)
+    for t, timestep in enumerate(script, start=1):
         for gate in timestep:
             state = apply_gate(state, gate)
-        columns.append(probabilities(state))
-    return np.column_stack(columns)
+        matrix[:, t] = probabilities(state)
+    return matrix

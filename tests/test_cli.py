@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qca2 import cli
 from qca2.cli import main
 from qca2.io_formats import read_csv
 
@@ -117,9 +118,17 @@ class TestMatrixCommand:
     (["simulate", "{no_steps}"], "error: missing required key 'steps'\n"),
     (["period", "{drift}", "--horizon", "4096"], "state not normalized"),
     (["simulate", "{not_utf8}"], "cannot read"),
+    (["simulate", "{large}"], "physical memory"),
+    (["period", "{large}", "--horizon", "4096"], "physical memory"),
 ], ids=["negative-tol", "nan-tol", "unwritable-csv", "unwritable-pgm", "missing-key",
-        "norm-drift", "not-utf8"])
-def test_bad_input_ends_in_one_error_line(argv, message, cyclic_conf, tmp_path, capsys):
+        "norm-drift", "not-utf8", "too-large-simulate", "too-large-period"])
+def test_bad_input_ends_in_one_error_line(argv, message, cyclic_conf, tmp_path, capsys,
+                                          monkeypatch):
+    # On a 64 MiB machine the 6-cell runs (128 MiB) are refused, so a broken
+    # check allocates no more than that; the other runs need at most 33 MB.
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 64 << 20)
+    large = tmp_path / "large.conf"
+    large.write_text("cells=6\nrule=right\nsteps=4095\ninitial=0\n")
     no_steps = tmp_path / "no_steps.conf"
     no_steps.write_text("cells=2\nrule=right\ninitial=0\n")
     # Unitary within 1e-12, but the squared norm grows by about 4e-12 per
@@ -130,7 +139,7 @@ def test_bad_input_ends_in_one_error_line(argv, message, cyclic_conf, tmp_path, 
     not_utf8 = tmp_path / "not_utf8.conf"
     not_utf8.write_bytes(b"\xff\xfe")
     paths = {"conf": cyclic_conf, "tmp": tmp_path, "no_steps": no_steps,
-             "drift": drift, "not_utf8": not_utf8}
+             "drift": drift, "not_utf8": not_utf8, "large": large}
     assert main([arg.format(**paths) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +11,8 @@ from qca2.io_formats import (
     ConfigRangeError,
     ConfigSyntaxError,
     NonUnitaryMatrixError,
+    _format_complexes,
+    _format_floats,
     format_complex,
     format_config,
     format_probability,
@@ -155,6 +159,26 @@ def test_parsers_return_a_result_or_raise_config_error(text):
             parse(text)
         except ConfigError:
             pass
+
+
+def _random_doubles(seed):
+    """10**4 doubles with uniformly random bit patterns: subnormals, huge
+    values and nans of either sign among them."""
+    bits = np.random.default_rng(seed).integers(0, 2**64, size=10**4, dtype=np.uint64)
+    return bits.view(np.float64).tolist()
+
+
+# Ten draws of 10**4 random bit patterns, and the values where ``repr`` and
+# numpy's positional form differ most: exponents, ".0" endings, nan, inf.
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2**32 - 1).map(_random_doubles))
+@example([math.nan, math.inf, -math.inf, 0.0, -0.0])
+@example([1e-4, 1e-5, 1e16, 1e22])
+@example([5e-324, 123456789012345678.0])
+def test_bulk_formatters_match_per_value_formatting(values):
+    assert _format_floats(values) == [format_probability(v) for v in values]
+    complexes = [complex(re, im) for re, im in zip(values, reversed(values))]
+    assert _format_complexes(complexes) == [format_complex(z) for z in complexes]
 
 
 def _reference_csv(matrix):

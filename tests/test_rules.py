@@ -19,6 +19,7 @@ from qca2.rules import (
     compile_interaction,
     compile_rule,
     evolve,
+    evolve_bytes,
     run_gate_script,
     step,
 )
@@ -360,6 +361,24 @@ class TestEvolve:
                           H_S_THEN_CN_EVAL, initial=32, steps=20)
         matrix = evolve(cfg)
         assert np.max(np.abs(matrix.sum(axis=0) - 1.0)) <= 1e-10
+
+
+class TestEvolveBytes:
+    @pytest.mark.parametrize("record", list(RecordMode))
+    def test_is_what_evolve_allocates(self, record):
+        cfg = make_config(2, NeighborhoodRule.RIGHT, steps=3, record=record)
+        assert evolve_bytes(cfg) == evolve(cfg).nbytes + 2 * basis_state(4, 0).nbytes
+
+    # The CLI refuses a run whose estimate exceeds physical memory.  Tested
+    # on the estimate alone, so that a broken check never allocates.
+    @pytest.mark.parametrize("cells, steps", [(12, 100), (9, 4095)])
+    def test_oversized_runs_exceed_8_gib(self, cells, steps):
+        assert evolve_bytes(make_config(cells, NeighborhoodRule.RIGHT, steps=steps)) > 8 << 30
+
+    # The benchmark's configs: presets, custom (simulate and period), wide.
+    @pytest.mark.parametrize("cells, steps", [(8, 40), (5, 1023), (5, 2047), (10, 15)])
+    def test_benchmark_runs_fit_in_256_mib(self, cells, steps):
+        assert evolve_bytes(make_config(cells, NeighborhoodRule.BOTH, steps=steps)) < 256 << 20
 
 
 class TestRunGateScript:
