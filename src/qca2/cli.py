@@ -14,7 +14,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 failed check or period not found, 2 bad input
 (config, script, flag or output path), a run whose probability matrix and
-states would not fit in physical memory, or a state whose norm drifted.
+states would not fit in physical memory or whose allocation was refused, or
+a state whose norm drifted.
 """
 
 from __future__ import annotations
@@ -44,39 +45,41 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _evolve(config: rules.QcaConfig):
-    """`rules.evolve`, refused before it allocates when its estimated bytes
-    exceed physical memory."""
-    need, have = rules.evolve_bytes(config), _physical_memory()
+def _check_memory(n_qubits: int, n_columns: int) -> None:
+    """Refuse a run before it allocates when its estimated bytes exceed
+    physical memory."""
+    need, have = rules.run_bytes(n_qubits, n_columns), _physical_memory()
     if need > have:
         raise io_formats.ConfigError(
             f"run needs about {need / 2**30:.1f} GiB for its probability matrix "
             f"and states, more than the {have / 2**30:.1f} GiB of physical memory"
         )
-    return rules.evolve(config)
 
 
 def _write_outputs(matrix, args) -> None:
-    csv_text = io_formats.write_csv(matrix)
+    """Write the PGM before formatting the CSV, so that the CSV text is
+    never alive during the render."""
     try:
-        if args.out_csv:
-            Path(args.out_csv).write_text(csv_text)
         if args.out_pgm:
             Path(args.out_pgm).write_bytes(io_formats.render_pgm(matrix))
+        if args.out_csv:
+            Path(args.out_csv).write_text(io_formats.write_csv(matrix))
     except OSError as exc:
         raise io_formats.ConfigError(f"cannot write output: {exc}") from None
     if not args.out_csv and not args.out_pgm:
-        sys.stdout.write(csv_text)
+        sys.stdout.write(io_formats.write_csv(matrix))
 
 
 def _cmd_simulate(args) -> int:
     config = io_formats.parse_config(_load(args.config))
-    _write_outputs(_evolve(config), args)
+    _check_memory(config.layout.n_qubits, config.n_columns)
+    _write_outputs(rules.evolve(config), args)
     return 0
 
 
 def _cmd_script(args) -> int:
     n_qubits, initial, script = io_formats.parse_script(_load(args.script))
+    _check_memory(n_qubits, 1 + len(script))
     _write_outputs(rules.run_gate_script(n_qubits, initial, script), args)
     return 0
 
@@ -90,7 +93,8 @@ def _cmd_period(args) -> int:
     cols_per_step = 2 if config.record is RecordMode.PER_PHASE else 1
     n_steps = -(-(args.horizon - 1) // cols_per_step)  # ceil division
     config = dataclasses.replace(config, n_steps=n_steps)
-    matrix = _evolve(config)[:, : args.horizon]
+    _check_memory(config.layout.n_qubits, config.n_columns)
+    matrix = rules.evolve(config)[:, : args.horizon]
     report = analysis.detect_period(matrix, args.tol)
     sys.stdout.write(io_formats.format_period_report(report))
     return 0 if report.found else 1
@@ -170,6 +174,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (io_formats.ConfigError, NormDriftError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'an allocation was refused'}",
+              file=sys.stderr)
         return 2
 
 

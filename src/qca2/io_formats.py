@@ -36,9 +36,9 @@ import numpy as np
 from .gates import ControlledFlip, GateOp, LocalUnitary, standard_gate
 from .register import RegisterLayout
 from .rules import (
+    EVAL_PRESETS,
     BoundaryCondition,
     Evaluation,
-    EvaluationKind,
     NeighborhoodRule,
     QcaConfig,
     RecordMode,
@@ -68,11 +68,6 @@ class NonUnitaryMatrixError(ConfigError):
 _RULES = {r.value: r for r in NeighborhoodRule}
 _BOUNDARIES = {b.value: b for b in BoundaryCondition}
 _RECORDS = {m.value: m for m in RecordMode}
-_EVAL_KEYWORDS = {
-    "identity": Evaluation(EvaluationKind.IDENTITY),
-    "h_both": Evaluation(EvaluationKind.HADAMARD_BOTH),
-    "h_s_then_cn": Evaluation(EvaluationKind.HADAMARD_S_THEN_CN),
-}
 
 _CONFIG_KEYS = {"cells", "rule", "boundary", "eval", "steps", "initial", "record"}
 
@@ -101,8 +96,8 @@ def _parse_complex(token: str, line_no: int) -> complex:
 
 
 def _parse_eval(value: str, line_no: int) -> Evaluation:
-    if value in _EVAL_KEYWORDS:
-        return _EVAL_KEYWORDS[value]
+    if value in EVAL_PRESETS:
+        return EVAL_PRESETS[value]
     if value.startswith("custom:"):
         tokens = value[len("custom:"):].split(",")
         if len(tokens) != 16:
@@ -112,17 +107,17 @@ def _parse_eval(value: str, line_no: int) -> Evaluation:
         entries = [_parse_complex(t.strip(), line_no) for t in tokens]
         matrix = np.array(entries, dtype=np.complex128).reshape(4, 4)
         try:
-            return Evaluation(EvaluationKind.CUSTOM, matrix)
+            return Evaluation(matrix)
         except ValueError as exc:
             raise NonUnitaryMatrixError(str(exc)) from None
     raise ConfigSyntaxError(line_no, f"unknown eval {value!r}")
 
 
 def _key_values(
-    text: str, allowed: set[str], required: tuple[str, ...]
+    lines: list[tuple[int, str]], allowed: set[str], required: tuple[str, ...]
 ) -> dict[str, tuple[int, str]]:
     pairs: dict[str, tuple[int, str]] = {}
-    for line_no, line in _split_lines(text):
+    for line_no, line in lines:
         if "=" not in line:
             raise ConfigSyntaxError(line_no, f"expected key=value, got {line!r}")
         key, _, value = line.partition("=")
@@ -138,9 +133,13 @@ def _key_values(
     return pairs
 
 
+def _int_values(pairs: dict[str, tuple[int, str]], *keys: str) -> list[int]:
+    return [_parse_int(pairs[key][1], pairs[key][0], key) for key in keys]
+
+
 def parse_config(text: str) -> QcaConfig:
     """Parse a run config; raises ConfigError subclasses on bad input."""
-    pairs = _key_values(text, _CONFIG_KEYS, ("cells", "rule", "steps", "initial"))
+    pairs = _key_values(_split_lines(text), _CONFIG_KEYS, ("cells", "rule", "steps", "initial"))
 
     line_no, value = pairs["rule"]
     if value not in _RULES:
@@ -154,7 +153,7 @@ def parse_config(text: str) -> QcaConfig:
             raise ConfigSyntaxError(line_no, f"unknown boundary {value!r}")
         boundary = _BOUNDARIES[value]
 
-    evaluation = _EVAL_KEYWORDS["h_both"]
+    evaluation = EVAL_PRESETS["h_both"]
     if "eval" in pairs:
         evaluation = _parse_eval(pairs["eval"][1], pairs["eval"][0])
 
@@ -165,16 +164,9 @@ def parse_config(text: str) -> QcaConfig:
             raise ConfigSyntaxError(line_no, f"unknown record mode {value!r}")
         record = _RECORDS[value]
 
+    cells, initial, steps = _int_values(pairs, "cells", "initial", "steps")
     try:
-        return QcaConfig(
-            n_cells=_parse_int(pairs["cells"][1], pairs["cells"][0], "cells"),
-            rule=rule,
-            boundary=boundary,
-            evaluation=evaluation,
-            initial_index=_parse_int(pairs["initial"][1], pairs["initial"][0], "initial"),
-            n_steps=_parse_int(pairs["steps"][1], pairs["steps"][0], "steps"),
-            record=record,
-        )
+        return QcaConfig(cells, rule, boundary, evaluation, initial, steps, record)
     except ValueError as exc:
         raise ConfigRangeError(str(exc)) from None
 
@@ -186,13 +178,11 @@ def format_config(config: QcaConfig) -> str:
         f"rule={config.rule.value}",
         f"boundary={config.boundary.value}",
     ]
-    if config.evaluation.kind is EvaluationKind.CUSTOM:
-        entries = ",".join(
-            format_complex(z) for z in config.evaluation.matrix.reshape(-1)
-        )
-        lines.append(f"eval=custom:{entries}")
-    else:
-        lines.append(f"eval={config.evaluation.kind.value}")
+    keyword = {e: k for k, e in EVAL_PRESETS.items()}.get(config.evaluation)
+    if keyword is None:
+        entries = ",".join(map(format_complex, config.evaluation.matrix.reshape(-1)))
+        keyword = f"custom:{entries}"
+    lines.append(f"eval={keyword}")
     lines.append(f"steps={config.n_steps}")
     lines.append(f"initial={config.initial_index}")
     lines.append(f"record={config.record.value}")
@@ -216,25 +206,15 @@ _SCRIPT_GATE_ARITY = {"H": 1, "X": 1, "CN": 2, "CCN": 3}
 
 def parse_script(text: str) -> tuple[int, int, list[list[GateOp]]]:
     """Parse a gate script; returns (n_qubits, initial_index, timesteps)."""
-    header_lines: list[str] = []
-    body: list[tuple[int, str]] = []
-    in_body = False
-    for line_no, line in _split_lines(text):
-        if line == "step":
-            in_body = True
-            body.append((line_no, line))
-        elif in_body:
-            body.append((line_no, line))
-        else:
-            header_lines.append(line)
-
-    header = ("cells", "initial")
-    pairs = _key_values("\n".join(header_lines), set(header), header)
+    lines = _split_lines(text)
+    first_step = next((i for i, (_, line) in enumerate(lines) if line == "step"), len(lines))
+    header, body = lines[:first_step], lines[first_step:]
+    pairs = _key_values(header, {"cells", "initial"}, ("cells", "initial"))
+    cells, initial = _int_values(pairs, "cells", "initial")
     try:
-        layout = RegisterLayout(_parse_int(pairs["cells"][1], pairs["cells"][0], "cells"))
+        layout = RegisterLayout(cells)
     except ValueError as exc:
         raise ConfigRangeError(str(exc)) from None
-    initial = _parse_int(pairs["initial"][1], pairs["initial"][0], "initial")
     if not 0 <= initial < layout.n_states:
         raise ConfigRangeError(
             f"initial index {initial} out of range for {layout.n_qubits} qubits"

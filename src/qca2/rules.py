@@ -29,7 +29,6 @@ from .gates import (
     flip_source,
     is_unitary,
     permutation_matrix,
-    standard_gate,
 )
 from .register import MAX_CELLS, RegisterLayout, basis_state, probabilities
 
@@ -53,41 +52,43 @@ class RecordMode(enum.Enum):
     PER_PHASE = "phase"
 
 
-class EvaluationKind(enum.Enum):
-    IDENTITY = "identity"
-    HADAMARD_BOTH = "h_both"
-    HADAMARD_S_THEN_CN = "h_s_then_cn"
-    CUSTOM = "custom"
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Evaluation:
-    """Per-cell evaluation unitary; `matrix` only for the custom kind.
+    """The 4x4 unitary the evaluation phase applies inside every cell.
 
-    A custom matrix acts on the ordered pair (s, c) with s the more
-    significant index bit, matching the register convention (s sits at the
-    higher bit position inside a cell).
+    It acts on the cell's local index 2*s + c: s is the more significant
+    bit, matching the register convention.  Two evaluations are equal when
+    their entries are equal bit for bit.
     """
 
-    kind: EvaluationKind
-    matrix: np.ndarray | None = field(default=None, compare=False)
+    matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.kind is EvaluationKind.CUSTOM:
-            if self.matrix is None:
-                raise ValueError("custom evaluation requires a 4x4 matrix")
-            m = np.asarray(self.matrix, dtype=np.complex128)
-            if m.shape != (4, 4) or not is_unitary(m):
-                raise ValueError("custom evaluation matrix must be 4x4 unitary within 1e-12")
-            m.setflags(write=False)
-            object.__setattr__(self, "matrix", m)
-        elif self.matrix is not None:
-            raise ValueError("matrix is only allowed for the custom kind")
+        m = np.array(self.matrix, dtype=np.complex128)
+        if m.shape != (4, 4) or not is_unitary(m):
+            raise ValueError("evaluation matrix must be 4x4 unitary within 1e-12")
+        m.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Evaluation) and self.matrix.tobytes() == other.matrix.tobytes()
+
+    def __hash__(self) -> int:
+        return hash(self.matrix.tobytes())
 
 
-IDENTITY_EVAL = Evaluation(EvaluationKind.IDENTITY)
-H_BOTH_EVAL = Evaluation(EvaluationKind.HADAMARD_BOTH)
-H_S_THEN_CN_EVAL = Evaluation(EvaluationKind.HADAMARD_S_THEN_CN)
+# The presets by config keyword, written out exactly: H⊗H is ±1/2 in every
+# entry, and h_s_then_cn is H on s followed by CN from s to c.
+EVAL_PRESETS = {
+    "identity": Evaluation(np.eye(4)),
+    "h_both": Evaluation(
+        0.5 * np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]])
+    ),
+    "h_s_then_cn": Evaluation(
+        np.array([[1, 0, 1, 0], [0, 1, 0, 1], [0, 1, 0, -1], [1, 0, -1, 0]]) / np.sqrt(2.0)
+    ),
+}
+IDENTITY_EVAL, H_BOTH_EVAL, H_S_THEN_CN_EVAL = EVAL_PRESETS.values()
 
 
 @dataclass(frozen=True)
@@ -114,6 +115,11 @@ class QcaConfig:
     @property
     def layout(self) -> RegisterLayout:
         return RegisterLayout(self.n_cells)
+
+    @property
+    def n_columns(self) -> int:
+        """Probability columns `evolve` records, the initial state included."""
+        return 1 + (2 if self.record is RecordMode.PER_PHASE else 1) * self.n_steps
 
 
 @dataclass(frozen=True)
@@ -158,26 +164,11 @@ def compile_interaction(config: QcaConfig) -> list[GateOp]:
     return gates
 
 
-_H = standard_gate("H")
-
-# Cell unitary of each preset, index bit 1 being s and bit 0 being c.
-_CELL_UNITARIES = {
-    EvaluationKind.IDENTITY: np.eye(4, dtype=np.complex128),
-    EvaluationKind.HADAMARD_BOTH: np.kron(_H, _H),
-    EvaluationKind.HADAMARD_S_THEN_CN: standard_gate("CN") @ np.kron(_H, np.eye(2)),
-}
-
-
-def _cell_unitary(evaluation: Evaluation) -> np.ndarray:
-    """The 4x4 unitary the evaluation phase applies inside every cell."""
-    return _CELL_UNITARIES.get(evaluation.kind, evaluation.matrix)
-
-
 def compile_evaluation(config: QcaConfig) -> list[GateOp]:
     """One cell-unitary gate per cell in ascending cell order; none for identity."""
-    if config.evaluation.kind is EvaluationKind.IDENTITY:
+    if config.evaluation == IDENTITY_EVAL:
         return []
-    layout, u = config.layout, _cell_unitary(config.evaluation)
+    layout, u = config.layout, config.evaluation.matrix
     cells = range(config.n_cells)
     return [LocalUnitary((layout.c_bit(j), layout.s_bit(j)), u) for j in cells]
 
@@ -198,7 +189,7 @@ def build_dense_rule(config: QcaConfig) -> np.ndarray:
     """Dense full-update operator (U⊗…⊗U)·P: the interaction permutation,
     then the cell unitary in every cell."""
     interaction = build_dense_interaction(config)  # refuses oversized registers first
-    cell_unitaries = reduce(np.kron, [_cell_unitary(config.evaluation)] * config.n_cells)
+    cell_unitaries = reduce(np.kron, [config.evaluation.matrix] * config.n_cells)
     return cell_unitaries @ interaction
 
 
@@ -221,11 +212,10 @@ def step(state: np.ndarray, rule: CompiledRule) -> np.ndarray:
     return _evaluate(psi, rule, np.empty_like(psi))[0]
 
 
-def evolve_bytes(config: QcaConfig) -> int:
-    """Bytes `evolve` allocates: the float64 probability matrix and its two
-    complex128 state buffers."""
-    n_columns = 1 + (2 if config.record is RecordMode.PER_PHASE else 1) * config.n_steps
-    return config.layout.n_states * (8 * n_columns + 2 * 16)
+def run_bytes(n_qubits: int, n_columns: int) -> int:
+    """Bytes `evolve` or `run_gate_script` allocates: the float64 probability
+    matrix of `n_columns` columns and two complex128 states."""
+    return (8 * n_columns + 2 * 16) << n_qubits
 
 
 def evolve(config: QcaConfig) -> np.ndarray:
@@ -238,7 +228,7 @@ def evolve(config: QcaConfig) -> np.ndarray:
     rule = compile_rule(config)
     per_phase = config.record is RecordMode.PER_PHASE
     stride = 2 if per_phase else 1
-    matrix = np.empty((1 << rule.n_qubits, 1 + stride * config.n_steps))
+    matrix = np.empty((1 << rule.n_qubits, config.n_columns))
     psi = basis_state(rule.n_qubits, config.initial_index)
     spare = np.empty_like(psi)
     matrix[:, 0] = probabilities(psi)

@@ -19,7 +19,6 @@ from qca2.register import basis_state
 from qca2.rules import (
     BoundaryCondition,
     Evaluation,
-    EvaluationKind,
     H_BOTH_EVAL,
     H_S_THEN_CN_EVAL,
     IDENTITY_EVAL,
@@ -103,7 +102,7 @@ def test_04_oracle_equivalence_random_configs():
         n = int(rng.integers(1, 5))
         evaluation = [
             IDENTITY_EVAL, H_BOTH_EVAL, H_S_THEN_CN_EVAL,
-            Evaluation(EvaluationKind.CUSTOM, random_unitary(rng, 4)),
+            Evaluation(random_unitary(rng, 4)),
         ][int(rng.integers(0, 4))]
         cfg = QcaConfig(
             n_cells=n,

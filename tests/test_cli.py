@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qca2 import cli
+from qca2 import cli, rules
 from qca2.cli import main
 from qca2.io_formats import read_csv
 
@@ -120,15 +120,19 @@ class TestMatrixCommand:
     (["simulate", "{not_utf8}"], "cannot read"),
     (["simulate", "{large}"], "physical memory"),
     (["period", "{large}", "--horizon", "4096"], "physical memory"),
+    (["script", "{large_script}"], "physical memory"),
 ], ids=["negative-tol", "nan-tol", "unwritable-csv", "unwritable-pgm", "missing-key",
-        "norm-drift", "not-utf8", "too-large-simulate", "too-large-period"])
+        "norm-drift", "not-utf8", "too-large-simulate", "too-large-period",
+        "too-large-script"])
 def test_bad_input_ends_in_one_error_line(argv, message, cyclic_conf, tmp_path, capsys,
                                           monkeypatch):
-    # On a 64 MiB machine the 6-cell runs (128 MiB) are refused, so a broken
+    # On a 64 MiB machine the 6-cell runs and script (128 MiB) are refused, so a broken
     # check allocates no more than that; the other runs need at most 33 MB.
     monkeypatch.setattr(cli, "_physical_memory", lambda: 64 << 20)
     large = tmp_path / "large.conf"
     large.write_text("cells=6\nrule=right\nsteps=4095\ninitial=0\n")
+    large_script = tmp_path / "large.qscript"
+    large_script.write_text("cells=6\ninitial=0\n" + "step\n" * 4095)
     no_steps = tmp_path / "no_steps.conf"
     no_steps.write_text("cells=2\nrule=right\ninitial=0\n")
     # Unitary within 1e-12, but the squared norm grows by about 4e-12 per
@@ -139,8 +143,19 @@ def test_bad_input_ends_in_one_error_line(argv, message, cyclic_conf, tmp_path, 
     not_utf8 = tmp_path / "not_utf8.conf"
     not_utf8.write_bytes(b"\xff\xfe")
     paths = {"conf": cyclic_conf, "tmp": tmp_path, "no_steps": no_steps,
-             "drift": drift, "not_utf8": not_utf8, "large": large}
+             "drift": drift, "not_utf8": not_utf8, "large": large,
+             "large_script": large_script}
     assert main([arg.format(**paths) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+def test_refused_allocation_ends_in_one_error_line(cyclic_conf, capsys, monkeypatch):
+    def refuse(config):
+        raise MemoryError("Unable to allocate 64.0 GiB for an array")
+
+    monkeypatch.setattr(rules, "evolve", refuse)
+    assert main(["simulate", str(cyclic_conf)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: out of memory: Unable to allocate 64.0 GiB for an array\n"

@@ -24,8 +24,10 @@ from qca2.io_formats import (
     write_operator_csv,
 )
 from qca2.rules import (
+    EVAL_PRESETS,
+    H_BOTH_EVAL,
+    H_S_THEN_CN_EVAL,
     BoundaryCondition,
-    EvaluationKind,
     NeighborhoodRule,
     QcaConfig,
     RecordMode,
@@ -42,7 +44,7 @@ class TestParseConfig:
         config = parse_config(FIG3_TEXT)
         assert config.n_cells == 3
         assert config.rule is NeighborhoodRule.RIGHT
-        assert config.evaluation.kind is EvaluationKind.HADAMARD_S_THEN_CN
+        assert config.evaluation == H_S_THEN_CN_EVAL
         assert config.initial_index == 32
         assert config.n_steps == 50
         assert config.boundary is BoundaryCondition.CONST_ZERO
@@ -51,7 +53,7 @@ class TestParseConfig:
     def test_minimal_config_defaults(self):
         config = parse_config("cells=1\nrule=right\nsteps=0\ninitial=0\n")
         assert config.boundary is BoundaryCondition.CONST_ZERO
-        assert config.evaluation.kind is EvaluationKind.HADAMARD_BOTH
+        assert config.evaluation == H_BOTH_EVAL
 
     def test_initial_out_of_range(self):
         with pytest.raises(ConfigRangeError):
@@ -78,7 +80,7 @@ class TestParseConfig:
         u = random_unitary(rng, 4)
         entries = ",".join(format_complex(z) for z in u.reshape(-1))
         config = parse_config(f"cells=2\nrule=right\neval=custom:{entries}\nsteps=1\ninitial=0\n")
-        assert config.evaluation.kind is EvaluationKind.CUSTOM
+        assert config.evaluation not in EVAL_PRESETS.values()
         assert np.max(np.abs(config.evaluation.matrix - u)) <= 1e-12
 
     def test_custom_eval_non_unitary(self):
@@ -99,8 +101,7 @@ class TestParseConfig:
             config2 = parse_config(written)
             assert config2 == config
             assert format_config(config2) == written
-            if config.evaluation.kind is EvaluationKind.CUSTOM:
-                assert np.array_equal(config.evaluation.matrix, config2.evaluation.matrix)
+            assert np.array_equal(config.evaluation.matrix, config2.evaluation.matrix)
 
 
 class TestParseScript:
@@ -112,6 +113,15 @@ class TestParseScript:
         assert isinstance(script[0][0], LocalUnitary)
         assert script[0][0].qubits == (1,)
         assert script[1][0] == ControlledFlip({1}, 0)
+
+    @pytest.mark.parametrize("parse, body", [
+        (parse_config, "rule=right\nsteps=1\n"),
+        (parse_script, "step\nH s0\n"),
+    ])
+    def test_header_error_names_its_own_line(self, parse, body):
+        with pytest.raises(ConfigSyntaxError) as exc:
+            parse(f"# header\n\ncells=x\ninitial=0\n{body}")
+        assert exc.value.line_no == 3
 
     def test_ccn_and_x_lines(self):
         text = "cells=2\ninitial=0\nstep\nCCN s0 s1 c1\nX c0\n"

@@ -6,7 +6,6 @@ from qca2.register import basis_state, probabilities
 from qca2.rules import (
     BoundaryCondition,
     Evaluation,
-    EvaluationKind,
     H_BOTH_EVAL,
     H_S_THEN_CN_EVAL,
     IDENTITY_EVAL,
@@ -19,7 +18,7 @@ from qca2.rules import (
     compile_interaction,
     compile_rule,
     evolve,
-    evolve_bytes,
+    run_bytes,
     run_gate_script,
     step,
 )
@@ -55,7 +54,36 @@ class TestConfigValidation:
 
     def test_custom_eval_must_be_unitary(self):
         with pytest.raises(ValueError):
-            Evaluation(EvaluationKind.CUSTOM, np.ones((4, 4)))
+            Evaluation(np.ones((4, 4)))
+
+    def test_configs_with_different_custom_matrices_differ(self, rng):
+        a, b = (make_config(2, NeighborhoodRule.RIGHT, evaluation=Evaluation(random_unitary(rng, 4)))
+                for _ in range(2))
+        assert a != b
+        assert len({a, b}) == 2
+        assert a == make_config(2, NeighborhoodRule.RIGHT, evaluation=Evaluation(a.evaluation.matrix))
+
+
+class TestEvalPresets:
+    def test_h_both_is_exactly_half(self):
+        signs = [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]
+        assert H_BOTH_EVAL.matrix.tobytes() == (0.5 * np.array(signs, dtype=complex)).tobytes()
+
+    def test_matrices_are_read_only(self):
+        with pytest.raises(ValueError):
+            H_BOTH_EVAL.matrix[0, 0] = 1
+
+    # With right or left every gate is Clifford and every amplitude a sum of
+    # ±1/2 products, so each probability is exactly 0 or a power of two.
+    @pytest.mark.parametrize("rule", [NeighborhoodRule.RIGHT, NeighborhoodRule.LEFT])
+    @pytest.mark.parametrize("boundary", ALL_BOUNDARIES)
+    def test_h_both_clifford_runs_stay_exact(self, rule, boundary):
+        for cells in range(1, 9):
+            for record in RecordMode:
+                cfg = make_config(cells, rule, boundary, H_BOTH_EVAL,
+                                  initial=37 * cells % 4**cells, steps=12, record=record)
+                mantissa, _ = np.frexp(evolve(cfg))
+                assert np.all((mantissa == 0) | (mantissa == 0.5)), (cells, record)
 
 
 class TestCompileInteraction:
@@ -175,7 +203,7 @@ class TestCompileEvaluation:
     def test_custom_matrix_placement(self, rng):
         u = random_unitary(rng, 4)
         cfg = make_config(2, NeighborhoodRule.RIGHT,
-                          evaluation=Evaluation(EvaluationKind.CUSTOM, u))
+                          evaluation=Evaluation(u))
         gates = compile_evaluation(cfg)
         assert gates == [LocalUnitary((0, 1), u), LocalUnitary((2, 3), u)]
 
@@ -367,18 +395,23 @@ class TestEvolveBytes:
     @pytest.mark.parametrize("record", list(RecordMode))
     def test_is_what_evolve_allocates(self, record):
         cfg = make_config(2, NeighborhoodRule.RIGHT, steps=3, record=record)
-        assert evolve_bytes(cfg) == evolve(cfg).nbytes + 2 * basis_state(4, 0).nbytes
+        assert run_bytes(4, cfg.n_columns) == evolve(cfg).nbytes + 2 * basis_state(4, 0).nbytes
+
+    def test_is_what_a_gate_script_allocates(self):
+        script = [[LocalUnitary((1,), np.eye(2))]] * 3
+        matrix = run_gate_script(4, 0, script)
+        assert run_bytes(4, 1 + len(script)) == matrix.nbytes + 2 * basis_state(4, 0).nbytes
 
     # The CLI refuses a run whose estimate exceeds physical memory.  Tested
     # on the estimate alone, so that a broken check never allocates.
     @pytest.mark.parametrize("cells, steps", [(12, 100), (9, 4095)])
     def test_oversized_runs_exceed_8_gib(self, cells, steps):
-        assert evolve_bytes(make_config(cells, NeighborhoodRule.RIGHT, steps=steps)) > 8 << 30
+        assert run_bytes(2 * cells, 1 + steps) > 8 << 30
 
     # The benchmark's configs: presets, custom (simulate and period), wide.
     @pytest.mark.parametrize("cells, steps", [(8, 40), (5, 1023), (5, 2047), (10, 15)])
     def test_benchmark_runs_fit_in_256_mib(self, cells, steps):
-        assert evolve_bytes(make_config(cells, NeighborhoodRule.BOTH, steps=steps)) < 256 << 20
+        assert run_bytes(2 * cells, 1 + steps) < 256 << 20
 
 
 class TestRunGateScript:
