@@ -24,10 +24,11 @@ import argparse
 import dataclasses
 import os
 import sys
+from itertools import chain
 from pathlib import Path
 
 from . import analysis, io_formats, rules
-from .gates import MAX_DENSE_QUBITS
+from .gates import MAX_DENSE_QUBITS, state_dtype
 from .register import NormDriftError
 from .rules import BoundaryCondition, RecordMode
 
@@ -45,10 +46,11 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _check_memory(n_qubits: int, n_columns: int) -> None:
-    """Refuse a run before it allocates when its estimated bytes exceed
-    physical memory."""
-    need, have = rules.run_bytes(n_qubits, n_columns), _physical_memory()
+def _check_memory(n_qubits: int, n_columns: int, gates) -> None:
+    """Refuse a run of `gates` before it allocates when its estimated bytes
+    exceed physical memory."""
+    need = rules.run_bytes(n_qubits, n_columns, state_dtype(gates))
+    have = _physical_memory()
     if need > have:
         raise io_formats.ConfigError(
             f"run needs about {need / 2**30:.1f} GiB for its probability matrix "
@@ -72,14 +74,14 @@ def _write_outputs(matrix, args) -> None:
 
 def _cmd_simulate(args) -> int:
     config = io_formats.parse_config(_load(args.config))
-    _check_memory(config.layout.n_qubits, config.n_columns)
+    _check_memory(config.layout.n_qubits, config.n_columns, rules.compile_evaluation(config))
     _write_outputs(rules.evolve(config), args)
     return 0
 
 
 def _cmd_script(args) -> int:
     n_qubits, initial, script = io_formats.parse_script(_load(args.script))
-    _check_memory(n_qubits, 1 + len(script))
+    _check_memory(n_qubits, 1 + len(script), chain.from_iterable(script))
     _write_outputs(rules.run_gate_script(n_qubits, initial, script), args)
     return 0
 
@@ -93,7 +95,7 @@ def _cmd_period(args) -> int:
     cols_per_step = 2 if config.record is RecordMode.PER_PHASE else 1
     n_steps = -(-(args.horizon - 1) // cols_per_step)  # ceil division
     config = dataclasses.replace(config, n_steps=n_steps)
-    _check_memory(config.layout.n_qubits, config.n_columns)
+    _check_memory(config.layout.n_qubits, config.n_columns, rules.compile_evaluation(config))
     matrix = rules.evolve(config)[:, : args.horizon]
     report = analysis.detect_period(matrix, args.tol)
     sys.stdout.write(io_formats.format_period_report(report))

@@ -10,17 +10,18 @@ Two gate placements cover everything the automaton needs:
 
 ``flip_source`` turns commuting flips into one index gather and ``contract``
 applies a small matrix to a block of bits.  Compiled rules and gate scripts
-(``apply_gate``) run on these two kernels alone.  Dense operators (capped
-at 10 qubits) are built without them: ``permutation_matrix`` maps a list of
-flips one basis index at a time, ``embed_gate`` places one gate with
-``kron``, and ``compose_dense`` multiplies embedded gates as the tests'
-generic oracle.
+(``apply_gate``) run on these two kernels alone, on a float64 state when
+``state_dtype`` finds every gate matrix real and on a complex128 one
+otherwise.  Dense operators (capped at 10 qubits) are built without them:
+``permutation_matrix`` maps a list of flips one basis index at a time,
+``embed_gate`` places one gate with ``kron``, and ``compose_dense``
+multiplies embedded gates as the tests' generic oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -183,11 +184,28 @@ def contract(u: np.ndarray, psi: np.ndarray, low: int, out: np.ndarray) -> np.nd
     return out
 
 
+def state_dtype(gates: Iterable[GateOp]) -> type:
+    """The state dtype a run of `gates` needs: float64 when the matrix of every
+    local gate has an imaginary part that is exactly zero, complex128
+    otherwise.  Flips only move amplitudes, so they never need complex."""
+    local = (gate.matrix for gate in gates if isinstance(gate, LocalUnitary))
+    return np.complex128 if any(u.imag.any() for u in local) else np.float64
+
+
+def kernel_matrix(u: np.ndarray, state: np.ndarray) -> np.ndarray:
+    """`u` as `contract` applies it to `state`: its real view when the state
+    is real and `u`'s imaginary part is exactly zero, else `u` itself.  A
+    complex `u` against a real state then fails in `einsum`, whose safe
+    casting raises TypeError instead of dropping the imaginary part."""
+    return u.real if state.dtype == np.float64 and not u.imag.any() else u
+
+
 def apply_gate(state: np.ndarray, gate: GateOp) -> np.ndarray:
     """Apply `gate` to `state` and return the new state vector.
 
     A flip is an exact amplitude gather; a local unitary is contracted
-    against its block of bits.  The input is never mutated.
+    against its block of bits.  The result keeps the state's dtype, and the
+    input is never mutated.
     """
     n = int(state.size).bit_length() - 1
     if state.size != 1 << n:
@@ -195,7 +213,8 @@ def apply_gate(state: np.ndarray, gate: GateOp) -> np.ndarray:
     _check_gate_fits(gate, n)
     if isinstance(gate, ControlledFlip):
         return state[flip_source((gate,), n)]
-    return contract(gate.matrix, state, gate.qubits[0], np.empty_like(state))
+    u = kernel_matrix(gate.matrix, state)
+    return contract(u, state, gate.qubits[0], np.empty_like(state))
 
 
 def compose_dense(gates: Sequence[GateOp], n_qubits: int) -> np.ndarray:

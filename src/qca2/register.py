@@ -64,18 +64,19 @@ class RegisterLayout:
             raise IndexError(f"cell index {cell} out of range for {self.n_cells} cells")
 
 
-def basis_state(n_qubits: int, index: int) -> np.ndarray:
+def basis_state(n_qubits: int, index: int, dtype=np.complex128) -> np.ndarray:
     """Return the computational basis state with the given index.
 
-    The result is a complex128 vector of length 2**n_qubits with a single
-    unit amplitude at `index`.
+    The result is a vector of length 2**n_qubits with a single unit
+    amplitude at `index`.  Its dtype is complex128 unless `dtype` says
+    otherwise; runs whose matrices are all real pass float64.
     """
     if not 1 <= n_qubits <= MAX_QUBITS:
         raise ValueError(f"n_qubits must be in 1..{MAX_QUBITS}, got {n_qubits}")
     dim = 1 << n_qubits
     if not 0 <= index < dim:
         raise IndexError(f"basis index {index} out of range for {n_qubits} qubits")
-    state = np.zeros(dim, dtype=np.complex128)
+    state = np.zeros(dim, dtype=dtype)
     state[index] = 1.0
     return state
 

@@ -7,6 +7,12 @@ whole phase is one involutive permutation P of basis indices: a single
 gather.  The evaluation phase applies the same 4x4 unitary U inside every
 cell.  The dense operator of one update is (U⊗…⊗U)·P, with P built one
 basis index at a time rather than by the gather.
+
+A run starts from a basis state, and P only moves amplitudes, so the state
+stays real when U is real, as it is for every preset.  `evolve` and
+`run_gate_script` therefore evolve a float64 state when every matrix of the
+run has an imaginary part that is exactly zero, and a complex128 state
+otherwise; `step` keeps the dtype of the state it is given.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -28,7 +35,9 @@ from .gates import (
     contract,
     flip_source,
     is_unitary,
+    kernel_matrix,
     permutation_matrix,
+    state_dtype,
 )
 from .register import MAX_CELLS, RegisterLayout, basis_state, probabilities
 
@@ -197,13 +206,15 @@ def _evaluate(psi: np.ndarray, rule: CompiledRule, spare: np.ndarray):
     """Apply the evaluation gates, ping-ponging between `psi` and `spare`;
     returns (result, the other buffer)."""
     for gate in rule.evaluation:  # cell j's gate acts on bits 2j (c) and 2j+1 (s)
-        psi, spare = contract(gate.matrix, psi, gate.qubits[0], spare), psi
+        u = kernel_matrix(gate.matrix, psi)
+        psi, spare = contract(u, psi, gate.qubits[0], spare), psi
     return psi, spare
 
 
 def step(state: np.ndarray, rule: CompiledRule) -> np.ndarray:
     """Advance one full update: the interaction gather, then every cell's
-    evaluation.  The input is never mutated."""
+    evaluation.  The result keeps the state's dtype; a real state meeting a
+    complex cell unitary raises TypeError.  The input is never mutated."""
     if state.size != 1 << rule.n_qubits:
         raise ValueError(
             f"state has {state.size} amplitudes, rule expects {1 << rule.n_qubits}"
@@ -212,10 +223,11 @@ def step(state: np.ndarray, rule: CompiledRule) -> np.ndarray:
     return _evaluate(psi, rule, np.empty_like(psi))[0]
 
 
-def run_bytes(n_qubits: int, n_columns: int) -> int:
+def run_bytes(n_qubits: int, n_columns: int, dtype) -> int:
     """Bytes `evolve` or `run_gate_script` allocates: the float64 probability
-    matrix of `n_columns` columns and two complex128 states."""
-    return (8 * n_columns + 2 * 16) << n_qubits
+    matrix of `n_columns` columns and two states of `dtype`, the run's
+    `state_dtype` (8 bytes an amplitude when real, 16 when complex)."""
+    return (8 * n_columns + 2 * np.dtype(dtype).itemsize) << n_qubits
 
 
 def evolve(config: QcaConfig) -> np.ndarray:
@@ -229,7 +241,7 @@ def evolve(config: QcaConfig) -> np.ndarray:
     per_phase = config.record is RecordMode.PER_PHASE
     stride = 2 if per_phase else 1
     matrix = np.empty((1 << rule.n_qubits, config.n_columns))
-    psi = basis_state(rule.n_qubits, config.initial_index)
+    psi = basis_state(rule.n_qubits, config.initial_index, state_dtype(rule.evaluation))
     spare = np.empty_like(psi)
     matrix[:, 0] = probabilities(psi)
     for t in range(1, config.n_steps + 1):
@@ -249,7 +261,7 @@ def run_gate_script(
 ) -> np.ndarray:
     """Run an explicit per-timestep gate script, recording a probability
     column after each timestep (column 0 is the initial state)."""
-    state = basis_state(n_qubits, initial_index)
+    state = basis_state(n_qubits, initial_index, state_dtype(chain.from_iterable(script)))
     matrix = np.empty((state.size, 1 + len(script)))
     matrix[:, 0] = probabilities(state)
     for t, timestep in enumerate(script, start=1):

@@ -13,3 +13,8 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     q, r = np.linalg.qr(m)
     # Fix the phase ambiguity so the result is well-conditioned unitary.
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def random_orthogonal(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """A real orthogonal matrix: a unitary whose imaginary parts are all zero."""
+    return np.linalg.qr(rng.normal(size=(dim, dim)))[0]

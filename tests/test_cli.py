@@ -151,6 +151,25 @@ def test_bad_input_ends_in_one_error_line(argv, message, cyclic_conf, tmp_path, 
     assert message in err
 
 
+def test_memory_check_counts_states_at_the_run_dtype(tmp_path, capsys, monkeypatch):
+    # 5 cells, two columns: 16 KiB of probabilities and two states of 8 KiB
+    # each when real or 16 KiB each when complex, against 32 KiB of memory.
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 32 << 10)
+    conf, script = tmp_path / "run.conf", tmp_path / "run.qscript"
+    conf.write_text("cells=5\nrule=right\neval=h_both\nsteps=1\ninitial=0\n")
+    script.write_text("cells=5\ninitial=0\nstep\nH s0\nCN s0 c0\n")
+    runs = [["simulate", str(conf)], ["period", str(conf), "--horizon", "2"]]
+    assert [main(argv) for argv in runs + [["script", str(script)]]] == [0, 1, 0]
+    s_gate = ["0"] * 16
+    s_gate[::5] = ["1", "0+1i", "1", "1"]
+    conf.write_text(f"cells=5\nrule=right\neval=custom:{','.join(s_gate)}\n"
+                    "steps=1\ninitial=0\n")
+    capsys.readouterr()
+    for argv in runs:
+        assert main(argv) == 2
+        assert "physical memory" in capsys.readouterr().err
+
+
 def test_refused_allocation_ends_in_one_error_line(cyclic_conf, capsys, monkeypatch):
     def refuse(config):
         raise MemoryError("Unable to allocate 64.0 GiB for an array")

@@ -13,10 +13,11 @@ from qca2.gates import (
     is_unitary,
     permutation_matrix,
     standard_gate,
+    state_dtype,
 )
 from qca2.register import basis_state
 
-from helpers import random_state, random_unitary
+from helpers import random_orthogonal, random_state, random_unitary
 
 
 class TestStandardGates:
@@ -186,11 +187,35 @@ class TestApplyGate:
         out = apply_gate(state, gate)
         assert abs(np.vdot(out, out).real - 1.0) <= 1e-12
 
+    def test_real_state_stays_real_and_bitwise_equal(self, rng):
+        gate = LocalUnitary((1, 2), random_orthogonal(rng, 4))
+        state = rng.normal(size=16)
+        state /= np.linalg.norm(state)
+        out = apply_gate(state, gate)
+        assert out.dtype == np.float64
+        assert out.tobytes() == apply_gate(state.astype(np.complex128), gate).real.tobytes()
+
+    def test_complex_matrix_refuses_a_real_state(self):
+        s_gate = LocalUnitary((1,), np.diag([1, 1j]))
+        with pytest.raises(TypeError):
+            apply_gate(basis_state(2, 2, np.float64), s_gate)
+
     def test_works_beyond_dense_limit(self):
         # 12 qubits: no dense operator, gate path only.
         state = basis_state(12, 1 << 11)
         out = apply_gate(state, ControlledFlip({11}, 0))
         assert out[(1 << 11) | 1] == 1.0
+
+
+class TestStateDtype:
+    def test_real_only_when_every_imaginary_part_is_exactly_zero(self):
+        h = LocalUnitary((0,), standard_gate("H"))
+        flip = ControlledFlip({1}, 0)
+        assert state_dtype([]) is np.float64
+        assert state_dtype([h, flip]) is np.float64
+        assert state_dtype([LocalUnitary((0,), np.diag([1, complex(1, -0.0)]))]) is np.float64
+        assert state_dtype([h, LocalUnitary((0,), np.diag([1, 1j])), flip]) is np.complex128
+        assert state_dtype([LocalUnitary((0,), np.diag([1, np.exp(1e-300j)]))]) is np.complex128
 
 
 class TestFlipSource:

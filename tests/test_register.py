@@ -61,6 +61,12 @@ class TestBasisState:
         state = basis_state(6, 0)
         assert state[0] == 1.0 and np.count_nonzero(state) == 1
 
+    def test_complex_by_default_real_on_request(self):
+        assert basis_state(2, 2).dtype == np.complex128
+        real = basis_state(2, 2, np.float64)
+        assert real.dtype == np.float64
+        assert real.tobytes() == basis_state(2, 2).real.tobytes()
+
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
             basis_state(2, 4)
@@ -81,6 +87,12 @@ class TestProbabilities:
     def test_bell_state(self):
         bell = np.array([1, 0, 0, 1], dtype=np.complex128) / np.sqrt(2)
         assert np.allclose(probabilities(bell), [0.5, 0, 0, 0.5], atol=1e-15)
+
+    def test_real_state_equals_its_complex_copy_bitwise(self, rng):
+        x = rng.normal(size=256)
+        x /= np.linalg.norm(x)
+        assert probabilities(x).tobytes() == probabilities(x.astype(np.complex128)).tobytes()
+        assert probabilities(x).tobytes() == (x * x).tobytes()
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):

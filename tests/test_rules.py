@@ -1,7 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from qca2.gates import ControlledFlip, LocalUnitary, apply_gate, compose_dense, embed_gate
+from qca2 import rules
+from qca2.gates import (
+    ControlledFlip,
+    LocalUnitary,
+    apply_gate,
+    compose_dense,
+    embed_gate,
+    standard_gate,
+)
+from qca2.io_formats import format_complex, parse_config
 from qca2.register import basis_state, probabilities
 from qca2.rules import (
     BoundaryCondition,
@@ -23,7 +34,7 @@ from qca2.rules import (
     step,
 )
 
-from helpers import random_state, random_unitary
+from helpers import random_orthogonal, random_state, random_unitary
 
 FIG3 = QcaConfig(
     n_cells=3,
@@ -35,6 +46,21 @@ FIG3 = QcaConfig(
 ALL_RULES = list(NeighborhoodRule)
 ALL_BOUNDARIES = list(BoundaryCondition)
 PRESET_EVALS = [IDENTITY_EVAL, H_BOTH_EVAL, H_S_THEN_CN_EVAL]
+COMPLEX_CUSTOM = random_unitary(np.random.default_rng(5), 4)
+
+
+@pytest.fixture
+def run_states(monkeypatch):
+    """(dtype, nbytes) of every start state `evolve` or `run_gate_script` makes."""
+    made = []
+
+    def spy(*args):
+        state = basis_state(*args)
+        made.append((state.dtype, state.nbytes))
+        return state
+
+    monkeypatch.setattr(rules, "basis_state", spy)
+    return made
 
 
 def make_config(n_cells, rule, boundary=BoundaryCondition.CONST_ZERO,
@@ -270,6 +296,18 @@ class TestStep:
         with pytest.raises(ValueError):
             step(basis_state(4, 0), compile_rule(FIG3))
 
+    def test_keeps_the_state_dtype(self):
+        rule = compile_rule(FIG3)
+        real, cplx = step(basis_state(6, 32, np.float64), rule), step(basis_state(6, 32), rule)
+        assert real.dtype == np.float64 and cplx.dtype == np.complex128
+        assert np.array_equal(real, cplx)
+
+    def test_real_state_refuses_a_complex_cell_unitary(self):
+        rule = compile_rule(make_config(2, NeighborhoodRule.RIGHT,
+                                        evaluation=Evaluation(COMPLEX_CUSTOM)))
+        with pytest.raises(TypeError):
+            step(basis_state(4, 1, np.float64), rule)
+
 
 class TestInteractionProperties:
     def test_permutation_preserves_s_bits(self):
@@ -391,27 +429,107 @@ class TestEvolve:
         assert np.max(np.abs(matrix.sum(axis=0) - 1.0)) <= 1e-10
 
 
-class TestEvolveBytes:
-    @pytest.mark.parametrize("record", list(RecordMode))
-    def test_is_what_evolve_allocates(self, record):
-        cfg = make_config(2, NeighborhoodRule.RIGHT, steps=3, record=record)
-        assert run_bytes(4, cfg.n_columns) == evolve(cfg).nbytes + 2 * basis_state(4, 0).nbytes
+def complex_reference(cfg):
+    """Probability columns of `cfg` from `step` on a complex128 state."""
+    rule = compile_rule(cfg)
+    psi = basis_state(rule.n_qubits, cfg.initial_index)
+    columns = [probabilities(psi)]
+    for _ in range(cfg.n_steps):
+        if cfg.record is RecordMode.PER_PHASE:
+            columns.append(probabilities(psi[rule.source]))
+        psi = step(psi, rule)
+        columns.append(probabilities(psi))
+    return np.column_stack(columns)
 
-    def test_is_what_a_gate_script_allocates(self):
-        script = [[LocalUnitary((1,), np.eye(2))]] * 3
-        matrix = run_gate_script(4, 0, script)
-        assert run_bytes(4, 1 + len(script)) == matrix.nbytes + 2 * basis_state(4, 0).nbytes
+
+@pytest.mark.parametrize("rule", ALL_RULES)
+@pytest.mark.parametrize("boundary", ALL_BOUNDARIES)
+@pytest.mark.parametrize("evaluation", PRESET_EVALS)
+def test_real_path_equals_complex_path_bitwise(run_states, rule, boundary, evaluation):
+    for cells in range(1, 6):
+        for record in RecordMode:
+            cfg = make_config(cells, rule, boundary, evaluation,
+                              initial=37 * cells % 4**cells, steps=30, record=record)
+            assert evolve(cfg).tobytes() == complex_reference(cfg).tobytes(), (cells, record)
+    assert {dtype for dtype, _ in run_states} == {np.dtype(np.float64)}
+
+
+# A custom matrix written with every imaginary part +0i evolves a float64
+# state; one imaginary part off zero keeps the state complex.
+@pytest.mark.parametrize("matrix, dtype", [
+    (random_orthogonal(np.random.default_rng(8), 4), np.float64),
+    (COMPLEX_CUSTOM, np.complex128),
+], ids=["real-orthogonal", "complex-unitary"])
+@pytest.mark.parametrize("rule", ALL_RULES)
+def test_custom_matrix_state_dtype_and_dense_oracle(run_states, matrix, dtype, rule):
+    entries = ",".join(format_complex(z) for z in matrix.astype(np.complex128).reshape(-1))
+    assert (entries.count("+0i") == 16) == (dtype is np.float64)
+    cfg = parse_config(f"cells=3\nrule={rule.value}\nboundary=cyclic\n"
+                       f"eval=custom:{entries}\nsteps=20\ninitial=42\n")
+    columns = evolve(cfg)
+    assert run_states == [(dtype, np.dtype(dtype).itemsize << 6)]
+    dense, psi = build_dense_rule(cfg), basis_state(6, 42)
+    for t in range(cfg.n_columns):
+        assert np.max(np.abs(columns[:, t] - np.abs(psi) ** 2)) <= 1e-12, t
+        psi = dense @ psi
+
+
+def _traced(run, *args):
+    """`run(*args)` and the peak of the bytes it held while it ran."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    try:
+        return run(*args), tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+class TestEvolveBytes:
+    # Beyond its probability matrix and two states, a run holds the gather
+    # index and the temporaries of one probability column or flip: under
+    # four float64 vectors at 16 qubits.
+    UNCOUNTED = 4 * 8 << 16
+
+    @pytest.mark.parametrize("record", list(RecordMode))
+    @pytest.mark.parametrize("evaluation, dtype", [
+        (H_BOTH_EVAL, np.float64), (Evaluation(COMPLEX_CUSTOM), np.complex128),
+    ], ids=["h_both", "complex-custom"])
+    def test_is_what_evolve_allocates(self, run_states, evaluation, dtype, record):
+        cfg = make_config(8, NeighborhoodRule.BOTH, BoundaryCondition.CYCLIC, evaluation,
+                          initial=1, steps=3, record=record)
+        matrix, peak = _traced(evolve, cfg)
+        ((state_dtype, state_bytes),) = run_states
+        need = run_bytes(16, cfg.n_columns, dtype)
+        assert state_dtype == dtype
+        assert need == matrix.nbytes + 2 * state_bytes
+        assert need <= peak < need + self.UNCOUNTED
+
+    @pytest.mark.parametrize("u, dtype", [
+        (H_BOTH_EVAL.matrix, np.float64), (COMPLEX_CUSTOM, np.complex128),
+    ], ids=["h_both", "complex-custom"])
+    def test_is_what_a_gate_script_allocates(self, run_states, u, dtype):
+        script = [[LocalUnitary((0, 1), u), ControlledFlip({1}, 2)]] * 3
+        matrix, peak = _traced(run_gate_script, 16, 1, script)
+        ((state_dtype, state_bytes),) = run_states
+        need = run_bytes(16, 1 + len(script), dtype)
+        assert state_dtype == dtype
+        assert need == matrix.nbytes + 2 * state_bytes
+        assert need <= peak < need + self.UNCOUNTED
 
     # The CLI refuses a run whose estimate exceeds physical memory.  Tested
     # on the estimate alone, so that a broken check never allocates.
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
     @pytest.mark.parametrize("cells, steps", [(12, 100), (9, 4095)])
-    def test_oversized_runs_exceed_8_gib(self, cells, steps):
-        assert run_bytes(2 * cells, 1 + steps) > 8 << 30
+    def test_oversized_runs_exceed_8_gib(self, cells, steps, dtype):
+        assert run_bytes(2 * cells, 1 + steps, dtype) > 8 << 30
 
     # The benchmark's configs: presets, custom (simulate and period), wide.
     @pytest.mark.parametrize("cells, steps", [(8, 40), (5, 1023), (5, 2047), (10, 15)])
     def test_benchmark_runs_fit_in_256_mib(self, cells, steps):
-        assert run_bytes(2 * cells, 1 + steps) < 256 << 20
+        assert run_bytes(2 * cells, 1 + steps, np.complex128) < 256 << 20
 
 
 class TestRunGateScript:
@@ -431,6 +549,18 @@ class TestRunGateScript:
     def test_empty_script(self):
         matrix = run_gate_script(3, 4, [])
         assert matrix.shape == (8, 1) and matrix[4, 0] == 1.0
+
+    def test_state_is_real_for_h_x_cn_and_complex_otherwise(self, run_states):
+        h = [LocalUnitary((1,), standard_gate("H"))]
+        flips = [ControlledFlip((), 0), ControlledFlip({1}, 0)]
+        real = run_gate_script(2, 2, [h, flips])
+        s_gate = [LocalUnitary((0,), np.diag([1, 1j]))]
+        run_gate_script(2, 2, [h, s_gate, flips])
+        assert [dtype for dtype, _ in run_states] == [np.float64, np.complex128]
+        state = apply_gate(basis_state(2, 2), h[0])
+        for gate in flips:
+            state = apply_gate(state, gate)
+        assert real[:, 2].tobytes() == probabilities(state).tobytes()
 
     def test_matches_dense_composition(self, rng):
         from qca2.gates import standard_gate
