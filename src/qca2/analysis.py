@@ -80,17 +80,20 @@ def detect_period(matrix: np.ndarray, tol: float = DEFAULT_PERIOD_TOL) -> Period
     in max norm, confirmed over at least two full repetitions.
 
     Each lag is scanned one column pair at a time and abandoned at the first
-    pair that misses, so no temporary is larger than one column.
+    pair that misses; every difference goes to one reused column buffer.
+    Columns are read fastest from an F-contiguous matrix, as `evolve` makes.
     """
     if matrix.ndim != 2 or matrix.shape[1] < 1:
         raise ValueError("probability matrix must have at least one column")
     if not tol > 0:
         raise ValueError("tolerance must be positive")
     n_cols = matrix.shape[1]
+    diff = np.empty(matrix.shape[0])
     for p in range(1, (n_cols - 1) // 2 + 1):
         deviation = 0.0
         for t in range(n_cols - p):
-            d = float(np.max(np.abs(matrix[:, t] - matrix[:, t + p])))
+            np.subtract(matrix[:, t], matrix[:, t + p], out=diff)
+            d = float(np.max(np.abs(diff, out=diff)))
             if not d <= tol:  # a nan misses too
                 break
             deviation = max(deviation, d)

@@ -53,9 +53,19 @@ def _check_memory(n_qubits: int, n_columns: int, gates) -> None:
     have = _physical_memory()
     if need > have:
         raise io_formats.ConfigError(
-            f"run needs about {need / 2**30:.1f} GiB for its probability matrix "
-            f"and states, more than the {have / 2**30:.1f} GiB of physical memory"
+            f"run needs about {need / 2**30:.1f} GiB for its probability matrix and "
+            f"working vectors, more than the {have / 2**30:.1f} GiB of physical memory"
         )
+
+
+_WRITE_SLICE = 1 << 20  # characters encoded at a time
+
+
+def _write_text(text: str, file) -> None:
+    """Write `text` a slice at a time, so that its encoded form is never
+    held whole next to it."""
+    for start in range(0, len(text), _WRITE_SLICE):
+        file.write(text[start:start + _WRITE_SLICE])
 
 
 def _write_outputs(matrix, args) -> None:
@@ -65,11 +75,13 @@ def _write_outputs(matrix, args) -> None:
         if args.out_pgm:
             Path(args.out_pgm).write_bytes(io_formats.render_pgm(matrix))
         if args.out_csv:
-            Path(args.out_csv).write_text(io_formats.write_csv(matrix))
+            text = io_formats.write_csv(matrix)
+            with open(args.out_csv, "w") as file:
+                _write_text(text, file)
     except OSError as exc:
         raise io_formats.ConfigError(f"cannot write output: {exc}") from None
     if not args.out_csv and not args.out_pgm:
-        sys.stdout.write(io_formats.write_csv(matrix))
+        _write_text(io_formats.write_csv(matrix), sys.stdout)
 
 
 def _cmd_simulate(args) -> int:

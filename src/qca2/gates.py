@@ -176,11 +176,21 @@ def flip_source(flips: Sequence[ControlledFlip], n_qubits: int) -> np.ndarray:
 
 def contract(u: np.ndarray, psi: np.ndarray, low: int, out: np.ndarray) -> np.ndarray:
     """Apply the small matrix `u` to the block of bits starting at bit `low`
-    of `psi`, writing into `out`; returns `out`."""
+    of `psi`, writing into `out`; returns `out`.
+
+    When the bits below the block span only 2 or 4 amplitudes (`low` 1 or
+    2), einsum's innermost loop runs over those 2 or 4 and costs several
+    times a long-stride block, so each of them gets its own call.  The
+    split sums the same products in the same order, bit for bit.
+    """
     d = u.shape[0]
     # Axis 1 of the views is the block's index.
-    np.einsum("ij,ajb->aib", u, psi.reshape(-1, d, 1 << low),
-              out=out.reshape(-1, d, 1 << low))
+    x, y = psi.reshape(-1, d, 1 << low), out.reshape(-1, d, 1 << low)
+    if low in (1, 2):
+        for b in range(1 << low):
+            np.einsum("ij,aj->ai", u, x[:, :, b], out=y[:, :, b])
+    else:
+        np.einsum("ij,ajb->aib", u, x, out=y)
     return out
 
 

@@ -313,7 +313,8 @@ def write_csv(matrix: np.ndarray) -> str:
     rows = _format_rows(matrix, _format_floats, ",")
     lines = ["state," + ",".join(f"t{t}" for t in range(matrix.shape[1]))]
     lines += [f"{r},{row}" for r, row in enumerate(rows)]
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without a second copy of the text
+    return "\n".join(lines)
 
 
 def read_csv(text: str) -> np.ndarray:
@@ -321,6 +322,9 @@ def read_csv(text: str) -> np.ndarray:
     lines = [ln for ln in text.splitlines() if ln]
     rows = [[float(v) for v in ln.split(",")[1:]] for ln in lines[1:]]
     return np.array(rows, dtype=np.float64)
+
+
+_PGM_BLOCK_PIXELS = 1 << 16  # per numpy pass: temporaries of a few MB at most
 
 
 def render_pgm(matrix: np.ndarray) -> bytes:
@@ -331,12 +335,25 @@ def render_pgm(matrix: np.ndarray) -> bytes:
     left to right.
     """
     n_rows, n_cols = matrix.shape
-    # 255*(1-p) is nonnegative, so floor(x + 0.5) is half-away-from-zero.
-    pixels = np.floor(255.0 * (1.0 - matrix) + 0.5).astype(np.int64)
-    pixels = np.clip(pixels, 0, 255)
-    rows = _format_rows(pixels, lambda values: list(map(str, values)), " ")
-    lines = ["P2", f"{n_cols} {n_rows}", "255", *rows]
-    return ("\n".join(lines) + "\n").encode("ascii")
+    chunks = [f"P2\n{n_cols} {n_rows}\n255\n".encode("ascii")]
+    rows_per_block = max(1, _PGM_BLOCK_PIXELS // n_cols)
+    for start in range(0, n_rows, rows_per_block):
+        block = matrix[start:start + rows_per_block]
+        # 255*(1-p) is nonnegative, so floor(x + 0.5) is half-away-from-zero.
+        pixels = np.floor(255.0 * (1.0 - block) + 0.5).astype(np.int64)
+        values = np.clip(pixels, 0, 255).astype(np.uint8).ravel()
+        # A value takes 1-3 digits and a space or newline; the running sum
+        # of those widths is where each value ends, and its digits go back
+        # from there.
+        tens, hundreds = values >= 10, values >= 100
+        end = np.cumsum(2 + tens + hundreds)
+        text = np.full(end[-1], ord(" "), dtype=np.uint8)
+        text[end[n_cols - 1::n_cols] - 1] = ord("\n")
+        text[end - 2] = ord("0") + values % 10
+        text[end[tens] - 3] = ord("0") + values[tens] // 10 % 10
+        text[end[hundreds] - 4] = ord("0") + values[hundreds] // 100
+        chunks.append(text.tobytes())
+    return b"".join(chunks)
 
 
 def write_operator_csv(op: np.ndarray) -> str:

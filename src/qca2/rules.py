@@ -224,10 +224,12 @@ def step(state: np.ndarray, rule: CompiledRule) -> np.ndarray:
 
 
 def run_bytes(n_qubits: int, n_columns: int, dtype) -> int:
-    """Bytes `evolve` or `run_gate_script` allocates: the float64 probability
-    matrix of `n_columns` columns and two states of `dtype`, the run's
-    `state_dtype` (8 bytes an amplitude when real, 16 when complex)."""
-    return (8 * n_columns + 2 * np.dtype(dtype).itemsize) << n_qubits
+    """Bytes `evolve` or `run_gate_script` holds at its peak, at most: the
+    float64 probability matrix of `n_columns` columns, two states of `dtype`,
+    the run's `state_dtype` (8 bytes an amplitude when real, 16 when
+    complex), an int64 gather index, and the two float64 temporaries of
+    `probabilities`, ``|x|`` and its square."""
+    return (8 * n_columns + 2 * np.dtype(dtype).itemsize + 8 + 2 * 8) << n_qubits
 
 
 def evolve(config: QcaConfig) -> np.ndarray:
@@ -236,22 +238,26 @@ def evolve(config: QcaConfig) -> np.ndarray:
 
     PER_STEP records one column per full update; PER_PHASE records after the
     interaction phase and again after the evaluation phase of every update.
+    The matrix is F-contiguous: each column is recorded as one contiguous
+    block of memory.
     """
     rule = compile_rule(config)
     per_phase = config.record is RecordMode.PER_PHASE
     stride = 2 if per_phase else 1
-    matrix = np.empty((1 << rule.n_qubits, config.n_columns))
+    columns = np.empty((config.n_columns, 1 << rule.n_qubits))
     psi = basis_state(rule.n_qubits, config.initial_index, state_dtype(rule.evaluation))
     spare = np.empty_like(psi)
-    matrix[:, 0] = probabilities(psi)
+    columns[0] = probabilities(psi)
     for t in range(1, config.n_steps + 1):
-        np.take(psi, rule.source, out=spare)
+        # `source` is a permutation, so "clip" never clips; unlike the
+        # default "raise", it gathers without buffering a copy of `spare`.
+        np.take(psi, rule.source, out=spare, mode="clip")
         psi, spare = spare, psi
         if per_phase:
-            matrix[:, 2 * t - 1] = probabilities(psi)
+            columns[2 * t - 1] = probabilities(psi)
         psi, spare = _evaluate(psi, rule, spare)
-        matrix[:, stride * t] = probabilities(psi)
-    return matrix
+        columns[stride * t] = probabilities(psi)
+    return columns.T
 
 
 def run_gate_script(
@@ -260,12 +266,13 @@ def run_gate_script(
     script: Sequence[Sequence[GateOp]],
 ) -> np.ndarray:
     """Run an explicit per-timestep gate script, recording a probability
-    column after each timestep (column 0 is the initial state)."""
+    column after each timestep (column 0 is the initial state).  The matrix
+    is F-contiguous, like `evolve`'s."""
     state = basis_state(n_qubits, initial_index, state_dtype(chain.from_iterable(script)))
-    matrix = np.empty((state.size, 1 + len(script)))
-    matrix[:, 0] = probabilities(state)
+    columns = np.empty((1 + len(script), state.size))
+    columns[0] = probabilities(state)
     for t, timestep in enumerate(script, start=1):
         for gate in timestep:
             state = apply_gate(state, gate)
-        matrix[:, t] = probabilities(state)
-    return matrix
+        columns[t] = probabilities(state)
+    return columns.T

@@ -88,6 +88,19 @@ class TestDetectPeriod:
         report = detect_period(matrix, tol=1e-9)
         assert not report.found and report.columns_examined == 4
 
+    @pytest.mark.parametrize("steps", [11, 12])
+    def test_same_report_for_either_memory_order(self, steps):
+        # Over 12 and 13 columns h_both has period 6, found only in the
+        # longer run, and h_s_then_cn has period 4 at a deviation of 2e-15.
+        # Reports are compared by repr, since nan != nan.
+        for evaluation in (H_BOTH_EVAL, H_S_THEN_CN_EVAL):
+            cfg = QcaConfig(3, NeighborhoodRule.RIGHT, BoundaryCondition.CYCLIC,
+                            evaluation, initial_index=9, n_steps=steps)
+            matrix = evolve(cfg)
+            reports = [repr(detect_period(np.asarray(matrix, order=order)))
+                       for order in "CF"]
+            assert reports[0] == reports[1]
+
     def test_minimality(self):
         # Period 4 pattern: every smaller candidate must exceed the tolerance.
         cols = [np.eye(4)[:, t % 4] for t in range(12)]

@@ -1,11 +1,17 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qca2 import cli, rules
+import qca2
+from qca2 import cli, io_formats, rules
 from qca2.cli import main
-from qca2.io_formats import read_csv
+from qca2.io_formats import format_complex, parse_config, read_csv
+
+from helpers import random_unitary
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -61,6 +67,53 @@ class TestSimulateCommand:
 
     def test_missing_file_exits_two(self, capsys):
         assert main(["simulate", "/nonexistent/x.conf"]) == 2
+
+    def test_csv_is_written_in_slices(self, cyclic_conf, tmp_path, capsys, monkeypatch):
+        expected = io_formats.write_csv(rules.evolve(parse_config(cyclic_conf.read_text())))
+        monkeypatch.setattr(cli, "_WRITE_SLICE", 7)
+        csv_path = tmp_path / "out.csv"
+        assert main(["simulate", str(cyclic_conf), "--out-csv", str(csv_path)]) == 0
+        assert main(["simulate", str(cyclic_conf)]) == 0
+        assert csv_path.read_text() == capsys.readouterr().out == expected
+
+
+# Growth of a fresh interpreter's peak resident memory across one
+# `simulate`, in bytes, after a one-cell run has done the lazy imports.
+_PEAK_GROWTH = """
+import sys
+from qca2.cli import main
+
+def peak():
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) << 10
+
+conf, csv_path, warm_up = sys.argv[1:]
+assert main(["simulate", warm_up, "--out-csv", csv_path]) == 0
+before = peak()
+assert main(["simulate", conf, "--out-csv", csv_path]) == 0
+print(peak() - before)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs VmHWM")
+def test_csv_output_holds_about_two_copies_of_its_text(tmp_path):
+    # 6 cells, 128 columns of nearly all distinct values: a 4 MiB matrix and
+    # about 12 MB of CSV.  The text and its list of lines are alive together
+    # once, and the file is written 1 MiB at a time; a third copy (the text
+    # with a final newline added, or an encoded copy for the file) would
+    # exceed 2.5 times the file size.
+    entries = ",".join(map(format_complex, random_unitary(np.random.default_rng(3), 4).flat))
+    conf, csv_path, warm_up = tmp_path / "run.conf", tmp_path / "run.csv", tmp_path / "1.conf"
+    conf.write_text(f"cells=6\nrule=both\nboundary=cyclic\neval=custom:{entries}\n"
+                    "steps=127\ninitial=5\n")
+    warm_up.write_text(f"cells=1\nrule=both\neval=custom:{entries}\nsteps=1\ninitial=0\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(qca2.__file__).parent.parent)}
+    argv = [sys.executable, "-c", _PEAK_GROWTH, str(conf), str(csv_path), str(warm_up)]
+    run = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+    matrix_bytes = 8 * 128 << 12
+    assert int(run.stdout) < matrix_bytes + 2.5 * csv_path.stat().st_size
 
 
 class TestPeriodCommand:
@@ -152,9 +205,10 @@ def test_bad_input_ends_in_one_error_line(argv, message, cyclic_conf, tmp_path, 
 
 
 def test_memory_check_counts_states_at_the_run_dtype(tmp_path, capsys, monkeypatch):
-    # 5 cells, two columns: 16 KiB of probabilities and two states of 8 KiB
-    # each when real or 16 KiB each when complex, against 32 KiB of memory.
-    monkeypatch.setattr(cli, "_physical_memory", lambda: 32 << 10)
+    # 5 cells, two columns: 16 KiB of probabilities, 24 KiB of gather index
+    # and probability temporaries, and two states of 8 KiB each when real or
+    # 16 KiB each when complex, against 56 KiB of memory.
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 56 << 10)
     conf, script = tmp_path / "run.conf", tmp_path / "run.qscript"
     conf.write_text("cells=5\nrule=right\neval=h_both\nsteps=1\ninitial=0\n")
     script.write_text("cells=5\ninitial=0\nstep\nH s0\nCN s0 c0\n")

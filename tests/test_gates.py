@@ -8,6 +8,7 @@ from qca2.gates import (
     LocalUnitary,
     apply_gate,
     compose_dense,
+    contract,
     embed_gate,
     flip_source,
     is_unitary,
@@ -205,6 +206,24 @@ class TestApplyGate:
         state = basis_state(12, 1 << 11)
         out = apply_gate(state, ControlledFlip({11}, 0))
         assert out[(1 << 11) | 1] == 1.0
+
+
+class TestContract:
+    # The blocks at low 1 and 2 are split into one einsum per low index;
+    # every block must still give the bits of the single einsum.
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("k", [1, 2], ids=["d2", "d4"])
+    def test_equals_one_einsum_bitwise_at_every_low(self, rng, dtype, k):
+        n, d = 12, 1 << k
+        for low in range(n - k + 1):
+            psi, u = rng.normal(size=1 << n), random_orthogonal(rng, d)
+            if dtype is np.complex128:
+                psi, u = random_state(rng, n), random_unitary(rng, d)
+            expected = np.empty_like(psi)
+            np.einsum("ij,ajb->aib", u, psi.reshape(-1, d, 1 << low),
+                      out=expected.reshape(-1, d, 1 << low))
+            out = contract(u, psi, low, np.empty_like(psi))
+            assert out.tobytes() == expected.tobytes(), low
 
 
 class TestStateDtype:

@@ -238,6 +238,29 @@ def test_writers_match_per_value_formatting(pool, shape, seed):
     assert write_operator_csv(op) == _reference_operator(op)
 
 
+# Probabilities whose pixels are 0, 9, 10, 99, 100 and 255, where the width
+# of a pixel's decimal digits changes.
+_PIXEL_EDGES = 1.0 - np.array([0, 9, 10, 99, 100, 255]) / 255.0
+
+
+# `evolve` returns an F-contiguous matrix; the writers' bytes must not
+# depend on the memory order.  300 x 300 spans two PGM blocks.
+@pytest.mark.parametrize("shape", [(1, 6), (6, 1), (300, 300)],
+                         ids=["one-row", "one-column", "two-pgm-blocks"])
+def test_writers_give_the_same_bytes_for_either_memory_order(rng, shape):
+    values = np.concatenate([_PIXEL_EDGES, rng.random(shape[0] * shape[1] - 6)])
+    matrix = rng.permutation(values).reshape(shape)
+    op = matrix + 1j * rng.permutation(values).reshape(shape)
+    c_order, f_order = np.ascontiguousarray(matrix), np.asfortranarray(matrix)
+    assert not f_order.flags.c_contiguous or 1 in shape
+    assert render_pgm(c_order) == render_pgm(f_order) == _reference_pgm(matrix)
+    assert write_csv(c_order) == write_csv(f_order)
+    assert write_operator_csv(np.ascontiguousarray(op)) == \
+        write_operator_csv(np.asfortranarray(op))
+    pixels = render_pgm(matrix).split(b"\n", 3)[3].split()
+    assert {b"0", b"9", b"10", b"99", b"100", b"255"} <= set(pixels)
+
+
 class TestCsv:
     def test_single_entry(self):
         assert write_csv(np.array([[1.0]])) == "state,t0\n0,1\n"

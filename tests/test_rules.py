@@ -454,6 +454,17 @@ def test_real_path_equals_complex_path_bitwise(run_states, rule, boundary, evalu
     assert {dtype for dtype, _ in run_states} == {np.dtype(np.float64)}
 
 
+# Columns are recorded time-major and returned transposed; the values are
+# those of `step` on the same complex state, column by column.
+@pytest.mark.parametrize("record", list(RecordMode))
+def test_evolve_is_column_contiguous_and_equals_step_bitwise(record):
+    cfg = make_config(4, NeighborhoodRule.BOTH, BoundaryCondition.CYCLIC,
+                      Evaluation(COMPLEX_CUSTOM), initial=77, steps=12, record=record)
+    matrix = evolve(cfg)
+    assert matrix.T.flags.c_contiguous and matrix.shape == (256, cfg.n_columns)
+    assert matrix.tobytes() == complex_reference(cfg).tobytes()
+
+
 # A custom matrix written with every imaginary part +0i evolves a float64
 # state; one imaginary part off zero keeps the state complex.
 @pytest.mark.parametrize("matrix, dtype", [
@@ -488,36 +499,41 @@ def _traced(run, *args):
 
 
 class TestEvolveBytes:
-    # Beyond its probability matrix and two states, a run holds the gather
-    # index and the temporaries of one probability column or flip: under
-    # four float64 vectors at 16 qubits.
-    UNCOUNTED = 4 * 8 << 16
+    # Beyond its probability matrix and two states, the estimate counts an
+    # int64 gather index and two float64 probability temporaries.  It bounds
+    # the traced peak from above, within six float64 vectors at 16 qubits:
+    # a script without gates holds neither a second state nor a gather index.
+    EXTRA = 3 * 8 << 16
+    SLACK = 6 * 8 << 16
 
+    @pytest.mark.parametrize("steps", [0, 3], ids=["one-column", "many-columns"])
     @pytest.mark.parametrize("record", list(RecordMode))
     @pytest.mark.parametrize("evaluation, dtype", [
         (H_BOTH_EVAL, np.float64), (Evaluation(COMPLEX_CUSTOM), np.complex128),
     ], ids=["h_both", "complex-custom"])
-    def test_is_what_evolve_allocates(self, run_states, evaluation, dtype, record):
+    def test_is_what_evolve_allocates(self, run_states, evaluation, dtype, record, steps):
         cfg = make_config(8, NeighborhoodRule.BOTH, BoundaryCondition.CYCLIC, evaluation,
-                          initial=1, steps=3, record=record)
+                          initial=1, steps=steps, record=record)
         matrix, peak = _traced(evolve, cfg)
         ((state_dtype, state_bytes),) = run_states
         need = run_bytes(16, cfg.n_columns, dtype)
         assert state_dtype == dtype
-        assert need == matrix.nbytes + 2 * state_bytes
-        assert need <= peak < need + self.UNCOUNTED
+        assert need == matrix.nbytes + 2 * state_bytes + self.EXTRA
+        assert peak <= need < peak + self.SLACK
 
+    @pytest.mark.parametrize("steps", [0, 3], ids=["one-column", "many-columns"])
     @pytest.mark.parametrize("u, dtype", [
         (H_BOTH_EVAL.matrix, np.float64), (COMPLEX_CUSTOM, np.complex128),
     ], ids=["h_both", "complex-custom"])
-    def test_is_what_a_gate_script_allocates(self, run_states, u, dtype):
-        script = [[LocalUnitary((0, 1), u), ControlledFlip({1}, 2)]] * 3
+    def test_is_what_a_gate_script_allocates(self, run_states, u, dtype, steps):
+        script = [[LocalUnitary((0, 1), u), ControlledFlip({1}, 2)]] * steps
+        dtype = dtype if script else np.float64  # no gate needs a complex state
         matrix, peak = _traced(run_gate_script, 16, 1, script)
         ((state_dtype, state_bytes),) = run_states
         need = run_bytes(16, 1 + len(script), dtype)
         assert state_dtype == dtype
-        assert need == matrix.nbytes + 2 * state_bytes
-        assert need <= peak < need + self.UNCOUNTED
+        assert need == matrix.nbytes + 2 * state_bytes + self.EXTRA
+        assert peak <= need < peak + self.SLACK
 
     # The CLI refuses a run whose estimate exceeds physical memory.  Tested
     # on the estimate alone, so that a broken check never allocates.
@@ -549,6 +565,11 @@ class TestRunGateScript:
     def test_empty_script(self):
         matrix = run_gate_script(3, 4, [])
         assert matrix.shape == (8, 1) and matrix[4, 0] == 1.0
+
+    def test_matrix_is_column_contiguous(self):
+        script = [[LocalUnitary((1,), standard_gate("H"))], [ControlledFlip({1}, 0)]]
+        matrix = run_gate_script(4, 2, script)
+        assert matrix.shape == (16, 3) and matrix.T.flags.c_contiguous
 
     def test_state_is_real_for_h_x_cn_and_complex_otherwise(self, run_states):
         h = [LocalUnitary((1,), standard_gate("H"))]
