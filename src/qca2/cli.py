@@ -13,9 +13,9 @@ Subcommands:
 * ``matrix <config>`` -- dump the dense full-update operator as CSV.
 
 Exit codes: 0 success, 1 failed check or period not found, 2 bad input
-(config, script, flag or output path), a run whose probability matrix and
-states would not fit in physical memory or whose allocation was refused, or
-a state whose norm drifted.
+(config, script, flag or output path, a closed stdout included), a run whose
+probability matrix and states would not fit in physical memory or whose
+allocation was refused, or a state whose norm drifted.
 """
 
 from __future__ import annotations
@@ -24,11 +24,10 @@ import argparse
 import dataclasses
 import os
 import sys
-from itertools import chain
 from pathlib import Path
 
 from . import analysis, io_formats, rules
-from .gates import MAX_DENSE_QUBITS, state_dtype
+from .gates import MAX_DENSE_QUBITS
 from .register import NormDriftError
 from .rules import BoundaryCondition, RecordMode
 
@@ -42,22 +41,6 @@ def _load(path: str) -> str:
         raise io_formats.ConfigError(f"cannot read {path}: {exc}") from None
 
 
-def _physical_memory() -> int:
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-
-
-def _check_memory(n_qubits: int, n_columns: int, gates) -> None:
-    """Refuse a run of `gates` before it allocates when its estimated bytes
-    exceed physical memory."""
-    need = rules.run_bytes(n_qubits, n_columns, state_dtype(gates))
-    have = _physical_memory()
-    if need > have:
-        raise io_formats.ConfigError(
-            f"run needs about {need / 2**30:.1f} GiB for its probability matrix and "
-            f"working vectors, more than the {have / 2**30:.1f} GiB of physical memory"
-        )
-
-
 _WRITE_SLICE = 1 << 20  # characters encoded at a time
 
 
@@ -66,6 +49,16 @@ def _write_text(text: str, file) -> None:
     held whole next to it."""
     for start in range(0, len(text), _WRITE_SLICE):
         file.write(text[start:start + _WRITE_SLICE])
+
+
+def _write_stdout(text: str) -> None:
+    """Write `text` to stdout and flush it; a closed stdout is an unwritable
+    output path."""
+    try:
+        _write_text(text, sys.stdout)
+        sys.stdout.flush()
+    except OSError as exc:
+        raise io_formats.ConfigError(f"cannot write output: {exc}") from None
 
 
 def _write_outputs(matrix, args) -> None:
@@ -81,19 +74,17 @@ def _write_outputs(matrix, args) -> None:
     except OSError as exc:
         raise io_formats.ConfigError(f"cannot write output: {exc}") from None
     if not args.out_csv and not args.out_pgm:
-        _write_text(io_formats.write_csv(matrix), sys.stdout)
+        _write_stdout(io_formats.write_csv(matrix))
 
 
 def _cmd_simulate(args) -> int:
     config = io_formats.parse_config(_load(args.config))
-    _check_memory(config.layout.n_qubits, config.n_columns, rules.compile_evaluation(config))
     _write_outputs(rules.evolve(config), args)
     return 0
 
 
 def _cmd_script(args) -> int:
     n_qubits, initial, script = io_formats.parse_script(_load(args.script))
-    _check_memory(n_qubits, 1 + len(script), chain.from_iterable(script))
     _write_outputs(rules.run_gate_script(n_qubits, initial, script), args)
     return 0
 
@@ -107,10 +98,9 @@ def _cmd_period(args) -> int:
     cols_per_step = 2 if config.record is RecordMode.PER_PHASE else 1
     n_steps = -(-(args.horizon - 1) // cols_per_step)  # ceil division
     config = dataclasses.replace(config, n_steps=n_steps)
-    _check_memory(config.layout.n_qubits, config.n_columns, rules.compile_evaluation(config))
     matrix = rules.evolve(config)[:, : args.horizon]
     report = analysis.detect_period(matrix, args.tol)
-    sys.stdout.write(io_formats.format_period_report(report))
+    _write_stdout(io_formats.format_period_report(report))
     return 0 if report.found else 1
 
 
@@ -126,15 +116,12 @@ def _cmd_check(args) -> int:
     ]
     if config.boundary is BoundaryCondition.CYCLIC:
         reports.append(analysis.check_translation(config))
-    ok = True
-    for report in reports:
-        status = "pass" if report.passed else "FAIL"
-        sys.stdout.write(
-            f"{report.name}: {status} (worst deviation "
-            f"{report.worst_deviation:.3e}; {report.details})\n"
-        )
-        ok = ok and report.passed
-    return 0 if ok else 1
+    _write_stdout("".join(
+        f"{report.name}: {'pass' if report.passed else 'FAIL'} (worst deviation "
+        f"{report.worst_deviation:.3e}; {report.details})\n"
+        for report in reports
+    ))
+    return 0 if all(report.passed for report in reports) else 1
 
 
 def _cmd_matrix(args) -> int:
@@ -143,12 +130,20 @@ def _cmd_matrix(args) -> int:
         raise io_formats.ConfigError(
             f"dense operator limited to {MAX_DENSE_CELLS} cells"
         )
-    sys.stdout.write(io_formats.write_operator_csv(rules.build_dense_rule(config)))
+    _write_stdout(io_formats.write_operator_csv(rules.build_dense_rule(config)))
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises ConfigError on a bad flag or argument instead of printing its
+    usage and exiting; subparsers inherit the class."""
+
+    def error(self, message: str):
+        raise io_formats.ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="qca2",
         description="Simulate 1-D quantum cellular automata with two qubits per cell.",
     )
@@ -183,8 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (io_formats.ConfigError, NormDriftError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -196,7 +191,14 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError:
+        # A reader closed stdout: point it at /dev/null, so that the
+        # interpreter's final flush drops what is left without a message.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -9,9 +9,9 @@ Two gate placements cover everything the automaton needs:
   matrix, mirroring the register convention.
 
 ``flip_source`` turns commuting flips into one index gather and ``contract``
-applies a small matrix to a block of bits.  Compiled rules and gate scripts
-(``apply_gate``) run on these two kernels alone, on a float64 state when
-``state_dtype`` finds every gate matrix real and on a complex128 one
+applies a small matrix to a block of bits.  ``advance`` is the one loop that
+runs a state through them, for rules, scripts and ``apply_gate`` alike: on a
+float64 state when ``state_dtype`` finds every gate matrix real, complex128
 otherwise.  Dense operators (capped at 10 qubits) are built without them:
 ``permutation_matrix`` maps a list of flips one basis index at a time,
 ``embed_gate`` places one gate with ``kron``, and ``compose_dense``
@@ -111,6 +111,7 @@ class LocalUnitary:
 
 
 GateOp = Union[ControlledFlip, LocalUnitary]
+Kernel = Union[np.ndarray, tuple[np.ndarray, int]]  # a gather index, or (matrix, low)
 
 
 def _check_gate_fits(gate: GateOp, n_qubits: int) -> None:
@@ -194,6 +195,20 @@ def contract(u: np.ndarray, psi: np.ndarray, low: int, out: np.ndarray) -> np.nd
     return out
 
 
+def advance(psi: np.ndarray, kernels: Iterable[Kernel], spare: np.ndarray) -> tuple:
+    """Apply `kernels` in order, each reading one of `psi` and `spare` and
+    writing the other, the first writing `spare`; returns (result, the other
+    buffer).  A gather index goes through ``np.take``, a pair through `contract`."""
+    for kernel in kernels:
+        if isinstance(kernel, tuple):
+            contract(kernel[0], psi, kernel[1], spare)
+        else:  # a permutation: "clip" never clips, and unlike "raise" it buffers no copy
+            np.take(psi, kernel, out=spare, mode="clip")
+        psi, spare = spare, psi
+        del kernel  # a script's next gather index is built only once this one is freed
+    return psi, spare
+
+
 def state_dtype(gates: Iterable[GateOp]) -> type:
     """The state dtype a run of `gates` needs: float64 when the matrix of every
     local gate has an imaginary part that is exactly zero, complex128
@@ -202,12 +217,16 @@ def state_dtype(gates: Iterable[GateOp]) -> type:
     return np.complex128 if any(u.imag.any() for u in local) else np.float64
 
 
-def kernel_matrix(u: np.ndarray, state: np.ndarray) -> np.ndarray:
-    """`u` as `contract` applies it to `state`: its real view when the state
-    is real and `u`'s imaginary part is exactly zero, else `u` itself.  A
-    complex `u` against a real state then fails in `einsum`, whose safe
-    casting raises TypeError instead of dropping the imaginary part."""
-    return u.real if state.dtype == np.float64 and not u.imag.any() else u
+def gate_kernel(gate: GateOp, n_qubits: int, dtype) -> Kernel:
+    """`gate` as `advance` applies it to an `n_qubits` state of `dtype`: a
+    flip's gather index, or a local unitary's matrix and lowest bit.  The
+    matrix is its real view for a real state when its imaginary part is
+    exactly zero; a complex one makes `einsum` raise TypeError instead."""
+    _check_gate_fits(gate, n_qubits)
+    if isinstance(gate, ControlledFlip):
+        return flip_source((gate,), n_qubits)
+    u = gate.matrix
+    return (u.real if dtype == np.float64 and not u.imag.any() else u), gate.qubits[0]
 
 
 def apply_gate(state: np.ndarray, gate: GateOp) -> np.ndarray:
@@ -220,11 +239,7 @@ def apply_gate(state: np.ndarray, gate: GateOp) -> np.ndarray:
     n = int(state.size).bit_length() - 1
     if state.size != 1 << n:
         raise ValueError("state length is not a power of two")
-    _check_gate_fits(gate, n)
-    if isinstance(gate, ControlledFlip):
-        return state[flip_source((gate,), n)]
-    u = kernel_matrix(gate.matrix, state)
-    return contract(u, state, gate.qubits[0], np.empty_like(state))
+    return advance(state, [gate_kernel(gate, n, state.dtype)], np.empty_like(state))[0]
 
 
 def compose_dense(gates: Sequence[GateOp], n_qubits: int) -> np.ndarray:

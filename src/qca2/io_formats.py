@@ -171,24 +171,6 @@ def parse_config(text: str) -> QcaConfig:
         raise ConfigRangeError(str(exc)) from None
 
 
-def format_config(config: QcaConfig) -> str:
-    """Write a config back to its textual form (custom matrices included)."""
-    lines = [
-        f"cells={config.n_cells}",
-        f"rule={config.rule.value}",
-        f"boundary={config.boundary.value}",
-    ]
-    keyword = {e: k for k, e in EVAL_PRESETS.items()}.get(config.evaluation)
-    if keyword is None:
-        entries = ",".join(map(format_complex, config.evaluation.matrix.reshape(-1)))
-        keyword = f"custom:{entries}"
-    lines.append(f"eval={keyword}")
-    lines.append(f"steps={config.n_steps}")
-    lines.append(f"initial={config.initial_index}")
-    lines.append(f"record={config.record.value}")
-    return "\n".join(lines) + "\n"
-
-
 def _parse_qubit(token: str, layout: RegisterLayout, line_no: int) -> int:
     role = token[:1]
     # isdecimal, not isdigit: int() refuses digits such as "²".
@@ -252,13 +234,6 @@ def format_probability(p: float) -> str:
     return np.format_float_positional(p, unique=True, trim="-")
 
 
-def format_complex(z: complex) -> str:
-    re = np.format_float_positional(z.real, unique=True, trim="-")
-    im = np.format_float_positional(z.imag, unique=True, trim="-")
-    sign = "+" if not im.startswith("-") else ""
-    return f"{re}{sign}{im}i"
-
-
 def _positional(token: str) -> str:
     """Rewrite a ``repr`` token in exponent form (``1.5e-07``) positionally."""
     mantissa, _, exponent = token.partition("e")
@@ -282,7 +257,8 @@ def _format_floats(values: list[float]) -> list[str]:
 
 
 def _format_complexes(values: list[complex]) -> list[str]:
-    """`format_complex` of every value."""
+    """Each value as ``<re><sign><im>i``, both parts as `format_probability`
+    writes them."""
     reals = _format_floats([z.real for z in values])
     imags = _format_floats([z.imag for z in values])
     return [f"{re}{'' if im.startswith('-') else '+'}{im}i" for re, im in zip(reals, imags)]

@@ -9,15 +9,16 @@ cell.  The dense operator of one update is (U⊗…⊗U)·P, with P built one
 basis index at a time rather than by the gather.
 
 A run starts from a basis state, and P only moves amplitudes, so the state
-stays real when U is real, as it is for every preset.  `evolve` and
-`run_gate_script` therefore evolve a float64 state when every matrix of the
-run has an imaginary part that is exactly zero, and a complex128 state
-otherwise; `step` keeps the dtype of the state it is given.
+stays real when U is real, as it is for every preset.  A run's dtype is
+decided once from its matrices: float64 when every imaginary part is exactly
+zero, complex128 otherwise.  `evolve` and `run_gate_script` hand `_record`,
+the one loop that records probability columns, kernels for `gates.advance`.
 """
 
 from __future__ import annotations
 
 import enum
+import os
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain
@@ -29,13 +30,14 @@ import numpy as np
 from .gates import (
     ControlledFlip,
     GateOp,
+    Kernel,
     LocalUnitary,
+    advance,
     apply_gate,
     compose_dense,
-    contract,
     flip_source,
+    gate_kernel,
     is_unitary,
-    kernel_matrix,
     permutation_matrix,
     state_dtype,
 )
@@ -142,6 +144,10 @@ class CompiledRule:
     evaluation: tuple[GateOp, ...]
     source: np.ndarray = field(compare=False, repr=False)
 
+    def kernels(self, dtype) -> list[Kernel]:
+        """The gather, then each cell's unitary, for a state of `dtype`."""
+        return [self.source, *(gate_kernel(g, self.n_qubits, dtype) for g in self.evaluation)]
+
 
 # Cell offsets of the neighbours whose s-qubits together flip a cell's c-qubit.
 _NEIGHBOUR_OFFSETS = {
@@ -202,15 +208,6 @@ def build_dense_rule(config: QcaConfig) -> np.ndarray:
     return cell_unitaries @ interaction
 
 
-def _evaluate(psi: np.ndarray, rule: CompiledRule, spare: np.ndarray):
-    """Apply the evaluation gates, ping-ponging between `psi` and `spare`;
-    returns (result, the other buffer)."""
-    for gate in rule.evaluation:  # cell j's gate acts on bits 2j (c) and 2j+1 (s)
-        u = kernel_matrix(gate.matrix, psi)
-        psi, spare = contract(u, psi, gate.qubits[0], spare), psi
-    return psi, spare
-
-
 def step(state: np.ndarray, rule: CompiledRule) -> np.ndarray:
     """Advance one full update: the interaction gather, then every cell's
     evaluation.  The result keeps the state's dtype; a real state meeting a
@@ -219,8 +216,8 @@ def step(state: np.ndarray, rule: CompiledRule) -> np.ndarray:
         raise ValueError(
             f"state has {state.size} amplitudes, rule expects {1 << rule.n_qubits}"
         )
-    psi = state[rule.source]
-    return _evaluate(psi, rule, np.empty_like(psi))[0]
+    # `advance` writes its second kernel's output into its first buffer.
+    return advance(state.copy(), rule.kernels(state.dtype), np.empty_like(state))[0]
 
 
 def run_bytes(n_qubits: int, n_columns: int, dtype) -> int:
@@ -230,6 +227,31 @@ def run_bytes(n_qubits: int, n_columns: int, dtype) -> int:
     complex), an int64 gather index, and the two float64 temporaries of
     `probabilities`, ``|x|`` and its square."""
     return (8 * n_columns + 2 * np.dtype(dtype).itemsize + 8 + 2 * 8) << n_qubits
+
+
+def _physical_memory() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _record(n_qubits: int, initial_index: int, dtype, timesteps) -> np.ndarray:
+    """F-contiguous probability matrix: column 0 is the basis state, column t
+    follows ``timesteps[t - 1]``.  A run whose `run_bytes` exceed physical
+    memory raises MemoryError before it allocates."""
+    n_columns = 1 + len(timesteps)
+    need, have = run_bytes(n_qubits, n_columns, dtype), _physical_memory()
+    if need > have:
+        raise MemoryError(
+            f"run needs about {need / 2**30:.1f} GiB for its probability matrix and "
+            f"working vectors, more than the {have / 2**30:.1f} GiB of physical memory"
+        )
+    psi = basis_state(n_qubits, initial_index, dtype)
+    spare = np.empty_like(psi)
+    columns = np.empty((n_columns, psi.size))
+    columns[0] = probabilities(psi)
+    for t, kernels in enumerate(timesteps, start=1):
+        psi, spare = advance(psi, kernels, spare)
+        columns[t] = probabilities(psi)
+    return columns.T
 
 
 def evolve(config: QcaConfig) -> np.ndarray:
@@ -242,22 +264,10 @@ def evolve(config: QcaConfig) -> np.ndarray:
     block of memory.
     """
     rule = compile_rule(config)
-    per_phase = config.record is RecordMode.PER_PHASE
-    stride = 2 if per_phase else 1
-    columns = np.empty((config.n_columns, 1 << rule.n_qubits))
-    psi = basis_state(rule.n_qubits, config.initial_index, state_dtype(rule.evaluation))
-    spare = np.empty_like(psi)
-    columns[0] = probabilities(psi)
-    for t in range(1, config.n_steps + 1):
-        # `source` is a permutation, so "clip" never clips; unlike the
-        # default "raise", it gathers without buffering a copy of `spare`.
-        np.take(psi, rule.source, out=spare, mode="clip")
-        psi, spare = spare, psi
-        if per_phase:
-            columns[2 * t - 1] = probabilities(psi)
-        psi, spare = _evaluate(psi, rule, spare)
-        columns[stride * t] = probabilities(psi)
-    return columns.T
+    dtype = state_dtype(rule.evaluation)
+    gather, *cells = rule.kernels(dtype)
+    update = [[gather], cells] if config.record is RecordMode.PER_PHASE else [[gather, *cells]]
+    return _record(rule.n_qubits, config.initial_index, dtype, update * config.n_steps)
 
 
 def run_gate_script(
@@ -267,12 +277,7 @@ def run_gate_script(
 ) -> np.ndarray:
     """Run an explicit per-timestep gate script, recording a probability
     column after each timestep (column 0 is the initial state).  The matrix
-    is F-contiguous, like `evolve`'s."""
-    state = basis_state(n_qubits, initial_index, state_dtype(chain.from_iterable(script)))
-    columns = np.empty((1 + len(script), state.size))
-    columns[0] = probabilities(state)
-    for t, timestep in enumerate(script, start=1):
-        for gate in timestep:
-            state = apply_gate(state, gate)
-        columns[t] = probabilities(state)
-    return columns.T
+    is F-contiguous, like `evolve`'s.  Each kernel is built as it is reached."""
+    dtype = state_dtype(chain.from_iterable(script))
+    timesteps = [(gate_kernel(gate, n_qubits, dtype) for gate in ts) for ts in script]
+    return _record(n_qubits, initial_index, dtype, timesteps)

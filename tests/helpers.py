@@ -1,6 +1,9 @@
-"""Random states and unitaries shared by the test modules."""
+"""Random states and unitaries, and config and complex formatting, shared
+by the test modules."""
 
 import numpy as np
+
+from qca2.rules import EVAL_PRESETS, QcaConfig
 
 
 def random_state(rng: np.random.Generator, n_qubits: int) -> np.ndarray:
@@ -18,3 +21,30 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
 def random_orthogonal(rng: np.random.Generator, dim: int) -> np.ndarray:
     """A real orthogonal matrix: a unitary whose imaginary parts are all zero."""
     return np.linalg.qr(rng.normal(size=(dim, dim)))[0]
+
+
+def format_complex(z: complex) -> str:
+    """``<re><sign><im>i`` with each part's shortest round-trip digits: the
+    reference the operator CSV's formatter is tested against."""
+    re = np.format_float_positional(z.real, unique=True, trim="-")
+    im = np.format_float_positional(z.imag, unique=True, trim="-")
+    sign = "+" if not im.startswith("-") else ""
+    return f"{re}{sign}{im}i"
+
+
+def format_config(config: QcaConfig) -> str:
+    """Write a config back to its textual form (custom matrices included)."""
+    lines = [
+        f"cells={config.n_cells}",
+        f"rule={config.rule.value}",
+        f"boundary={config.boundary.value}",
+    ]
+    keyword = {e: k for k, e in EVAL_PRESETS.items()}.get(config.evaluation)
+    if keyword is None:
+        entries = ",".join(map(format_complex, config.evaluation.matrix.reshape(-1)))
+        keyword = f"custom:{entries}"
+    lines.append(f"eval={keyword}")
+    lines.append(f"steps={config.n_steps}")
+    lines.append(f"initial={config.initial_index}")
+    lines.append(f"record={config.record.value}")
+    return "\n".join(lines) + "\n"

@@ -9,9 +9,9 @@ import pytest
 import qca2
 from qca2 import cli, io_formats, rules
 from qca2.cli import main
-from qca2.io_formats import format_complex, parse_config, read_csv
+from qca2.io_formats import parse_config, read_csv
 
-from helpers import random_unitary
+from helpers import format_complex, random_unitary
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -174,14 +174,17 @@ class TestMatrixCommand:
     (["simulate", "{large}"], "physical memory"),
     (["period", "{large}", "--horizon", "4096"], "physical memory"),
     (["script", "{large_script}"], "physical memory"),
+    (["period", "{conf}", "--horizon", "abc"], "invalid int value: 'abc'"),
+    (["period"], "the following arguments are required: config"),
+    (["frobnicate", "{conf}"], "invalid choice: 'frobnicate'"),
 ], ids=["negative-tol", "nan-tol", "unwritable-csv", "unwritable-pgm", "missing-key",
         "norm-drift", "not-utf8", "too-large-simulate", "too-large-period",
-        "too-large-script"])
+        "too-large-script", "bad-flag-value", "missing-config", "unknown-subcommand"])
 def test_bad_input_ends_in_one_error_line(argv, message, cyclic_conf, tmp_path, capsys,
                                           monkeypatch):
     # On a 64 MiB machine the 6-cell runs and script (128 MiB) are refused, so a broken
     # check allocates no more than that; the other runs need at most 33 MB.
-    monkeypatch.setattr(cli, "_physical_memory", lambda: 64 << 20)
+    monkeypatch.setattr(rules, "_physical_memory", lambda: 64 << 20)
     large = tmp_path / "large.conf"
     large.write_text("cells=6\nrule=right\nsteps=4095\ninitial=0\n")
     large_script = tmp_path / "large.qscript"
@@ -204,11 +207,36 @@ def test_bad_input_ends_in_one_error_line(argv, message, cyclic_conf, tmp_path, 
     assert message in err
 
 
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["period", "--help"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: qca2 period")
+
+
+def test_closed_stdout_ends_in_one_error_line(tmp_path):
+    # About 2.8 MB of CSV, more than a pipe buffers (at most 1 MiB by
+    # default on Linux), so the writer meets the closed read end.
+    conf = tmp_path / "run.conf"
+    conf.write_text("cells=5\nrule=both\nboundary=cyclic\neval=h_s_then_cn\n"
+                    "steps=100\ninitial=5\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(qca2.__file__).parent.parent)}
+    child = subprocess.Popen([sys.executable, "-m", "qca2.cli", "simulate", str(conf)],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert len(child.stdout.read(100)) == 100
+    child.stdout.close()
+    assert child.wait(timeout=60) == 2
+    err = child.stderr.read().decode()
+    child.stderr.close()
+    assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_memory_check_counts_states_at_the_run_dtype(tmp_path, capsys, monkeypatch):
     # 5 cells, two columns: 16 KiB of probabilities, 24 KiB of gather index
     # and probability temporaries, and two states of 8 KiB each when real or
     # 16 KiB each when complex, against 56 KiB of memory.
-    monkeypatch.setattr(cli, "_physical_memory", lambda: 56 << 10)
+    monkeypatch.setattr(rules, "_physical_memory", lambda: 56 << 10)
     conf, script = tmp_path / "run.conf", tmp_path / "run.qscript"
     conf.write_text("cells=5\nrule=right\neval=h_both\nsteps=1\ninitial=0\n")
     script.write_text("cells=5\ninitial=0\nstep\nH s0\nCN s0 c0\n")

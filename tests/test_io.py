@@ -13,8 +13,6 @@ from qca2.io_formats import (
     NonUnitaryMatrixError,
     _format_complexes,
     _format_floats,
-    format_complex,
-    format_config,
     format_probability,
     parse_config,
     parse_script,
@@ -34,7 +32,7 @@ from qca2.rules import (
     evolve,
 )
 
-from helpers import random_unitary
+from helpers import format_complex, format_config, random_unitary
 
 FIG3_TEXT = "cells=3\nrule=right\neval=h_s_then_cn\nsteps=50\ninitial=32\n"
 

@@ -12,7 +12,7 @@ from qca2.gates import (
     embed_gate,
     standard_gate,
 )
-from qca2.io_formats import format_complex, parse_config
+from qca2.io_formats import parse_config
 from qca2.register import basis_state, probabilities
 from qca2.rules import (
     BoundaryCondition,
@@ -34,7 +34,7 @@ from qca2.rules import (
     step,
 )
 
-from helpers import random_orthogonal, random_state, random_unitary
+from helpers import format_complex, random_orthogonal, random_state, random_unitary
 
 FIG3 = QcaConfig(
     n_cells=3,
@@ -296,6 +296,20 @@ class TestStep:
         with pytest.raises(ValueError):
             step(basis_state(4, 0), compile_rule(FIG3))
 
+    # A state advanced in place would hold the second kernel's output.
+    @pytest.mark.parametrize("cfg", [
+        FIG3,
+        make_config(3, NeighborhoodRule.BOTH, BoundaryCondition.CYCLIC, H_S_THEN_CN_EVAL),
+    ], ids=["fig3", "both-cyclic"])
+    def test_step_and_apply_gate_leave_the_state_unchanged(self, rng, cfg):
+        rule = compile_rule(cfg)
+        state = random_state(rng, rule.n_qubits)
+        before = state.tobytes()
+        step(state, rule)
+        for gate in rule.interaction + rule.evaluation:
+            apply_gate(state, gate)
+        assert state.tobytes() == before
+
     def test_keeps_the_state_dtype(self):
         rule = compile_rule(FIG3)
         real, cplx = step(basis_state(6, 32, np.float64), rule), step(basis_state(6, 32), rule)
@@ -521,12 +535,17 @@ class TestEvolveBytes:
         assert need == matrix.nbytes + 2 * state_bytes + self.EXTRA
         assert peak <= need < peak + self.SLACK
 
+    # The last timestep is H on every s-qubit, then CN s_j -> c_j in every
+    # cell: eight flips in a row, each building its own gather index.
     @pytest.mark.parametrize("steps", [0, 3], ids=["one-column", "many-columns"])
-    @pytest.mark.parametrize("u, dtype", [
-        (H_BOTH_EVAL.matrix, np.float64), (COMPLEX_CUSTOM, np.complex128),
-    ], ids=["h_both", "complex-custom"])
-    def test_is_what_a_gate_script_allocates(self, run_states, u, dtype, steps):
-        script = [[LocalUnitary((0, 1), u), ControlledFlip({1}, 2)]] * steps
+    @pytest.mark.parametrize("timestep, dtype", [
+        ([LocalUnitary((0, 1), H_BOTH_EVAL.matrix), ControlledFlip({1}, 2)], np.float64),
+        ([LocalUnitary((0, 1), COMPLEX_CUSTOM), ControlledFlip({1}, 2)], np.complex128),
+        ([LocalUnitary((2 * j + 1,), standard_gate("H")) for j in range(8)]
+         + [ControlledFlip({2 * j + 1}, 2 * j) for j in range(8)], np.float64),
+    ], ids=["h_both", "complex-custom", "many-flips"])
+    def test_is_what_a_gate_script_allocates(self, run_states, timestep, dtype, steps):
+        script = [timestep] * steps
         dtype = dtype if script else np.float64  # no gate needs a complex state
         matrix, peak = _traced(run_gate_script, 16, 1, script)
         ((state_dtype, state_bytes),) = run_states
