@@ -104,12 +104,17 @@ def _cmd_period(args) -> int:
     return 0 if report.found else 1
 
 
-def _cmd_check(args) -> int:
+def _dense_config(args) -> rules.QcaConfig:
+    """The config of `check` or `matrix`, refused above MAX_DENSE_CELLS cells."""
     config = io_formats.parse_config(_load(args.config))
     if config.n_cells > MAX_DENSE_CELLS:
-        raise io_formats.ConfigError(
-            f"check needs the dense operator; at most {MAX_DENSE_CELLS} cells"
-        )
+        raise io_formats.ConfigError(f"{args.command} needs the dense operator; "
+                                     f"at most {MAX_DENSE_CELLS} cells")
+    return config
+
+
+def _cmd_check(args) -> int:
+    config = _dense_config(args)
     reports = [
         analysis.check_rule_unitary(config),
         analysis.check_interaction(config),
@@ -125,12 +130,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_matrix(args) -> int:
-    config = io_formats.parse_config(_load(args.config))
-    if config.n_cells > MAX_DENSE_CELLS:
-        raise io_formats.ConfigError(
-            f"dense operator limited to {MAX_DENSE_CELLS} cells"
-        )
-    _write_stdout(io_formats.write_operator_csv(rules.build_dense_rule(config)))
+    _write_stdout(io_formats.write_operator_csv(rules.build_dense_rule(_dense_config(args))))
     return 0
 
 

@@ -3,7 +3,7 @@
 Two gate placements cover everything the automaton needs:
 
 * ``ControlledFlip`` -- flips one target qubit when every control qubit is 1.
-  With no controls it is a plain X.  Dense form is a 0/1 permutation matrix.
+  With no controls it is a plain X.  It permutes basis indices.
 * ``LocalUnitary`` -- a small unitary on a block of contiguous bit positions;
   ascending bit positions map to ascending significance inside the small
   matrix, mirroring the register convention.
@@ -13,9 +13,9 @@ applies a small matrix to a block of bits.  ``advance`` is the one loop that
 runs a state through them, for rules, scripts and ``apply_gate`` alike: on a
 float64 state when ``state_dtype`` finds every gate matrix real, complex128
 otherwise.  Dense operators (capped at 10 qubits) are built without them:
-``permutation_matrix`` maps a list of flips one basis index at a time,
-``embed_gate`` places one gate with ``kron``, and ``compose_dense``
-multiplies embedded gates as the tests' generic oracle.
+``basis_images`` maps flips to the image of each basis index, one at a time,
+``embed_gate`` places one gate densely, and ``compose_dense`` multiplies
+embedded gates as the tests' generic oracle.
 """
 
 from __future__ import annotations
@@ -50,13 +50,14 @@ def standard_gate(name: str) -> np.ndarray:
         raise ValueError(f"unknown gate name {name!r}") from None
 
 
-def is_unitary(matrix: np.ndarray, tol: float = UNITARY_TOL) -> bool:
+def unitary_deviation(matrix: np.ndarray) -> float:
+    """Max-norm distance of matrix†·matrix from the identity."""
+    return float(np.max(np.abs(matrix.conj().T @ matrix - np.eye(matrix.shape[0]))))
+
+
+def is_unitary(matrix: np.ndarray) -> bool:
     d = matrix.shape[0]
-    if matrix.shape != (d, d):
-        return False
-    return bool(
-        np.max(np.abs(matrix.conj().T @ matrix - np.eye(d))) <= tol
-    )
+    return matrix.shape == (d, d) and unitary_deviation(matrix) <= UNITARY_TOL
 
 
 @dataclass(frozen=True)
@@ -131,7 +132,7 @@ def _check_dense_size(n_qubits: int) -> None:
 def embed_gate(gate: GateOp, n_qubits: int) -> np.ndarray:
     """Dense 2**n x 2**n operator realizing `gate` on an n-qubit register."""
     if isinstance(gate, ControlledFlip):
-        return permutation_matrix((gate,), n_qubits)
+        return np.eye(1 << n_qubits, dtype=np.complex128)[:, basis_images((gate,), n_qubits)]
     _check_dense_size(n_qubits)
     _check_gate_fits(gate, n_qubits)
     # LocalUnitary: identities on the bits above and below the block.
@@ -140,22 +141,22 @@ def embed_gate(gate: GateOp, n_qubits: int) -> np.ndarray:
     return np.kron(np.kron(above, gate.matrix), np.eye(1 << low))
 
 
-def permutation_matrix(flips: Sequence[ControlledFlip], n_qubits: int) -> np.ndarray:
-    """Dense 0/1 operator applying `flips` in list order, one basis index at
-    a time.  Unlike `flip_source` it allows flips that do not commute."""
+def basis_images(flips: Sequence[ControlledFlip], n_qubits: int) -> np.ndarray:
+    """Int64 image of every basis index under `flips` in list order, mapped
+    one index at a time.  Unlike `flip_source` it allows flips that do not
+    commute."""
     _check_dense_size(n_qubits)
     for flip in flips:
         _check_gate_fits(flip, n_qubits)
     masks = [(sum(1 << c for c in flip.controls), 1 << flip.target) for flip in flips]
-    dim = 1 << n_qubits
-    op = np.zeros((dim, dim), dtype=np.complex128)
-    for k in range(dim):
+    images = np.empty(1 << n_qubits, dtype=np.int64)
+    for k in range(images.size):
         image = k
         for control_mask, flip in masks:
             if (image & control_mask) == control_mask:
                 image ^= flip
-        op[image, k] = 1.0
-    return op
+        images[k] = image
+    return images
 
 
 def flip_source(flips: Sequence[ControlledFlip], n_qubits: int) -> np.ndarray:

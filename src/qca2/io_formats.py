@@ -28,7 +28,6 @@ two controls then the target.
 
 from __future__ import annotations
 
-import math
 from typing import Iterator
 
 import numpy as np
@@ -229,11 +228,6 @@ def parse_script(text: str) -> tuple[int, int, list[list[GateOp]]]:
     return layout.n_qubits, initial, script
 
 
-def format_probability(p: float) -> str:
-    """Shortest decimal that round-trips the double exactly."""
-    return np.format_float_positional(p, unique=True, trim="-")
-
-
 def _positional(token: str) -> str:
     """Rewrite a ``repr`` token in exponent form (``1.5e-07``) positionally."""
     mantissa, _, exponent = token.partition("e")
@@ -247,7 +241,9 @@ def _positional(token: str) -> str:
 
 
 def _format_floats(values: list[float]) -> list[str]:
-    """`format_probability` of every value, from one ``repr`` of the list.
+    """Each Python float as the shortest positional decimal that round-trips
+    it exactly (``0.5``, ``1``, ``-0``, ``0.000000001``), from one ``repr``
+    of the list.
 
     ``repr`` prints the same shortest round-trip digits as numpy's Dragon4,
     but in C; only its ``.0`` endings and exponent forms need rewriting.
@@ -257,7 +253,7 @@ def _format_floats(values: list[float]) -> list[str]:
 
 
 def _format_complexes(values: list[complex]) -> list[str]:
-    """Each value as ``<re><sign><im>i``, both parts as `format_probability`
+    """Each value as ``<re><sign><im>i``, both parts as `_format_floats`
     writes them."""
     reals = _format_floats([z.real for z in values])
     imags = _format_floats([z.imag for z in values])
@@ -338,12 +334,12 @@ def write_operator_csv(op: np.ndarray) -> str:
 
 
 def format_period_report(report) -> str:
-    dev = report.max_deviation
-    dev_str = "nan" if isinstance(dev, float) and math.isnan(dev) else format_probability(dev)
+    # Python floats: the repr of a numpy scalar reads np.float64(...).
+    dev_str, tol_str = _format_floats([float(report.max_deviation), float(report.tolerance)])
     return (
         f"found={'true' if report.found else 'false'}\n"
         f"period={report.period if report.period is not None else 0}\n"
         f"max_deviation={dev_str}\n"
-        f"tolerance={format_probability(report.tolerance)}\n"
+        f"tolerance={tol_str}\n"
         f"columns_examined={report.columns_examined}\n"
     )

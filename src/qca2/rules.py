@@ -5,8 +5,8 @@ controlled qubit when the state qubits of its neighbors are all 1.  The
 flips are controlled by s-bits and target c-bits, so they commute and the
 whole phase is one involutive permutation P of basis indices: a single
 gather.  The evaluation phase applies the same 4x4 unitary U inside every
-cell.  The dense operator of one update is (U⊗…⊗U)·P, with P built one
-basis index at a time rather than by the gather.
+cell.  The dense operator of one update is (U⊗…⊗U)·P, with P kept as the
+image of every basis index, mapped one at a time rather than by the gather.
 
 A run starts from a basis state, and P only moves amplitudes, so the state
 stays real when U is real, as it is for every preset.  A run's dtype is
@@ -34,11 +34,11 @@ from .gates import (
     LocalUnitary,
     advance,
     apply_gate,
+    basis_images,
     compose_dense,
     flip_source,
     gate_kernel,
     is_unitary,
-    permutation_matrix,
     state_dtype,
 )
 from .register import MAX_CELLS, RegisterLayout, basis_state, probabilities
@@ -195,17 +195,19 @@ def compile_rule(config: QcaConfig) -> CompiledRule:
     return CompiledRule(n_qubits, interaction, evaluation, flip_source(interaction, n_qubits))
 
 
-def build_dense_interaction(config: QcaConfig) -> np.ndarray:
-    """Dense interaction permutation P, mapped one basis index at a time."""
-    return permutation_matrix(compile_interaction(config), config.layout.n_qubits)
+def interaction_images(config: QcaConfig) -> np.ndarray:
+    """Image of every basis index under the interaction permutation P,
+    mapped one basis index at a time."""
+    return basis_images(compile_interaction(config), config.layout.n_qubits)
 
 
 def build_dense_rule(config: QcaConfig) -> np.ndarray:
-    """Dense full-update operator (U⊗…⊗U)·P: the interaction permutation,
-    then the cell unitary in every cell."""
-    interaction = build_dense_interaction(config)  # refuses oversized registers first
-    cell_unitaries = reduce(np.kron, [config.evaluation.matrix] * config.n_cells)
-    return cell_unitaries @ interaction
+    """Dense full-update operator (U⊗…⊗U)·P, the interaction permutation and
+    then every cell's unitary: column k is column ``images[k]`` of U⊗…⊗U."""
+    images = interaction_images(config)  # refuses oversized registers first
+    op = reduce(np.kron, [config.evaluation.matrix] * config.n_cells)[:, images]
+    op += 0.0  # -0 entries become +0, as in the product with P: `matrix` prints them
+    return op
 
 
 def step(state: np.ndarray, rule: CompiledRule) -> np.ndarray:
@@ -233,11 +235,10 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _record(n_qubits: int, initial_index: int, dtype, timesteps) -> np.ndarray:
+def _record(n_qubits: int, initial_index: int, dtype, n_columns: int, timesteps) -> np.ndarray:
     """F-contiguous probability matrix: column 0 is the basis state, column t
-    follows ``timesteps[t - 1]``.  A run whose `run_bytes` exceed physical
-    memory raises MemoryError before it allocates."""
-    n_columns = 1 + len(timesteps)
+    follows the t-th kernel list `timesteps` yields.  A run whose `run_bytes`
+    exceed physical memory raises MemoryError before it allocates or draws."""
     need, have = run_bytes(n_qubits, n_columns, dtype), _physical_memory()
     if need > have:
         raise MemoryError(
@@ -263,11 +264,16 @@ def evolve(config: QcaConfig) -> np.ndarray:
     The matrix is F-contiguous: each column is recorded as one contiguous
     block of memory.
     """
-    rule = compile_rule(config)
-    dtype = state_dtype(rule.evaluation)
-    gather, *cells = rule.kernels(dtype)
-    update = [[gather], cells] if config.record is RecordMode.PER_PHASE else [[gather, *cells]]
-    return _record(rule.n_qubits, config.initial_index, dtype, update * config.n_steps)
+    dtype = state_dtype(compile_evaluation(config))
+
+    def timesteps():  # the rule's gather index is built once `_record` asks
+        gather, *cells = compile_rule(config).kernels(dtype)
+        update = [[gather], cells] if config.record is RecordMode.PER_PHASE else [[gather, *cells]]
+        for _ in range(config.n_steps):
+            yield from update
+
+    n_qubits, n_columns = config.layout.n_qubits, config.n_columns
+    return _record(n_qubits, config.initial_index, dtype, n_columns, timesteps())
 
 
 def run_gate_script(
@@ -279,5 +285,5 @@ def run_gate_script(
     column after each timestep (column 0 is the initial state).  The matrix
     is F-contiguous, like `evolve`'s.  Each kernel is built as it is reached."""
     dtype = state_dtype(chain.from_iterable(script))
-    timesteps = [(gate_kernel(gate, n_qubits, dtype) for gate in ts) for ts in script]
-    return _record(n_qubits, initial_index, dtype, timesteps)
+    timesteps = ((gate_kernel(gate, n_qubits, dtype) for gate in ts) for ts in script)
+    return _record(n_qubits, initial_index, dtype, 1 + len(script), timesteps)

@@ -1,5 +1,5 @@
-"""Random states and unitaries, and config and complex formatting, shared
-by the test modules."""
+"""Random states and unitaries, and config, float and complex formatting,
+shared by the test modules."""
 
 import numpy as np
 
@@ -23,11 +23,17 @@ def random_orthogonal(rng: np.random.Generator, dim: int) -> np.ndarray:
     return np.linalg.qr(rng.normal(size=(dim, dim)))[0]
 
 
+def format_probability(p: float) -> str:
+    """Shortest positional decimal that round-trips the double exactly: the
+    per-value reference the CSV and period-report formatters are tested
+    against."""
+    return np.format_float_positional(p, unique=True, trim="-")
+
+
 def format_complex(z: complex) -> str:
-    """``<re><sign><im>i`` with each part's shortest round-trip digits: the
-    reference the operator CSV's formatter is tested against."""
-    re = np.format_float_positional(z.real, unique=True, trim="-")
-    im = np.format_float_positional(z.imag, unique=True, trim="-")
+    """``<re><sign><im>i`` with each part as `format_probability` writes it:
+    the reference the operator CSV's formatter is tested against."""
+    re, im = format_probability(z.real), format_probability(z.imag)
     sign = "+" if not im.startswith("-") else ""
     return f"{re}{sign}{im}i"
 

@@ -11,7 +11,7 @@ from qca2.analysis import (
     check_unitary,
     detect_period,
 )
-from qca2.gates import ControlledFlip, LocalUnitary, embed_gate, standard_gate
+from qca2.gates import ControlledFlip, LocalUnitary, basis_images, embed_gate, standard_gate
 from qca2.rules import (
     BoundaryCondition,
     H_BOTH_EVAL,
@@ -57,11 +57,23 @@ class TestCheckInteraction:
 
     def test_counts_every_state_whose_s_bit_moves(self, monkeypatch):
         # An X on s0 of a one-cell register moves the s-bit of all 4 states.
-        x_on_s0 = embed_gate(ControlledFlip((), 1), 2)
-        monkeypatch.setattr(analysis, "build_dense_interaction", lambda config: x_on_s0)
+        x_on_s0 = basis_images([ControlledFlip((), 1)], 2)
+        monkeypatch.setattr(analysis, "interaction_images", lambda config: x_on_s0)
         report = check_interaction(QcaConfig(1, NeighborhoodRule.RIGHT))
         assert not report.passed and report.worst_deviation == 4.0
         assert report.details.startswith("4 s-bit violations over 4 ")
+
+    def test_fails_on_a_map_that_is_not_one_to_one(self, monkeypatch):
+        # States 0 and 1 both map to 0 (their s-bit stays 0), and nothing
+        # maps to 1: index 0 is hit twice and index 1 never.
+        images = np.array([0, 0, 2, 3])
+        monkeypatch.setattr(analysis, "interaction_images", lambda config: images)
+        report = check_interaction(QcaConfig(1, NeighborhoodRule.RIGHT))
+        assert not report.passed and report.worst_deviation == 1.0
+        assert report.details == "0 s-bit violations over 4 basis states"
+        images[:] = [3, 0, 2, 3]  # also moves the s-bit of state 0
+        report = check_interaction(QcaConfig(1, NeighborhoodRule.RIGHT))
+        assert not report.passed and report.worst_deviation == 2.0
 
 
 class TestDetectPeriod:

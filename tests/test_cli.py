@@ -149,10 +149,16 @@ class TestCheckCommand:
         assert main(["check", str(conf)]) == 0
         assert "translation" not in capsys.readouterr().out
 
-    def test_too_many_cells_for_dense(self, tmp_path):
+    # `check` and `matrix` share one guard on the dense operator's size.
+    @pytest.mark.parametrize("command", ["check", "matrix"])
+    @pytest.mark.parametrize("cells", [6, 8])
+    def test_too_many_cells_for_dense(self, tmp_path, capsys, command, cells):
         conf = tmp_path / "big.conf"
-        conf.write_text("cells=8\nrule=right\nsteps=1\ninitial=0\n")
-        assert main(["check", str(conf)]) == 2
+        conf.write_text(f"cells={cells}\nrule=right\nsteps=1\ninitial=0\n")
+        assert main([command, str(conf)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {command} needs the dense operator; at most 5 cells\n")
+
 
 
 class TestMatrixCommand:

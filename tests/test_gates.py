@@ -7,12 +7,12 @@ from qca2.gates import (
     ControlledFlip,
     LocalUnitary,
     apply_gate,
+    basis_images,
     compose_dense,
     contract,
     embed_gate,
     flip_source,
     is_unitary,
-    permutation_matrix,
     standard_gate,
     state_dtype,
 )
@@ -245,7 +245,12 @@ class TestFlipSource:
             flip_source([ControlledFlip({0}, 1), ControlledFlip({1}, 2)], 3)
 
 
-class TestPermutationMatrix:
+def permutation_of(images):
+    """The dense 0/1 matrix whose column k is the basis vector images[k]."""
+    return np.eye(images.size)[:, images]
+
+
+class TestBasisImages:
     def test_matches_product_of_embedded_flips(self, rng):
         for _ in range(30):
             n = int(rng.integers(2, 7))
@@ -254,19 +259,22 @@ class TestPermutationMatrix:
                 bits = rng.permutation(n)
                 n_controls = int(rng.integers(0, min(3, n)))
                 flips.append(ControlledFlip(bits[1 : 1 + n_controls].tolist(), int(bits[0])))
-            assert np.array_equal(permutation_matrix(flips, n), compose_dense(flips, n))
+            images = basis_images(flips, n)
+            assert images.dtype == np.int64
+            assert np.array_equal(permutation_of(images), compose_dense(flips, n))
 
     def test_keeps_the_order_of_flips_that_do_not_commute(self):
         flips = [ControlledFlip({0}, 1), ControlledFlip({1}, 2)]
-        forward = permutation_matrix(flips, 3)
-        assert np.array_equal(forward, compose_dense(flips, 3))
-        assert not np.array_equal(forward, permutation_matrix(flips[::-1], 3))
+        forward = basis_images(flips, 3)
+        assert np.array_equal(permutation_of(forward), compose_dense(flips, 3))
+        assert not np.array_equal(forward, basis_images(flips[::-1], 3))
         # |001> sets bit 1, which then flips bit 2: |111>.
-        assert np.array_equal(forward @ basis_state(3, 1), basis_state(3, 7))
+        assert forward[1] == 7
 
     def test_dense_size_limit(self):
+        assert basis_images([], 10).size == 1 << 10
         with pytest.raises(ValueError):
-            permutation_matrix([], 11)
+            basis_images([], 11)
 
 
 class TestComposeDense:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qca2.analysis import PeriodReport
 from qca2.gates import ControlledFlip, LocalUnitary
 from qca2.io_formats import (
     ConfigError,
@@ -13,7 +14,7 @@ from qca2.io_formats import (
     NonUnitaryMatrixError,
     _format_complexes,
     _format_floats,
-    format_probability,
+    format_period_report,
     parse_config,
     parse_script,
     read_csv,
@@ -32,7 +33,7 @@ from qca2.rules import (
     evolve,
 )
 
-from helpers import format_complex, format_config, random_unitary
+from helpers import format_complex, format_config, format_probability, random_unitary
 
 FIG3_TEXT = "cells=3\nrule=right\neval=h_s_then_cn\nsteps=50\ninitial=32\n"
 
@@ -187,6 +188,24 @@ def test_bulk_formatters_match_per_value_formatting(values):
     assert _format_floats(values) == [format_probability(v) for v in values]
     complexes = [complex(re, im) for re, im in zip(values, reversed(values))]
     assert _format_complexes(complexes) == [format_complex(z) for z in complexes]
+
+
+# The report's floats go through the CSV's bulk formatter; a numpy scalar
+# must read as its digits, not as ``np.float64(...)``.
+@pytest.mark.parametrize("found, deviation, tolerance", [
+    (True, 1.5e-14, 1e-9),
+    (True, 0.0, 0.5),
+    (True, np.float64(2.5e-7), np.float64(1e-6)),
+    (False, math.nan, 1e-9),
+    (True, 3.0, 1e22),
+])
+def test_period_report_formats_like_the_per_value_reference(found, deviation, tolerance):
+    report = PeriodReport(found, 6 if found else None, deviation, tolerance, 16)
+    assert format_period_report(report) == (
+        f"found={'true' if found else 'false'}\nperiod={6 if found else 0}\n"
+        f"max_deviation={format_probability(deviation)}\n"
+        f"tolerance={format_probability(tolerance)}\ncolumns_examined=16\n"
+    )
 
 
 def _reference_csv(matrix):

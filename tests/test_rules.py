@@ -1,4 +1,5 @@
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -23,12 +24,12 @@ from qca2.rules import (
     NeighborhoodRule,
     QcaConfig,
     RecordMode,
-    build_dense_interaction,
     build_dense_rule,
     compile_evaluation,
     compile_interaction,
     compile_rule,
     evolve,
+    interaction_images,
     run_bytes,
     run_gate_script,
     step,
@@ -269,6 +270,26 @@ class TestDenseRule:
             build_dense_rule(make_config(6, NeighborhoodRule.RIGHT))
 
 
+# The column gather equals the product with the dense interaction matrix
+# bit for bit, signs of zeros included: it is what `qca2 matrix` prints.
+@pytest.mark.parametrize("evaluation", [
+    *PRESET_EVALS, Evaluation(random_orthogonal(np.random.default_rng(8), 4)),
+    Evaluation(COMPLEX_CUSTOM),
+], ids=["identity", "h_both", "h_s_then_cn", "real-custom", "complex-custom"])
+@pytest.mark.parametrize("rule", ALL_RULES)
+@pytest.mark.parametrize("boundary", ALL_BOUNDARIES)
+def test_dense_rule_equals_the_product_with_the_composed_interaction(evaluation, rule,
+                                                                     boundary):
+    configs = [make_config(n, rule, boundary, evaluation) for n in range(1, 5)]
+    if (rule, boundary, evaluation) == (NeighborhoodRule.BOTH, BoundaryCondition.CYCLIC,
+                                        Evaluation(COMPLEX_CUSTOM)):
+        configs.append(make_config(5, rule, boundary, evaluation))
+    for cfg in configs:
+        cells = reduce(np.kron, [evaluation.matrix] * cfg.n_cells)
+        product = cells @ compose_dense(compile_interaction(cfg), cfg.layout.n_qubits)
+        assert build_dense_rule(cfg).tobytes() == product.tobytes(), cfg.n_cells
+
+
 class TestStep:
     def test_identity_rule_is_bitwise_noop(self, rng):
         # Right/const0 at N=1 compiles to no gates at all.
@@ -328,14 +349,10 @@ class TestInteractionProperties:
         for rule in ALL_RULES:
             for boundary in ALL_BOUNDARIES:
                 for n in (1, 2, 3, 4):
-                    cfg = make_config(n, rule, boundary)
-                    op = build_dense_interaction(cfg)
+                    images = interaction_images(make_config(n, rule, boundary))
                     dim = 1 << (2 * n)
-                    assert set(np.unique(op)) <= {0.0, 1.0}
-                    assert np.array_equal(np.abs(op).sum(axis=0), np.ones(dim))
-                    assert np.array_equal(np.abs(op).sum(axis=1), np.ones(dim))
+                    assert np.array_equal(np.sort(images), np.arange(dim))
                     s_mask = sum(1 << (2 * j + 1) for j in range(n))
-                    images = np.argmax(op, axis=0)
                     for k in range(dim):
                         assert int(images[k]) & s_mask == k & s_mask
 
@@ -560,6 +577,20 @@ class TestEvolveBytes:
     @pytest.mark.parametrize("cells, steps", [(12, 100), (9, 4095)])
     def test_oversized_runs_exceed_8_gib(self, cells, steps, dtype):
         assert run_bytes(2 * cells, 1 + steps, dtype) > 8 << 30
+
+    # A refused run allocates nothing of its size first, not even the gather
+    # index: its traced peak stays under one int64 vector.
+    @pytest.mark.parametrize("record", list(RecordMode))
+    def test_refused_run_allocates_nothing_first(self, monkeypatch, record):
+        monkeypatch.setattr(rules, "_physical_memory", lambda: 1 << 20)
+        cfg = make_config(8, NeighborhoodRule.BOTH, BoundaryCondition.CYCLIC,
+                          Evaluation(COMPLEX_CUSTOM), initial=1, steps=3, record=record)
+
+        def refused():
+            with pytest.raises(MemoryError, match="physical memory"):
+                evolve(cfg)
+
+        assert _traced(refused)[1] < 8 << 16
 
     # The benchmark's configs: presets, custom (simulate and period), wide.
     @pytest.mark.parametrize("cells, steps", [(8, 40), (5, 1023), (5, 2047), (10, 15)])

@@ -27,3 +27,16 @@ def test_period_sweep_runs():
         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_output_digest_prints_one_digest_per_kind():
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, str(SCRIPTS / "output_digest.py"), "--max-cells", "2"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    lines = [line.split() for line in result.stdout.splitlines()]
+    assert [kind for kind, _ in lines] == ["simulate.csv", "simulate.pgm", "simulate.stdout",
+                                          "period", "check", "matrix", "script"]
+    assert all(len(digest) == 64 and int(digest, 16) >= 0 for _, digest in lines)
