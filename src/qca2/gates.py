@@ -9,10 +9,12 @@ Two gate placements cover everything the automaton needs:
   matrix, mirroring the register convention.
 
 ``flip_source`` turns commuting flips into one index gather and ``contract``
-applies a small matrix to a block of bits.  ``advance`` is the one loop that
-runs a state through them, for rules, scripts and ``apply_gate`` alike: on a
-float64 state when ``state_dtype`` finds every gate matrix real, complex128
-otherwise.  Dense operators (capped at 10 qubits) are built without them:
+applies a small matrix to a block of bits; ``gate_kernels`` turns a gate
+list into them, one gather per run of consecutive commuting flips.
+``advance`` is the one loop that runs a state through them, for rules,
+scripts and ``apply_gate`` alike: on a float64 state when ``state_dtype``
+finds every gate matrix real, complex128 otherwise.  Dense operators (capped
+at 10 qubits) are built without them:
 ``basis_images`` maps flips to the image of each basis index, one at a time,
 ``embed_gate`` places one gate densely, and ``compose_dense`` multiplies
 embedded gates as the tests' generic oracle.
@@ -21,7 +23,7 @@ embedded gates as the tests' generic oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -159,6 +161,12 @@ def basis_images(flips: Sequence[ControlledFlip], n_qubits: int) -> np.ndarray:
     return images
 
 
+def _commute(flips: Sequence[ControlledFlip]) -> bool:
+    """True when no flip targets a bit that another flip uses as a control."""
+    targets = {flip.target for flip in flips}
+    return not any(flip.controls & targets for flip in flips)
+
+
 def flip_source(flips: Sequence[ControlledFlip], n_qubits: int) -> np.ndarray:
     """Gather index that applies all `flips`: ``psi[flip_source(flips, n)]``.
 
@@ -166,8 +174,7 @@ def flip_source(flips: Sequence[ControlledFlip], n_qubits: int) -> np.ndarray:
     commute and are involutions, so the image of every basis index is also
     the index its new amplitude is gathered from.
     """
-    targets = {flip.target for flip in flips}
-    if any(flip.controls & targets for flip in flips):
+    if not _commute(flips):
         raise ValueError("a flip targets a bit that another flip uses as a control")
     source = np.arange(1 << n_qubits)
     for flip in flips:
@@ -218,16 +225,26 @@ def state_dtype(gates: Iterable[GateOp]) -> type:
     return np.complex128 if any(u.imag.any() for u in local) else np.float64
 
 
-def gate_kernel(gate: GateOp, n_qubits: int, dtype) -> Kernel:
-    """`gate` as `advance` applies it to an `n_qubits` state of `dtype`: a
-    flip's gather index, or a local unitary's matrix and lowest bit.  The
-    matrix is its real view for a real state when its imaginary part is
-    exactly zero; a complex one makes `einsum` raise TypeError instead."""
-    _check_gate_fits(gate, n_qubits)
-    if isinstance(gate, ControlledFlip):
-        return flip_source((gate,), n_qubits)
-    u = gate.matrix
-    return (u.real if dtype == np.float64 and not u.imag.any() else u), gate.qubits[0]
+def gate_kernels(gates: Iterable[GateOp], n_qubits: int, dtype) -> Iterator[Kernel]:
+    """`gates` in order as `advance` applies them to an `n_qubits` state of
+    `dtype`, each kernel built when it is drawn.  A run of consecutive flips
+    that `flip_source` accepts together is one gather index.  A local
+    unitary is its matrix and lowest bit; the matrix is its real view for a
+    real state when its imaginary part is exactly zero, and a complex one
+    makes `einsum` raise TypeError instead."""
+    flips: list[ControlledFlip] = []
+    for gate in gates:
+        _check_gate_fits(gate, n_qubits)
+        if flips and not (isinstance(gate, ControlledFlip) and _commute([*flips, gate])):
+            yield flip_source(flips, n_qubits)
+            flips = []
+        if isinstance(gate, ControlledFlip):
+            flips.append(gate)
+        else:
+            u = gate.matrix
+            yield (u.real if dtype == np.float64 and not u.imag.any() else u), gate.qubits[0]
+    if flips:
+        yield flip_source(flips, n_qubits)
 
 
 def apply_gate(state: np.ndarray, gate: GateOp) -> np.ndarray:
@@ -240,7 +257,7 @@ def apply_gate(state: np.ndarray, gate: GateOp) -> np.ndarray:
     n = int(state.size).bit_length() - 1
     if state.size != 1 << n:
         raise ValueError("state length is not a power of two")
-    return advance(state, [gate_kernel(gate, n, state.dtype)], np.empty_like(state))[0]
+    return advance(state, gate_kernels([gate], n, state.dtype), np.empty_like(state))[0]
 
 
 def compose_dense(gates: Sequence[GateOp], n_qubits: int) -> np.ndarray:

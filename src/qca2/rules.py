@@ -37,7 +37,7 @@ from .gates import (
     basis_images,
     compose_dense,
     flip_source,
-    gate_kernel,
+    gate_kernels,
     is_unitary,
     state_dtype,
 )
@@ -146,7 +146,7 @@ class CompiledRule:
 
     def kernels(self, dtype) -> list[Kernel]:
         """The gather, then each cell's unitary, for a state of `dtype`."""
-        return [self.source, *(gate_kernel(g, self.n_qubits, dtype) for g in self.evaluation)]
+        return [self.source, *gate_kernels(self.evaluation, self.n_qubits, dtype)]
 
 
 # Cell offsets of the neighbours whose s-qubits together flip a cell's c-qubit.
@@ -283,7 +283,8 @@ def run_gate_script(
 ) -> np.ndarray:
     """Run an explicit per-timestep gate script, recording a probability
     column after each timestep (column 0 is the initial state).  The matrix
-    is F-contiguous, like `evolve`'s.  Each kernel is built as it is reached."""
+    is F-contiguous, like `evolve`'s.  Each kernel is built as it is reached,
+    and consecutive flips that commute share one gather index."""
     dtype = state_dtype(chain.from_iterable(script))
-    timesteps = ((gate_kernel(gate, n_qubits, dtype) for gate in ts) for ts in script)
+    timesteps = (gate_kernels(ts, n_qubits, dtype) for ts in script)
     return _record(n_qubits, initial_index, dtype, 1 + len(script), timesteps)

@@ -12,7 +12,6 @@ from qca2.io_formats import (
     ConfigRangeError,
     ConfigSyntaxError,
     NonUnitaryMatrixError,
-    _format_complexes,
     _format_floats,
     format_period_report,
     parse_config,
@@ -187,7 +186,35 @@ def _random_doubles(seed):
 def test_bulk_formatters_match_per_value_formatting(values):
     assert _format_floats(values) == [format_probability(v) for v in values]
     complexes = [complex(re, im) for re, im in zip(values, reversed(values))]
-    assert _format_complexes(complexes) == [format_complex(z) for z in complexes]
+    assert write_operator_csv(np.array([complexes])) == \
+        ",".join(format_complex(z) for z in complexes) + "\n"
+
+
+# Every binary exponent's power of two and the double below it, where the
+# spacing below a power of two halves (the irregular case), of either sign.
+_POWERS_OF_TWO = [s * x for e in range(-1074, 1024)
+                  for x in (math.ldexp(1.0, e), float(np.nextafter(math.ldexp(1.0, e), 0)))
+                  for s in (1, -1)]
+
+
+@pytest.mark.parametrize("values", [
+    _POWERS_OF_TWO,
+    [5e-324, 1e-323, 1.5e-323, 2.5e-323],  # subnormals with fraction 1, 2, 3 and 5
+    [1.7976931348623157e308, 1e22, 2.0**60, 1e16],  # digits, then trailing zeros
+    [123.456, 1.5, -99.25, 10.5, 1234567.125],  # the point inside the digits
+    [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf],
+], ids=["powers-of-two", "subnormals", "trailing-zeros", "point-inside", "zeros-nan-inf"])
+def test_formatter_edge_cases_match_dragon4(values):
+    assert _format_floats(values) == [format_probability(v) for v in values]
+
+
+# One CSV block mixing the widest field, 5e-324 (326 characters), with
+# ordinary probabilities, and an operator whose parts are that wide.
+def test_widest_field_in_one_block_with_ordinary_values():
+    matrix = np.array([[5e-324, 0.25, 0.1], [1.0, 1e-300, -0.0]] * 40)
+    assert write_csv(matrix) == _reference_csv(matrix)
+    op = matrix[:, :2] + 1j * matrix[:, 1:]
+    assert write_operator_csv(op) == _reference_operator(op)
 
 
 # The report's floats go through the CSV's bulk formatter; a numpy scalar

@@ -4,13 +4,14 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from qca2 import rules
+from qca2 import gates, rules
 from qca2.gates import (
     ControlledFlip,
     LocalUnitary,
     apply_gate,
     compose_dense,
     embed_gate,
+    flip_source,
     standard_gate,
 )
 from qca2.io_formats import parse_config
@@ -553,7 +554,7 @@ class TestEvolveBytes:
         assert peak <= need < peak + self.SLACK
 
     # The last timestep is H on every s-qubit, then CN s_j -> c_j in every
-    # cell: eight flips in a row, each building its own gather index.
+    # cell: eight commuting flips in a row, which share one gather index.
     @pytest.mark.parametrize("steps", [0, 3], ids=["one-column", "many-columns"])
     @pytest.mark.parametrize("timestep, dtype", [
         ([LocalUnitary((0, 1), H_BOTH_EVAL.matrix), ControlledFlip({1}, 2)], np.float64),
@@ -651,6 +652,32 @@ class TestRunGateScript:
             op = compose_dense(tuple(running[: 2 * t]), 3)
             oracle = np.abs(op @ state) ** 2
             assert np.max(np.abs(matrix[:, t] - oracle)) <= 1e-12
+
+
+# Consecutive flips share one gather index while they commute; a flip that
+# targets another's control starts a new one.  The columns equal those of
+# the flips applied one gate at a time.
+@pytest.mark.parametrize("timestep, runs", [
+    ([ControlledFlip({2 * j + 1}, 2 * j) for j in range(8)], [8]),
+    ([ControlledFlip((), 1), ControlledFlip({1}, 2), ControlledFlip({3}, 4)], [1, 2]),
+    ([ControlledFlip({3}, 0), LocalUnitary((1,), standard_gate("H")), ControlledFlip({1}, 2),
+      ControlledFlip({0, 2}, 3)], [1, 1, 1]),
+], ids=["eight-commuting-cns", "x-then-its-control", "split-by-a-local-gate"])
+def test_commuting_script_flips_share_one_gather_index(monkeypatch, timestep, runs):
+    built = []
+
+    def counting(flips, n_qubits):
+        built.append(len(flips))
+        return flip_source(flips, n_qubits)
+
+    monkeypatch.setattr(gates, "flip_source", counting)
+    matrix = run_gate_script(16, 3, [timestep, timestep])
+    assert built == runs * 2
+    state = basis_state(16, 3)
+    for t in (1, 2):
+        for gate in timestep:
+            state = apply_gate(state, gate)
+        assert matrix[:, t].tobytes() == probabilities(state).tobytes()
 
 
 class TestTranslationCovariance:
