@@ -456,6 +456,8 @@ def write_csv(matrix: np.ndarray) -> str:
     formatted with numpy; the blocks' texts are joined once at the end."""
     n_rows, n_cols = matrix.shape
     texts = ["state," + ",".join(f"t{t}" for t in range(n_cols)) + "\n"]
+    if n_cols == 0:  # the state column's comma ends the row
+        return texts[0] + "".join(f"{r},\n" for r in range(n_rows))
     rows_per_block = max(1, _BLOCK_VALUES // (n_cols + 1))
     for start in range(0, n_rows, rows_per_block):
         block = matrix[start:start + rows_per_block]
@@ -513,6 +515,8 @@ def write_operator_csv(op: np.ndarray) -> str:
     matrix row per line.  The real and imaginary parts of a block of rows
     are formatted together."""
     n_rows, n_cols = op.shape
+    if n_cols == 0:
+        return "\n" * n_rows
     texts = []
     rows_per_block = max(1, _BLOCK_VALUES // (2 * n_cols))
     for start in range(0, n_rows, rows_per_block):

@@ -13,6 +13,9 @@ stays real when U is real, as it is for every preset.  A run's dtype is
 decided once from its matrices: float64 when every imaginary part is exactly
 zero, complex128 otherwise.  `evolve` and `run_gate_script` hand `_record`,
 the one loop that records probability columns, kernels for `gates.advance`.
+Every update of `evolve` is the same floating-point map, so once its state
+is exactly the initial basis state again, the columns recorded so far repeat
+bit for bit: `_record` copies them instead of evolving further.
 """
 
 from __future__ import annotations
@@ -235,10 +238,17 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _record(n_qubits: int, initial_index: int, dtype, n_columns: int, timesteps) -> np.ndarray:
+def _record(n_qubits: int, initial_index: int, dtype, n_columns: int, timesteps,
+            per_update: int = 0) -> np.ndarray:
     """F-contiguous probability matrix: column 0 is the basis state, column t
     follows the t-th kernel list `timesteps` yields.  A run whose `run_bytes`
-    exceed physical memory raises MemoryError before it allocates or draws."""
+    exceed physical memory raises MemoryError before it allocates or draws.
+
+    When every `per_update` timesteps apply the same map, a state that is
+    the initial basis state again after t timesteps, t a multiple of
+    `per_update`, repeats columns 1..t from there on: they are copied, not
+    evolved.  The comparison treats -0 as 0, which changes no later value.
+    `per_update` 0 never stops early."""
     need, have = run_bytes(n_qubits, n_columns, dtype), _physical_memory()
     if need > have:
         raise MemoryError(
@@ -252,6 +262,11 @@ def _record(n_qubits: int, initial_index: int, dtype, n_columns: int, timesteps)
     for t, kernels in enumerate(timesteps, start=1):
         psi, spare = advance(psi, kernels, spare)
         columns[t] = probabilities(psi)
+        if (per_update and t % per_update == 0 and columns[t, initial_index] == 1.0
+                and psi[initial_index] == 1 and np.count_nonzero(psi) == 1):
+            for j in range(t + 1, n_columns):
+                columns[j] = columns[j - t]
+            break
     return columns.T
 
 
@@ -265,15 +280,17 @@ def evolve(config: QcaConfig) -> np.ndarray:
     block of memory.
     """
     dtype = state_dtype(compile_evaluation(config))
+    phased = config.record is RecordMode.PER_PHASE
 
     def timesteps():  # the rule's gather index is built once `_record` asks
         gather, *cells = compile_rule(config).kernels(dtype)
-        update = [[gather], cells] if config.record is RecordMode.PER_PHASE else [[gather, *cells]]
+        update = [[gather], cells] if phased else [[gather, *cells]]
         for _ in range(config.n_steps):
             yield from update
 
     n_qubits, n_columns = config.layout.n_qubits, config.n_columns
-    return _record(n_qubits, config.initial_index, dtype, n_columns, timesteps())
+    return _record(n_qubits, config.initial_index, dtype, n_columns, timesteps(),
+                   per_update=2 if phased else 1)
 
 
 def run_gate_script(

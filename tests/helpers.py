@@ -1,9 +1,11 @@
-"""Random states and unitaries, and config, float and complex formatting,
-shared by the test modules."""
+"""Random states and unitaries, a reference evolution, and config, float
+and complex formatting, shared by the test modules."""
 
 import numpy as np
 
-from qca2.rules import EVAL_PRESETS, QcaConfig
+from qca2.gates import advance, state_dtype
+from qca2.register import basis_state, probabilities
+from qca2.rules import EVAL_PRESETS, QcaConfig, RecordMode, compile_evaluation, compile_rule
 
 
 def random_state(rng: np.random.Generator, n_qubits: int) -> np.ndarray:
@@ -21,6 +23,23 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
 def random_orthogonal(rng: np.random.Generator, dim: int) -> np.ndarray:
     """A real orthogonal matrix: a unitary whose imaginary parts are all zero."""
     return np.linalg.qr(rng.normal(size=(dim, dim)))[0]
+
+
+def evolve_reference(config: QcaConfig) -> np.ndarray:
+    """`evolve`'s probability matrix from a loop that never stops early: it
+    advances the state through every update of the run and records every
+    column, on the state dtype `evolve` chooses."""
+    dtype = state_dtype(compile_evaluation(config))
+    gather, *cells = compile_rule(config).kernels(dtype)
+    phases = [[gather], cells] if config.record is RecordMode.PER_PHASE else [[gather, *cells]]
+    psi = basis_state(config.layout.n_qubits, config.initial_index, dtype)
+    spare = np.empty_like(psi)
+    columns = [probabilities(psi)]
+    for _ in range(config.n_steps):
+        for kernels in phases:
+            psi, spare = advance(psi, kernels, spare)
+            columns.append(probabilities(psi))
+    return np.column_stack(columns)
 
 
 def format_probability(p: float) -> str:

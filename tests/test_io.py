@@ -305,6 +305,14 @@ def test_writers_give_the_same_bytes_for_either_memory_order(rng, shape):
     assert {b"0", b"9", b"10", b"99", b"100", b"255"} <= set(pixels)
 
 
+# Without columns a CSV row is its state index and a comma, and an operator
+# row is an empty line.
+def test_writers_of_a_matrix_without_columns():
+    matrix, op = np.zeros((2, 0)), np.zeros((2, 0), dtype=np.complex128)
+    assert write_csv(matrix) == _reference_csv(matrix) == "state,\n0,\n1,\n"
+    assert write_operator_csv(op) == _reference_operator(op) == "\n\n"
+
+
 class TestCsv:
     def test_single_entry(self):
         assert write_csv(np.array([[1.0]])) == "state,t0\n0,1\n"

@@ -36,7 +36,13 @@ from qca2.rules import (
     step,
 )
 
-from helpers import format_complex, random_orthogonal, random_state, random_unitary
+from helpers import (
+    evolve_reference,
+    format_complex,
+    random_orthogonal,
+    random_state,
+    random_unitary,
+)
 
 FIG3 = QcaConfig(
     n_cells=3,
@@ -474,18 +480,6 @@ def complex_reference(cfg):
     return np.column_stack(columns)
 
 
-@pytest.mark.parametrize("rule", ALL_RULES)
-@pytest.mark.parametrize("boundary", ALL_BOUNDARIES)
-@pytest.mark.parametrize("evaluation", PRESET_EVALS)
-def test_real_path_equals_complex_path_bitwise(run_states, rule, boundary, evaluation):
-    for cells in range(1, 6):
-        for record in RecordMode:
-            cfg = make_config(cells, rule, boundary, evaluation,
-                              initial=37 * cells % 4**cells, steps=30, record=record)
-            assert evolve(cfg).tobytes() == complex_reference(cfg).tobytes(), (cells, record)
-    assert {dtype for dtype, _ in run_states} == {np.dtype(np.float64)}
-
-
 # Columns are recorded time-major and returned transposed; the values are
 # those of `step` on the same complex state, column by column.
 @pytest.mark.parametrize("record", list(RecordMode))
@@ -495,6 +489,87 @@ def test_evolve_is_column_contiguous_and_equals_step_bitwise(record):
     matrix = evolve(cfg)
     assert matrix.T.flags.c_contiguous and matrix.shape == (256, cfg.n_columns)
     assert matrix.tobytes() == complex_reference(cfg).tobytes()
+
+
+# A run whose state is its initial basis state again after t updates copies
+# its first t columns onward instead of evolving.  Forty steps run well past
+# every such return (after 1, 2, 4, 6, 8, 12 or 24 updates here).  The
+# columns equal, byte for byte, those of two loops that evolve to the end:
+# one on the run's own state dtype and one on a complex128 state, which the
+# presets, all real, never use.
+@pytest.mark.parametrize("evaluation", [*PRESET_EVALS, Evaluation(COMPLEX_CUSTOM)],
+                         ids=["identity", "h_both", "h_s_then_cn", "complex-custom"])
+@pytest.mark.parametrize("rule", ALL_RULES)
+@pytest.mark.parametrize("boundary", ALL_BOUNDARIES)
+def test_evolve_equals_loops_that_never_stop_early(run_states, rule, boundary, evaluation):
+    for cells in range(1, 6):
+        for initial in {0, 37 * cells % 4**cells, 4**cells - 1}:
+            for record in RecordMode:
+                cfg = make_config(cells, rule, boundary, evaluation, initial, 40, record)
+                columns = evolve(cfg).tobytes()
+                assert columns == evolve_reference(cfg).tobytes(), (cells, initial, record)
+                assert columns == complex_reference(cfg).tobytes(), (cells, initial, record)
+    real = evaluation in PRESET_EVALS
+    assert {dtype for dtype, _ in run_states} == {np.dtype(np.float64 if real else np.complex128)}
+
+
+class TestRecurrence:
+    # Under `both`/`const0` index 0 has no s-bit set, so the interaction
+    # flips nothing and the state is the initial one after the first half
+    # of the update.  Counted in whole updates, it first returns after two.
+    def test_a_half_update_back_at_the_start_does_not_stop_the_run(self):
+        cfg = make_config(3, NeighborhoodRule.BOTH, BoundaryCondition.CONST_ZERO,
+                          H_BOTH_EVAL, initial=0, steps=10, record=RecordMode.PER_PHASE)
+        matrix = evolve(cfg)
+        assert matrix[0, 1] == 1.0 and matrix[0, 2] == 1 / 64
+        assert matrix.tobytes() == evolve_reference(cfg).tobytes()
+
+    # X twice is the identity, so the script is back at its start after its
+    # first timestep; its later timesteps differ, and it keeps evolving.
+    def test_a_gate_script_back_at_the_start_keeps_evolving(self):
+        x, h = ControlledFlip((), 0), LocalUnitary((1,), standard_gate("H"))
+        script = [[x, x], [h], [ControlledFlip({1}, 0)], [x], [h]]
+        matrix = run_gate_script(2, 0, script)
+        assert matrix[0, 1] == 1.0 and matrix[0, 2] != 1.0
+        state = basis_state(2, 0)
+        for t, timestep in enumerate(script, start=1):
+            for gate in timestep:
+                state = apply_gate(state, gate)
+            assert matrix[:, t].tobytes() == probabilities(state).tobytes(), t
+
+    # A rotation by 1e-9 keeps the initial amplitude at exactly 1.0 for
+    # many updates while the other one grows: a column that reads 1 at the
+    # initial index is not by itself a return.
+    def test_a_probability_of_one_beside_other_amplitudes_does_not_stop_the_run(self):
+        u = np.eye(4)
+        u[:2, :2] = [[1.0, -1e-9], [1e-9, 1.0]]
+        cfg = make_config(1, NeighborhoodRule.RIGHT, evaluation=Evaluation(u), steps=5)
+        matrix = evolve(cfg)
+        assert (matrix[0] == 1.0).all() and matrix[1, 5] > matrix[1, 1] > 0
+        assert matrix.tobytes() == evolve_reference(cfg).tobytes()
+
+    # The 6-cell `right`/`cyclic`/`h_both` state is its initial basis state
+    # again after 6 updates, and its run draws no column after that; the
+    # complex custom state never returns, and its run draws every column.
+    @pytest.mark.parametrize("record", list(RecordMode))
+    @pytest.mark.parametrize("rule, evaluation, drawn", [
+        (NeighborhoodRule.RIGHT, H_BOTH_EVAL, 6),
+        (NeighborhoodRule.BOTH, Evaluation(COMPLEX_CUSTOM), 40),
+    ], ids=["h_both-returns", "complex-custom-never-returns"])
+    def test_columns_drawn(self, monkeypatch, rule, evaluation, drawn, record):
+        calls = []
+
+        def counting(psi):
+            calls.append(None)
+            return probabilities(psi)
+
+        monkeypatch.setattr(rules, "probabilities", counting)
+        cfg = make_config(6, rule, BoundaryCondition.CYCLIC, evaluation,
+                          initial=222, steps=40, record=record)
+        matrix = evolve(cfg)
+        per_update = 2 if record is RecordMode.PER_PHASE else 1
+        assert len(calls) == 1 + per_update * drawn
+        assert matrix.tobytes() == evolve_reference(cfg).tobytes()
 
 
 # A custom matrix written with every imaginary part +0i evolves a float64
