@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Sweep rules, cell counts and evaluation presets and tabulate the detected
-probability-pattern periods.
+probability-pattern periods, with the search `qca2 period` runs over
+--horizon columns.
 
 The initial state places a single 1 on the most significant state qubit,
 mirroring the bundled figure configs.  Rules containing two-control flips
@@ -9,14 +10,13 @@ are searched at a looser tolerance since their gate set is not Clifford.
 
 import argparse
 
-from qca2.analysis import detect_period
+from qca2.analysis import search_period
 from qca2.rules import (
     BoundaryCondition,
     H_BOTH_EVAL,
     H_S_THEN_CN_EVAL,
     NeighborhoodRule,
     QcaConfig,
-    evolve,
 )
 
 EVALS = [("h_both", H_BOTH_EVAL), ("h_s_then_cn", H_S_THEN_CN_EVAL)]
@@ -33,10 +33,9 @@ def sweep(max_cells: int, horizon: int, boundary: BoundaryCondition) -> None:
                     boundary=boundary,
                     evaluation=evaluation,
                     initial_index=1 << (2 * n - 1),
-                    n_steps=horizon - 1,
                 )
                 tol = 1e-6 if rule is NeighborhoodRule.BOTH else 1e-9
-                report = detect_period(evolve(cfg), tol=tol)
+                report = search_period(cfg, horizon, tol=tol)
                 period = report.period if report.found else "-"
                 dev = f"{report.max_deviation:.1e}" if report.found else "n/a"
                 print(f"{rule.value:<6} {eval_name:<12} {n:>5} {period!s:>7} {dev:>10}")

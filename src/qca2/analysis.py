@@ -1,11 +1,15 @@
-"""Structural checks and period detection for probability patterns."""
+"""Structural checks and period detection for probability patterns:
+`detect_period` on a whole probability matrix, and `search_period` on a
+config's evolution, streamed column by column."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import cycle, islice
 
 import numpy as np
 
+from . import rules
 from .gates import UNITARY_TOL, unitary_deviation
 from .rules import (
     BoundaryCondition,
@@ -74,9 +78,12 @@ def detect_period(matrix: np.ndarray, tol: float = DEFAULT_PERIOD_TOL) -> Period
     """Smallest p such that every column pair (t, t+p) agrees within `tol`
     in max norm, confirmed over at least two full repetitions.
 
+    This is the definition on a whole probability matrix, kept as the
+    reference: `qca2 period` runs `search_period`, which reaches the same
+    report without holding the columns, and the tests hold the two equal
+    bit for bit (perfbench/tracing.py also wraps this function by name).
     Each lag is scanned one column pair at a time and abandoned at the first
     pair that misses; every difference goes to one reused column buffer.
-    Columns are read fastest from an F-contiguous matrix, as `evolve` makes.
     """
     if matrix.ndim != 2 or matrix.shape[1] < 1:
         raise ValueError("probability matrix must have at least one column")
@@ -93,20 +100,129 @@ def detect_period(matrix: np.ndarray, tol: float = DEFAULT_PERIOD_TOL) -> Period
                 break
             deviation = max(deviation, d)
         else:
-            return PeriodReport(
-                found=True,
-                period=p,
-                max_deviation=deviation,
-                tolerance=tol,
-                columns_examined=n_cols,
-            )
-    return PeriodReport(
-        found=False,
-        period=None,
-        max_deviation=float("nan"),
-        tolerance=tol,
-        columns_examined=n_cols,
-    )
+            return PeriodReport(True, p, deviation, tol, n_cols)
+    return PeriodReport(False, None, float("nan"), tol, n_cols)
+
+
+# A fingerprint is a column's values at _SAMPLES rows, then the max and the
+# min of each of up to _BLOCKS blocks of consecutive rows, then the max of
+# each of as many blocks of rows spaced evenly apart.  A block holds at least
+# _BLOCK_ROWS rows, since a reduction over fewer costs more than it tells.
+_SAMPLES, _BLOCKS, _BLOCK_ROWS = 64, 256, 64
+
+
+def _fingerprint_layout(n_rows: int) -> tuple[np.ndarray, int]:
+    """The sampled rows, spread by an odd multiplier (distinct modulo a power
+    of two), and the number of blocks."""
+    rows = np.arange(min(_SAMPLES, n_rows), dtype=np.int64) * 2654435761 % n_rows
+    return rows, max(1, min(_BLOCKS, n_rows // _BLOCK_ROWS))
+
+
+def _fingerprint_size(n_rows: int) -> int:
+    rows, blocks = _fingerprint_layout(n_rows)
+    return rows.size + 3 * blocks
+
+
+def _fingerprint(column: np.ndarray, rows: np.ndarray, blocks: int, out: np.ndarray) -> None:
+    """Write the fingerprint of `column` into `out`.  Each summary is a value
+    of the column or an extreme of some of its values, so it moves by at
+    most the max-norm change of the column: for floats too, since rounding a
+    difference is monotone."""
+    k = rows.size
+    out[:k] = column[rows]
+    consecutive = column.reshape(blocks, -1)
+    np.maximum.reduce(consecutive, axis=1, out=out[k:k + blocks])
+    np.minimum.reduce(consecutive, axis=1, out=out[k + blocks:k + 2 * blocks])
+    np.maximum.reduce(column.reshape(-1, blocks), axis=0, out=out[k + 2 * blocks:])
+
+
+def _screen(prints: np.ndarray, lag: int, tol: float) -> bool:
+    """False when the fingerprints of some column pair (t, t + `lag`) differ
+    by more than `tol`, so that the columns do too.  Pairs are compared in
+    doubling chunks, so a lag that misses early costs little."""
+    n_pairs, start, size = len(prints) - lag, 0, 1
+    while start < n_pairs:
+        stop = min(start + size, n_pairs)
+        if not (np.abs(prints[start:stop] - prints[start + lag:stop + lag]) <= tol).all():
+            return False
+        start, size = stop, 2 * size
+    return True
+
+
+def _twin(evolution, lag: int, n_pairs: int, tol: float) -> float | None:
+    """The largest deviation of column t from column t + `lag`, t < `n_pairs`,
+    computed as `detect_period` does, or None at the first pair that misses.
+    Column t comes from an evolution from the initial state, column t + lag
+    from a twin evolution started `lag` timesteps ahead, in lockstep."""
+    ahead = islice(evolution(), lag, None)
+    deviation = 0.0
+    for diff in islice(evolution(), n_pairs):
+        np.subtract(diff, next(ahead), out=diff)
+        d = float(np.max(np.abs(diff, out=diff)))
+        if not d <= tol:  # a nan misses too
+            return None
+        deviation = max(deviation, d)
+    return deviation
+
+
+def search_bytes(n_qubits: int, n_columns: int, dtype) -> int:
+    """Bytes `search_period` holds at its peak, at most: two states of
+    `dtype`, or four once there are 3 columns and so a lag a twin may check,
+    an int64 gather index, three float64 columns (a column, and ``|x|`` and
+    its square for the next one), and one float64 fingerprint a column."""
+    n_states = 4 if n_columns >= 3 else 2
+    vectors = n_states * np.dtype(dtype).itemsize + 8 + 3 * 8
+    return (vectors << n_qubits) + 8 * n_columns * _fingerprint_size(1 << n_qubits)
+
+
+def search_period(config: QcaConfig, n_columns: int,
+                  tol: float = DEFAULT_PERIOD_TOL) -> PeriodReport:
+    """`detect_period` of the first `n_columns` columns of `config`'s
+    evolution (its `n_steps` aside), bit for bit, holding two or four states
+    and a fingerprint a column instead of the columns.
+
+    One evolution from the initial state records each column's fingerprint;
+    it stops at an exact return to the initial state, after which the
+    columns repeat bit for bit.  A lag that `detect_period` accepts passes
+    the fingerprint screen, so only the lags that pass are checked, in
+    ascending order.  A multiple of the return time compares copies and has
+    deviation 0; any other lag runs `_twin` over every column pair, or over
+    one return time of them.  The run is refused before it allocates when
+    its `search_bytes` exceed physical memory.
+    """
+    if n_columns < 1:
+        raise ValueError("the search needs at least one column")
+    if not tol > 0:
+        raise ValueError("tolerance must be positive")
+    n_qubits, initial = config.layout.n_qubits, config.initial_index
+    dtype = rules.run_dtype(config)
+    rules.check_fits(search_bytes(n_qubits, n_columns, dtype), "states and column fingerprints")
+    update = rules.update_kernels(config, dtype)
+
+    def evolution(per_update: int = 0):
+        return rules.probability_columns(n_qubits, initial, dtype, cycle(update), per_update)
+
+    rows, blocks = _fingerprint_layout(1 << n_qubits)
+    prints = np.empty((n_columns, _fingerprint_size(1 << n_qubits)))
+    drawn = 0
+    for column in islice(evolution(config.per_update), n_columns):
+        _fingerprint(column, rows, blocks, prints[drawn])
+        drawn += 1
+        del column  # not alive while the next column is computed or a twin runs
+    # Timesteps to the exact return; a run that does not return within the
+    # horizon counts as returning just past it.
+    back = drawn - 1 if drawn < n_columns else n_columns
+    for j in range(drawn, n_columns):
+        prints[j] = prints[j - back]
+    for p in range(1, (n_columns - 1) // 2 + 1):
+        if not _screen(prints, p, tol):
+            continue
+        if p % back == 0:
+            return PeriodReport(True, p, 0.0, tol, n_columns)
+        deviation = _twin(evolution, p % back, min(n_columns - p, back), tol)
+        if deviation is not None:
+            return PeriodReport(True, p, deviation, tol, n_columns)
+    return PeriodReport(False, None, float("nan"), tol, n_columns)
 
 
 def cell_shift_permutation(n_cells: int) -> np.ndarray:

@@ -6,22 +6,23 @@ Subcommands:
   evolution; CSV goes to stdout when no output path is given.
 * ``script <file> [--out-csv P] [--out-pgm P]`` -- run an explicit gate
   script.
-* ``period <config> [--horizon N] [--tol X]`` -- evolve until N columns are
-  recorded and report the detected period as key=value lines.
+* ``period <config> [--horizon N] [--tol X]`` -- search the first N
+  probability columns for a period, without holding them, and report it as
+  key=value lines.
 * ``check <config>`` -- unitarity and interaction-permutation checks, plus
   translation covariance for cyclic boundaries.
 * ``matrix <config>`` -- dump the dense full-update operator as CSV.
 
 Exit codes: 0 success, 1 failed check or period not found, 2 bad input
 (config, script, flag or output path, a closed stdout included), a run whose
-probability matrix and states would not fit in physical memory or whose
-allocation was refused, or a state whose norm drifted.
+probability matrix and states, or a period search whose states and column
+fingerprints, would not fit in physical memory, an allocation that was
+refused, or a state whose norm drifted.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -29,7 +30,7 @@ from pathlib import Path
 from . import analysis, io_formats, rules
 from .gates import MAX_DENSE_QUBITS
 from .register import NormDriftError
-from .rules import BoundaryCondition, RecordMode
+from .rules import BoundaryCondition
 
 MAX_DENSE_CELLS = MAX_DENSE_QUBITS // 2  # two qubits per cell
 
@@ -95,11 +96,7 @@ def _cmd_period(args) -> int:
         raise io_formats.ConfigError("horizon must be at least 1 column")
     if not args.tol > 0:
         raise io_formats.ConfigError(f"tolerance must be positive, got {args.tol}")
-    cols_per_step = 2 if config.record is RecordMode.PER_PHASE else 1
-    n_steps = -(-(args.horizon - 1) // cols_per_step)  # ceil division
-    config = dataclasses.replace(config, n_steps=n_steps)
-    matrix = rules.evolve(config)[:, : args.horizon]
-    report = analysis.detect_period(matrix, args.tol)
+    report = analysis.search_period(config, args.horizon, args.tol)
     _write_stdout(io_formats.format_period_report(report))
     return 0 if report.found else 1
 

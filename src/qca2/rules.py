@@ -11,11 +11,13 @@ image of every basis index, mapped one at a time rather than by the gather.
 A run starts from a basis state, and P only moves amplitudes, so the state
 stays real when U is real, as it is for every preset.  A run's dtype is
 decided once from its matrices: float64 when every imaginary part is exactly
-zero, complex128 otherwise.  `evolve` and `run_gate_script` hand `_record`,
-the one loop that records probability columns, kernels for `gates.advance`.
-Every update of `evolve` is the same floating-point map, so once its state
-is exactly the initial basis state again, the columns recorded so far repeat
-bit for bit: `_record` copies them instead of evolving further.
+zero, complex128 otherwise.  `probability_columns` is the one loop that
+advances a state through kernels for `gates.advance` and records its
+probability columns: `_record` gathers them into the matrix of `evolve` and
+`run_gate_script`, and `analysis.search_period` fingerprints them.  Every
+update of a config is the same floating-point map, so once its state is
+exactly the initial basis state again, the columns recorded so far repeat
+bit for bit: the loop stops, and `_record` copies them instead.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import os
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -131,9 +133,14 @@ class QcaConfig:
         return RegisterLayout(self.n_cells)
 
     @property
+    def per_update(self) -> int:
+        """Timesteps, each recorded as a column, in one full update."""
+        return 2 if self.record is RecordMode.PER_PHASE else 1
+
+    @property
     def n_columns(self) -> int:
         """Probability columns `evolve` records, the initial state included."""
-        return 1 + (2 if self.record is RecordMode.PER_PHASE else 1) * self.n_steps
+        return 1 + self.per_update * self.n_steps
 
 
 @dataclass(frozen=True)
@@ -238,36 +245,66 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _record(n_qubits: int, initial_index: int, dtype, n_columns: int, timesteps,
-            per_update: int = 0) -> np.ndarray:
-    """F-contiguous probability matrix: column 0 is the basis state, column t
-    follows the t-th kernel list `timesteps` yields.  A run whose `run_bytes`
-    exceed physical memory raises MemoryError before it allocates or draws.
+def check_fits(need: int, what: str) -> None:
+    """Refuse a run that needs `need` bytes for `what`, more than physical
+    memory, with a MemoryError."""
+    have = _physical_memory()
+    if need > have:
+        raise MemoryError(
+            f"run needs about {need / 2**30:.1f} GiB for its {what}, more than the "
+            f"{have / 2**30:.1f} GiB of physical memory"
+        )
+
+
+def probability_columns(n_qubits: int, initial_index: int, dtype, timesteps,
+                        per_update: int = 0) -> Iterator[np.ndarray]:
+    """The one loop that evolves and records a state: the probability column
+    of the basis state, then one after each kernel list `timesteps` yields.
 
     When every `per_update` timesteps apply the same map, a state that is
     the initial basis state again after t timesteps, t a multiple of
-    `per_update`, repeats columns 1..t from there on: they are copied, not
-    evolved.  The comparison treats -0 as 0, which changes no later value.
-    `per_update` 0 never stops early."""
-    need, have = run_bytes(n_qubits, n_columns, dtype), _physical_memory()
-    if need > have:
-        raise MemoryError(
-            f"run needs about {need / 2**30:.1f} GiB for its probability matrix and "
-            f"working vectors, more than the {have / 2**30:.1f} GiB of physical memory"
-        )
+    `per_update`, ends the columns at column t: the columns after it would
+    repeat columns 1..t bit for bit.  The comparison treats -0 as 0, which
+    changes no later value.  `per_update` 0 never stops early."""
     psi = basis_state(n_qubits, initial_index, dtype)
     spare = np.empty_like(psi)
-    columns = np.empty((n_columns, psi.size))
-    columns[0] = probabilities(psi)
+    yield probabilities(psi)
     for t, kernels in enumerate(timesteps, start=1):
         psi, spare = advance(psi, kernels, spare)
-        columns[t] = probabilities(psi)
-        if (per_update and t % per_update == 0 and columns[t, initial_index] == 1.0
+        yield probabilities(psi)
+        if (per_update and t % per_update == 0
                 and psi[initial_index] == 1 and np.count_nonzero(psi) == 1):
-            for j in range(t + 1, n_columns):
-                columns[j] = columns[j - t]
-            break
+            return
+
+
+def _record(n_qubits: int, initial_index: int, dtype, n_columns: int, timesteps,
+            per_update: int = 0) -> np.ndarray:
+    """F-contiguous probability matrix of the `n_columns` columns of
+    `probability_columns`, the repeats after an exact return copied in.  A
+    run whose `run_bytes` exceed physical memory raises MemoryError before
+    it allocates or draws."""
+    check_fits(run_bytes(n_qubits, n_columns, dtype), "probability matrix and working vectors")
+    columns = np.empty((n_columns, 1 << n_qubits))
+    drawn = 0
+    for column in probability_columns(n_qubits, initial_index, dtype, timesteps, per_update):
+        columns[drawn] = column
+        drawn += 1
+        del column  # only the matrix holds it while the next one is computed
+    for j in range(drawn, n_columns):
+        columns[j] = columns[j - drawn + 1]
     return columns.T
+
+
+def run_dtype(config: QcaConfig) -> type:
+    """The dtype every state of `config`'s evolution has (see `state_dtype`)."""
+    return state_dtype(compile_evaluation(config))
+
+
+def update_kernels(config: QcaConfig, dtype) -> list[list[Kernel]]:
+    """The kernel lists of one update's timesteps, compiled now: the whole
+    update under PER_STEP, the gather and then the cells under PER_PHASE."""
+    gather, *cells = compile_rule(config).kernels(dtype)
+    return [[gather], cells] if config.record is RecordMode.PER_PHASE else [[gather, *cells]]
 
 
 def evolve(config: QcaConfig) -> np.ndarray:
@@ -279,18 +316,16 @@ def evolve(config: QcaConfig) -> np.ndarray:
     The matrix is F-contiguous: each column is recorded as one contiguous
     block of memory.
     """
-    dtype = state_dtype(compile_evaluation(config))
-    phased = config.record is RecordMode.PER_PHASE
+    dtype = run_dtype(config)
 
     def timesteps():  # the rule's gather index is built once `_record` asks
-        gather, *cells = compile_rule(config).kernels(dtype)
-        update = [[gather], cells] if phased else [[gather, *cells]]
+        update = update_kernels(config, dtype)
         for _ in range(config.n_steps):
             yield from update
 
     n_qubits, n_columns = config.layout.n_qubits, config.n_columns
     return _record(n_qubits, config.initial_index, dtype, n_columns, timesteps(),
-                   per_update=2 if phased else 1)
+                   config.per_update)
 
 
 def run_gate_script(

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from dataclasses import replace
+from itertools import product
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,18 +13,25 @@ from qca2.analysis import (
     check_translation,
     check_unitary,
     detect_period,
+    search_period,
 )
 from qca2.gates import ControlledFlip, LocalUnitary, basis_images, embed_gate, standard_gate
 from qca2.rules import (
     BoundaryCondition,
+    Evaluation,
     H_BOTH_EVAL,
     H_S_THEN_CN_EVAL,
     IDENTITY_EVAL,
     NeighborhoodRule,
     QcaConfig,
+    RecordMode,
     build_dense_rule,
     evolve,
 )
+
+from helpers import random_unitary
+
+COMPLEX_CUSTOM = Evaluation(random_unitary(np.random.default_rng(5), 4))
 
 
 class TestCheckUnitary:
@@ -178,6 +188,96 @@ class TestDetectPeriod:
                             H_S_THEN_CN_EVAL, initial_index=2, n_steps=512)
             report = detect_period(evolve(cfg), tol=1e-9)
             assert report.found, (rule, report)
+
+
+def _matrix_report(config: QcaConfig, n_columns: int, tol: float) -> str:
+    """repr of `detect_period` on the first `n_columns` columns of `evolve`."""
+    steps = -(-(n_columns - 1) // config.per_update)
+    return repr(detect_period(evolve(replace(config, n_steps=steps))[:, :n_columns], tol))
+
+
+def _grid_configs(rule, boundary, evaluation, max_cells):
+    """Every cell count up to `max_cells` in both record modes, from the
+    sweep's initial index, one in the middle, and the last."""
+    for cells, record in product(range(1, max_cells + 1), RecordMode):
+        for initial in sorted({1 << (2 * cells - 1), 37 * cells % 4**cells, 4**cells - 1}):
+            yield QcaConfig(cells, rule, boundary, evaluation, initial, record=record)
+
+
+class TestSearchPeriod:
+    # The search never holds the matrix, yet reports what `detect_period`
+    # reports on it bit for bit, over the sweep's tolerances.
+    @pytest.mark.parametrize("evaluation", [IDENTITY_EVAL, H_BOTH_EVAL, H_S_THEN_CN_EVAL,
+                                            COMPLEX_CUSTOM],
+                             ids=["identity", "h_both", "h_s_then_cn", "complex-custom"])
+    @pytest.mark.parametrize("boundary", list(BoundaryCondition), ids=lambda b: b.value)
+    @pytest.mark.parametrize("rule", list(NeighborhoodRule), ids=lambda r: r.value)
+    def test_equals_detect_period_on_the_matrix(self, rule, boundary, evaluation):
+        tols = (1e-9, 1e-6) if rule is NeighborhoodRule.BOTH else (1e-9,)
+        for cfg in _grid_configs(rule, boundary, evaluation, 4):
+            for n_columns, tol in product((1, 2, 3, 16, 65), tols):
+                assert repr(search_period(cfg, n_columns, tol)) == \
+                    _matrix_report(cfg, n_columns, tol), (cfg, n_columns, tol)
+
+    # With a screen that lets every lag through, the twin and the exact
+    # return alone decide each lag, and the reports do not change.
+    @pytest.mark.parametrize("evaluation", [H_BOTH_EVAL, H_S_THEN_CN_EVAL, COMPLEX_CUSTOM],
+                             ids=["h_both", "h_s_then_cn", "complex-custom"])
+    @pytest.mark.parametrize("rule", list(NeighborhoodRule), ids=lambda r: r.value)
+    def test_twin_alone_decides_every_lag(self, monkeypatch, rule, evaluation):
+        monkeypatch.setattr(analysis, "_screen", lambda prints, lag, tol: True)
+        for boundary in BoundaryCondition:
+            for cfg in _grid_configs(rule, boundary, evaluation, 3):
+                for n_columns in (3, 16, 33):
+                    assert repr(search_period(cfg, n_columns, 1e-9)) == \
+                        _matrix_report(cfg, n_columns, 1e-9), (cfg, n_columns)
+
+    # The screen lets no wrong lag through on the benchmark's two period
+    # searches: the 10-cell run returns exactly after 6 updates and lag 6
+    # needs no twin, and no lag survives on the 5-cell complex run.
+    @pytest.mark.parametrize("cfg, n_columns, period", [
+        (QcaConfig(10, NeighborhoodRule.RIGHT, BoundaryCondition.CYCLIC, H_BOTH_EVAL,
+                   674508), 16, 6),
+        (QcaConfig(5, NeighborhoodRule.BOTH, BoundaryCondition.CYCLIC, COMPLEX_CUSTOM,
+                   37 * 5), 2048, None),
+    ], ids=["wide", "custom"])
+    def test_benchmark_searches_run_no_twin(self, twin_runs, cfg, n_columns, period):
+        report = search_period(cfg, n_columns)
+        assert report.period == period and twin_runs == []
+        if period:
+            assert report.max_deviation == 0.0
+
+    # Under record=phase a lag may be odd: here the interaction never moves
+    # the all-zero state, and a rotation by 1e-6 on every c-qubit moves the
+    # probabilities by less than 1e-10 a timestep, so lag 1 passes, and its
+    # twin starts after an interaction half-update.  The state never returns
+    # exactly.
+    def test_odd_lag_under_record_phase(self, twin_runs):
+        c, s = np.cos(1e-6), np.sin(1e-6)
+        rotation = Evaluation(np.kron(np.eye(2), [[c, -s], [s, c]]))
+        cfg = QcaConfig(2, NeighborhoodRule.RIGHT, BoundaryCondition.CONST_ZERO, rotation,
+                        initial_index=0, record=RecordMode.PER_PHASE)
+        report = search_period(cfg, 65)
+        assert repr(report) == _matrix_report(cfg, 65, 1e-9)
+        assert report.period == 1 and 1e-11 < report.max_deviation < 1e-9
+        assert twin_runs == [(1, 64)]
+
+    # This run is back at its initial state after 24 updates, but its
+    # probability pattern repeats after 12: lag 12 is checked by a twin over
+    # one return time of column pairs.
+    def test_period_shorter_than_the_exact_return(self, twin_runs):
+        cfg = QcaConfig(2, NeighborhoodRule.RIGHT, BoundaryCondition.CONST_ONE, H_BOTH_EVAL,
+                        initial_index=10)
+        report = search_period(cfg, 65)
+        assert repr(report) == _matrix_report(cfg, 65, 1e-9)
+        assert report.period == 12 and twin_runs[-1] == (12, 24)
+
+    def test_rejects_no_columns_and_bad_tol(self):
+        cfg = QcaConfig(1, NeighborhoodRule.RIGHT)
+        with pytest.raises(ValueError):
+            search_period(cfg, 0)
+        with pytest.raises(ValueError):
+            search_period(cfg, 3, tol=0.0)
 
 
 def test_cell_shift_is_the_per_cell_loop():

@@ -179,7 +179,7 @@ class TestMatrixCommand:
     (["period", "{drift}", "--horizon", "4096"], "state not normalized"),
     (["simulate", "{not_utf8}"], "cannot read"),
     (["simulate", "{large}"], "physical memory"),
-    (["period", "{large}", "--horizon", "4096"], "physical memory"),
+    (["period", "{large_period}", "--horizon", "16"], "physical memory"),
     (["script", "{large_script}"], "physical memory"),
     (["period", "{conf}", "--horizon", "abc"], "invalid int value: 'abc'"),
     (["period"], "the following arguments are required: config"),
@@ -189,11 +189,16 @@ class TestMatrixCommand:
         "too-large-script", "bad-flag-value", "missing-config", "unknown-subcommand"])
 def test_bad_input_ends_in_one_error_line(argv, message, cyclic_conf, tmp_path, capsys,
                                           monkeypatch):
-    # On a 64 MiB machine the 6-cell runs and script (128 MiB) are refused, so a broken
-    # check allocates no more than that; the other runs need at most 33 MB.
+    # On a 64 MiB machine the 6-cell run and script (128 MiB) and the 10-cell
+    # complex period search (four states of 16 MiB and 32 MiB of index and
+    # columns, 96 MiB) are refused, so a broken check allocates no more than
+    # 128 MiB; the other runs need at most 33 MB.
     monkeypatch.setattr(rules, "_physical_memory", lambda: 64 << 20)
     large = tmp_path / "large.conf"
     large.write_text("cells=6\nrule=right\nsteps=4095\ninitial=0\n")
+    large_period = tmp_path / "large_period.conf"
+    s_gate = ",".join({0: "1", 5: "0+1i", 10: "1", 15: "1"}.get(i, "0") for i in range(16))
+    large_period.write_text(f"cells=10\nrule=right\neval=custom:{s_gate}\nsteps=0\ninitial=1\n")
     large_script = tmp_path / "large.qscript"
     large_script.write_text("cells=6\ninitial=0\n" + "step\n" * 4095)
     no_steps = tmp_path / "no_steps.conf"
@@ -207,7 +212,7 @@ def test_bad_input_ends_in_one_error_line(argv, message, cyclic_conf, tmp_path, 
     not_utf8.write_bytes(b"\xff\xfe")
     paths = {"conf": cyclic_conf, "tmp": tmp_path, "no_steps": no_steps,
              "drift": drift, "not_utf8": not_utf8, "large": large,
-             "large_script": large_script}
+             "large_period": large_period, "large_script": large_script}
     assert main([arg.format(**paths) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1

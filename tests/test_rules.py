@@ -4,7 +4,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from qca2 import gates, rules
+from qca2 import analysis, gates, rules
 from qca2.gates import (
     ControlledFlip,
     LocalUnitary,
@@ -672,6 +672,53 @@ class TestEvolveBytes:
     @pytest.mark.parametrize("cells, steps", [(8, 40), (5, 1023), (5, 2047), (10, 15)])
     def test_benchmark_runs_fit_in_256_mib(self, cells, steps):
         assert run_bytes(2 * cells, 1 + steps, np.complex128) < 256 << 20
+
+
+class TestSearchBytes:
+    # The period search holds four states while a twin runs, an int64 gather
+    # index, three float64 columns and a fingerprint a column.  Its estimate
+    # bounds the traced peak from above, within six float64 vectors at 16
+    # qubits.
+    SLACK = 6 * 8 << 16
+
+    # h_s_then_cn has period 8 here, checked by a twin since the state never
+    # returns exactly; the complex run has no period, and its first lag gets
+    # a twin only because the screen is made to let every lag through.
+    @pytest.mark.parametrize("evaluation, dtype", [
+        (H_S_THEN_CN_EVAL, np.float64), (Evaluation(COMPLEX_CUSTOM), np.complex128),
+    ], ids=["h_s_then_cn", "complex-custom"])
+    def test_is_what_a_search_with_a_twin_allocates(self, monkeypatch, run_states, twin_runs,
+                                                    evaluation, dtype):
+        if dtype is np.complex128:
+            monkeypatch.setattr(analysis, "_screen", lambda prints, lag, tol: True)
+        cfg = make_config(8, NeighborhoodRule.RIGHT, BoundaryCondition.CONST_ZERO,
+                          evaluation, initial=1)
+        report, peak = _traced(analysis.search_period, cfg, 40)
+        assert report.found == (dtype is np.float64) and twin_runs
+        # The first evolution, then a pair of states for each twin.
+        assert run_states == [(dtype, np.dtype(dtype).itemsize << 16)] * (1 + 2 * len(twin_runs))
+        need = analysis.search_bytes(16, 40, dtype)
+        assert peak <= need < peak + self.SLACK
+
+    # A refused search allocates nothing of its size first, not even the
+    # gather index: its traced peak stays under one int64 vector.
+    @pytest.mark.parametrize("record", list(RecordMode))
+    def test_refused_search_allocates_nothing_first(self, monkeypatch, record):
+        monkeypatch.setattr(rules, "_physical_memory", lambda: 1 << 20)
+        cfg = make_config(8, NeighborhoodRule.BOTH, BoundaryCondition.CYCLIC,
+                          Evaluation(COMPLEX_CUSTOM), initial=1, record=record)
+
+        def refused():
+            with pytest.raises(MemoryError, match="physical memory"):
+                analysis.search_period(cfg, 40)
+
+        assert _traced(refused)[1] < 8 << 16
+
+    # The default horizon at 9 cells, whose matrix alone would be 8 GiB.
+    # Tested on the estimate alone.
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_nine_cells_at_the_default_horizon_fit_in_256_mib(self, dtype):
+        assert analysis.search_bytes(18, 4096, dtype) < 256 << 20
 
 
 class TestRunGateScript:
