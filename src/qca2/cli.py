@@ -15,8 +15,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 failed check or period not found, 2 bad input
 (config, script, flag or output path, a closed stdout included), a run whose
-probability matrix and states, or a period search whose states and column
-fingerprints, would not fit in physical memory, an allocation that was
+probability matrix and states, or a period search whose states and working
+vectors, would not fit in physical memory, an allocation that was
 refused, or a state whose norm drifted.
 """
 

@@ -14,10 +14,11 @@ decided once from its matrices: float64 when every imaginary part is exactly
 zero, complex128 otherwise.  `probability_columns` is the one loop that
 advances a state through kernels for `gates.advance` and records its
 probability columns: `_record` gathers them into the matrix of `evolve` and
-`run_gate_script`, and `analysis.search_period` fingerprints them.  Every
-update of a config is the same floating-point map, so once its state is
-exactly the initial basis state again, the columns recorded so far repeat
-bit for bit: the loop stops, and `_record` copies them instead.
+`run_gate_script`, and `analysis.search_period` keeps each one's value at
+the initial index.  Every update of a config is the same floating-point
+map, so once its state is exactly the initial basis state again, the
+columns recorded so far repeat bit for bit: the loop stops, and `_record`
+copies them instead.
 """
 
 from __future__ import annotations
@@ -218,18 +219,6 @@ def build_dense_rule(config: QcaConfig) -> np.ndarray:
     op = reduce(np.kron, [config.evaluation.matrix] * config.n_cells)[:, images]
     op += 0.0  # -0 entries become +0, as in the product with P: `matrix` prints them
     return op
-
-
-def step(state: np.ndarray, rule: CompiledRule) -> np.ndarray:
-    """Advance one full update: the interaction gather, then every cell's
-    evaluation.  The result keeps the state's dtype; a real state meeting a
-    complex cell unitary raises TypeError.  The input is never mutated."""
-    if state.size != 1 << rule.n_qubits:
-        raise ValueError(
-            f"state has {state.size} amplitudes, rule expects {1 << rule.n_qubits}"
-        )
-    # `advance` writes its second kernel's output into its first buffer.
-    return advance(state.copy(), rule.kernels(state.dtype), np.empty_like(state))[0]
 
 
 def run_bytes(n_qubits: int, n_columns: int, dtype) -> int:

@@ -1,11 +1,18 @@
-"""Random states and unitaries, a reference evolution, and config, float
-and complex formatting, shared by the test modules."""
+"""Random states and unitaries, a one-update step and a reference evolution,
+and config, float and complex formatting, shared by the test modules."""
 
 import numpy as np
 
 from qca2.gates import advance, state_dtype
 from qca2.register import basis_state, probabilities
-from qca2.rules import EVAL_PRESETS, QcaConfig, RecordMode, compile_evaluation, compile_rule
+from qca2.rules import (
+    CompiledRule,
+    EVAL_PRESETS,
+    QcaConfig,
+    RecordMode,
+    compile_evaluation,
+    compile_rule,
+)
 
 
 def random_state(rng: np.random.Generator, n_qubits: int) -> np.ndarray:
@@ -23,6 +30,18 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
 def random_orthogonal(rng: np.random.Generator, dim: int) -> np.ndarray:
     """A real orthogonal matrix: a unitary whose imaginary parts are all zero."""
     return np.linalg.qr(rng.normal(size=(dim, dim)))[0]
+
+
+def step(state: np.ndarray, rule: CompiledRule) -> np.ndarray:
+    """Advance one full update: the interaction gather, then every cell's
+    evaluation.  The result keeps the state's dtype; a real state meeting a
+    complex cell unitary raises TypeError.  The input is never mutated."""
+    if state.size != 1 << rule.n_qubits:
+        raise ValueError(
+            f"state has {state.size} amplitudes, rule expects {1 << rule.n_qubits}"
+        )
+    # `advance` writes its second kernel's output into its first buffer.
+    return advance(state.copy(), rule.kernels(state.dtype), np.empty_like(state))[0]
 
 
 def evolve_reference(config: QcaConfig) -> np.ndarray:

@@ -29,10 +29,9 @@ from qca2.rules import (
     compile_rule,
     evolve,
     run_gate_script,
-    step,
 )
 
-from helpers import random_unitary
+from helpers import random_unitary, step
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"

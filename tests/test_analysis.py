@@ -5,6 +5,7 @@ from itertools import product
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qca2 import analysis
 from qca2.analysis import (
@@ -233,14 +234,19 @@ class TestSearchPeriod:
                         _matrix_report(cfg, n_columns, 1e-9), (cfg, n_columns)
 
     # The screen lets no wrong lag through on the benchmark's two period
-    # searches: the 10-cell run returns exactly after 6 updates and lag 6
-    # needs no twin, and no lag survives on the 5-cell complex run.
+    # searches, from several of the initial indices its seeds draw: the
+    # 10-cell run returns exactly after 6 updates and lag 6 needs no twin,
+    # and no lag survives on the 5-cell complex run.
     @pytest.mark.parametrize("cfg, n_columns, period", [
-        (QcaConfig(10, NeighborhoodRule.RIGHT, BoundaryCondition.CYCLIC, H_BOTH_EVAL,
-                   674508), 16, 6),
-        (QcaConfig(5, NeighborhoodRule.BOTH, BoundaryCondition.CYCLIC, COMPLEX_CUSTOM,
-                   37 * 5), 2048, None),
-    ], ids=["wide", "custom"])
+        *(pytest.param(QcaConfig(10, NeighborhoodRule.RIGHT, BoundaryCondition.CYCLIC,
+                                 H_BOTH_EVAL, initial), 16, 6, id=name)
+          for name, initial in [("wide", 674508), ("wide-533115", 533115),
+                                ("wide-885375", 885375), ("wide-301375", 301375)]),
+        *(pytest.param(QcaConfig(5, NeighborhoodRule.BOTH, BoundaryCondition.CYCLIC,
+                                 COMPLEX_CUSTOM, initial), 2048, None, id=name)
+          for name, initial in [("custom", 37 * 5), ("custom-634", 634),
+                                ("custom-139", 139), ("custom-791", 791)]),
+    ])
     def test_benchmark_searches_run_no_twin(self, twin_runs, cfg, n_columns, period):
         report = search_period(cfg, n_columns)
         assert report.period == period and twin_runs == []
@@ -271,6 +277,28 @@ class TestSearchPeriod:
         report = search_period(cfg, 65)
         assert repr(report) == _matrix_report(cfg, 65, 1e-9)
         assert report.period == 12 and twin_runs[-1] == (12, 24)
+
+    # The screen of any one row passes every lag whose column pairs all pass
+    # `detect_period`'s own check: nan, ±0, repeated columns and values
+    # exactly a tolerance apart included.
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_screen_passes_every_lag_detect_period_accepts(self, data):
+        n_rows = data.draw(st.integers(1, 4))
+        values = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 1.0 - 1e-9, 1e-9, 2e-9,
+                                            float("nan")]),
+                           st.floats(0.0, 1.0))
+        n_distinct = data.draw(st.integers(1, 4))
+        pool = data.draw(arrays(np.float64, (n_rows, n_distinct), elements=values))
+        order = data.draw(st.lists(st.integers(0, n_distinct - 1), min_size=2, max_size=12))
+        matrix, row = pool[:, order], data.draw(st.integers(0, n_rows - 1))
+        gaps = np.abs(np.subtract.outer(pool.ravel(), pool.ravel())).ravel()
+        tol = data.draw(st.sampled_from([1e-9, 1e-6, 0.5, *gaps[gaps > 0]]))
+        n_cols = matrix.shape[1]
+        for lag in range(1, n_cols):
+            if all(float(np.max(np.abs(matrix[:, t] - matrix[:, t + lag]))) <= tol
+                   for t in range(n_cols - lag)):
+                assert analysis._screen(matrix[row], lag, tol), (lag, matrix)
 
     def test_rejects_no_columns_and_bad_tol(self):
         cfg = QcaConfig(1, NeighborhoodRule.RIGHT)

@@ -33,7 +33,6 @@ from qca2.rules import (
     interaction_images,
     run_bytes,
     run_gate_script,
-    step,
 )
 
 from helpers import (
@@ -42,6 +41,7 @@ from helpers import (
     random_orthogonal,
     random_state,
     random_unitary,
+    step,
 )
 
 FIG3 = QcaConfig(
@@ -676,7 +676,7 @@ class TestEvolveBytes:
 
 class TestSearchBytes:
     # The period search holds four states while a twin runs, an int64 gather
-    # index, three float64 columns and a fingerprint a column.  Its estimate
+    # index, three float64 columns and one float64 a column.  Its estimate
     # bounds the traced peak from above, within six float64 vectors at 16
     # qubits.
     SLACK = 6 * 8 << 16
