@@ -21,6 +21,7 @@ from .rules import (
 )
 
 DEFAULT_PERIOD_TOL = 1e-9
+TRANSLATION_STEPS = 20
 
 
 @dataclass(frozen=True)
@@ -46,17 +47,6 @@ class CheckReport:
     details: str = ""
 
 
-def check_unitary(op: np.ndarray, tol: float = UNITARY_TOL) -> CheckReport:
-    """Max-norm distance of op†·op from the identity."""
-    deviation = unitary_deviation(op)
-    return CheckReport(
-        name="unitary",
-        passed=deviation <= tol,
-        worst_deviation=deviation,
-        details=f"dimension {op.shape[0]}, tolerance {tol:g}",
-    )
-
-
 def check_interaction(config: QcaConfig) -> CheckReport:
     """Verify the interaction maps the basis indices one to one and keeps
     every s-bit of each: its deviation is the largest miscount of how often
@@ -64,7 +54,7 @@ def check_interaction(config: QcaConfig) -> CheckReport:
     images = interaction_images(config)
     dim = images.size
     perm_dev = float(np.abs(np.bincount(images, minlength=dim) - 1).max())
-    s_mask = sum(1 << config.layout.s_bit(j) for j in range(config.n_cells))
+    s_mask = sum(1 << rules.qubit(j, "s") for j in range(config.n_cells))
     violations = int(np.count_nonzero((images ^ np.arange(dim)) & s_mask))
     deviation = perm_dev + violations
     return CheckReport(
@@ -160,7 +150,7 @@ def search_period(config: QcaConfig, n_columns: int,
         raise ValueError("the search needs at least one column")
     if not tol > 0:
         raise ValueError("tolerance must be positive")
-    n_qubits, initial = config.layout.n_qubits, config.initial_index
+    n_qubits, initial = config.n_qubits, config.initial_index
     dtype = rules.run_dtype(config)
     rules.check_fits(search_bytes(n_qubits, n_columns, dtype), "states and working vectors")
     update = rules.update_kernels(config, dtype)
@@ -195,13 +185,13 @@ def cell_shift_permutation(n_cells: int) -> np.ndarray:
     return ((k << 2) | (k >> (2 * n_cells - 2))) & (4**n_cells - 1)
 
 
-def check_translation(config: QcaConfig, steps: int = 20) -> CheckReport:
-    """Under a cyclic boundary, evolving a cell-shifted initial state must
-    equal the cell-shifted evolution of the original initial state."""
+def check_translation(config: QcaConfig) -> CheckReport:
+    """Under a cyclic boundary, evolving a cell-shifted initial state for
+    TRANSLATION_STEPS updates must equal the cell-shifted evolution."""
     if config.boundary is not BoundaryCondition.CYCLIC:
         raise ValueError("translation covariance is defined for cyclic boundaries only")
     perm = cell_shift_permutation(config.n_cells)
-    base = replace(config, n_steps=steps)
+    base = replace(config, n_steps=TRANSLATION_STEPS)
     shifted = replace(base, initial_index=int(perm[config.initial_index]))
     # Row perm[k] of the shifted run corresponds to row k of the base run.
     deviation = float(np.max(np.abs(evolve(shifted)[perm, :] - evolve(base))))
@@ -209,9 +199,17 @@ def check_translation(config: QcaConfig, steps: int = 20) -> CheckReport:
         name="translation-covariance",
         passed=deviation <= 1e-12,
         worst_deviation=deviation,
-        details=f"{steps} steps, {config.n_cells} cells",
+        details=f"{TRANSLATION_STEPS} steps, {config.n_cells} cells",
     )
 
 
 def check_rule_unitary(config: QcaConfig) -> CheckReport:
-    return replace(check_unitary(build_dense_rule(config)), name="rule-unitary")
+    """Max-norm distance of W†·W from the identity, W one update's dense operator."""
+    op = build_dense_rule(config)
+    deviation = unitary_deviation(op)
+    return CheckReport(
+        name="rule-unitary",
+        passed=deviation <= UNITARY_TOL,
+        worst_deviation=deviation,
+        details=f"dimension {op.shape[0]}, tolerance {UNITARY_TOL:g}",
+    )

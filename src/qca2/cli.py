@@ -29,8 +29,7 @@ from pathlib import Path
 
 from . import analysis, io_formats, rules
 from .gates import MAX_DENSE_QUBITS
-from .register import NormDriftError
-from .rules import BoundaryCondition
+from .rules import BoundaryCondition, NormDriftError
 
 MAX_DENSE_CELLS = MAX_DENSE_QUBITS // 2  # two qubits per cell
 

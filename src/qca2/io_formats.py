@@ -42,14 +42,15 @@ from typing import Iterator
 import numpy as np
 
 from .gates import ControlledFlip, GateOp, LocalUnitary, standard_gate
-from .register import RegisterLayout
 from .rules import (
     EVAL_PRESETS,
+    MAX_CELLS,
     BoundaryCondition,
     Evaluation,
     NeighborhoodRule,
     QcaConfig,
     RecordMode,
+    qubit,
 )
 
 
@@ -179,16 +180,15 @@ def parse_config(text: str) -> QcaConfig:
         raise ConfigRangeError(str(exc)) from None
 
 
-def _parse_qubit(token: str, layout: RegisterLayout, line_no: int) -> int:
+def _parse_qubit(token: str, cells: int, line_no: int) -> int:
     role = token[:1]
     # isdecimal, not isdigit: int() refuses digits such as "²".
     if role not in ("s", "c") or not token[1:].isdecimal():
         raise ConfigSyntaxError(line_no, f"bad qubit name {token!r} (want e.g. s0, c1)")
     cell = _parse_int(token[1:], line_no, "cell")
-    try:
-        return layout.bit_position(cell, role)
-    except IndexError as exc:
-        raise ConfigRangeError(f"line {line_no}: {exc}") from None
+    if cell >= cells:
+        raise ConfigRangeError(f"line {line_no}: cell index {cell} out of range for {cells} cells")
+    return qubit(cell, role)
 
 
 _SCRIPT_GATE_ARITY = {"H": 1, "X": 1, "CN": 2, "CCN": 3}
@@ -201,14 +201,11 @@ def parse_script(text: str) -> tuple[int, int, list[list[GateOp]]]:
     header, body = lines[:first_step], lines[first_step:]
     pairs = _key_values(header, {"cells", "initial"}, ("cells", "initial"))
     cells, initial = _int_values(pairs, "cells", "initial")
-    try:
-        layout = RegisterLayout(cells)
-    except ValueError as exc:
-        raise ConfigRangeError(str(exc)) from None
-    if not 0 <= initial < layout.n_states:
-        raise ConfigRangeError(
-            f"initial index {initial} out of range for {layout.n_qubits} qubits"
-        )
+    if not 1 <= cells <= MAX_CELLS:  # before 4**cells is formed
+        raise ConfigRangeError(f"n_cells must be in 1..{MAX_CELLS}, got {cells}")
+    n_qubits = 2 * cells
+    if not 0 <= initial < 1 << n_qubits:
+        raise ConfigRangeError(f"initial index {initial} out of range for {n_qubits} qubits")
 
     script: list[list[GateOp]] = []
     for line_no, line in body:
@@ -224,7 +221,7 @@ def parse_script(text: str) -> tuple[int, int, list[list[GateOp]]]:
                 line_no,
                 f"{name} takes {_SCRIPT_GATE_ARITY[name]} qubit(s), got {len(args)}",
             )
-        bits = [_parse_qubit(a, layout, line_no) for a in args]
+        bits = [_parse_qubit(a, cells, line_no) for a in args]
         if len(set(bits)) != len(bits):
             raise ConfigSyntaxError(line_no, "gate qubits must be distinct")
         if name == "H":
@@ -234,7 +231,7 @@ def parse_script(text: str) -> tuple[int, int, list[list[GateOp]]]:
         else:
             gate = ControlledFlip(bits[:-1], bits[-1])
         script[-1].append(gate)
-    return layout.n_qubits, initial, script
+    return n_qubits, initial, script
 
 
 # --- shortest round-trip decimals ------------------------------------------

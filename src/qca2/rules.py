@@ -1,5 +1,10 @@
 """Compilation of automaton configs into one update, and its evolution.
 
+Cell j owns the controlled qubit c_j at bit 2j and the state qubit s_j at
+bit 2j+1 (`qubit`).  Bit p of a basis index contributes 2**p, so the ket
+reads from the most significant cell down: the three-cell ket |100000> is
+basis index 32.
+
 One full update is two phases.  The interaction phase flips each cell's
 controlled qubit when the state qubits of its neighbors are all 1.  The
 flips are controlled by s-bits and target c-bits, so they commute and the
@@ -47,7 +52,43 @@ from .gates import (
     is_unitary,
     state_dtype,
 )
-from .register import MAX_CELLS, RegisterLayout, basis_state, probabilities
+
+MAX_CELLS = 12
+MAX_QUBITS = 2 * MAX_CELLS
+NORM_TOL = 1e-9
+
+
+class NormDriftError(ValueError):
+    """A state's squared norm drifted from one by more than NORM_TOL."""
+
+
+def qubit(cell: int, role: str) -> int:
+    """Bit position of `cell`'s controlled qubit (role "c") or state qubit (role "s")."""
+    return 2 * cell + (role == "s")
+
+
+def basis_state(n_qubits: int, index: int, dtype=np.complex128) -> np.ndarray:
+    """The basis state |index> of `n_qubits` qubits: 2**n_qubits amplitudes
+    of `dtype`, one of them 1.  Runs whose matrices are all real pass
+    float64."""
+    if not 1 <= n_qubits <= MAX_QUBITS:
+        raise ValueError(f"n_qubits must be in 1..{MAX_QUBITS}, got {n_qubits}")
+    dim = 1 << n_qubits
+    if not 0 <= index < dim:
+        raise IndexError(f"basis index {index} out of range for {n_qubits} qubits")
+    state = np.zeros(dim, dtype=dtype)
+    state[index] = 1.0
+    return state
+
+
+def probabilities(state: np.ndarray) -> np.ndarray:
+    """Measurement probabilities of every basis state; NormDriftError when
+    the squared norm of `state` is more than NORM_TOL from one."""
+    probs = np.abs(state) ** 2
+    norm = probs.sum()
+    if abs(norm - 1.0) > NORM_TOL:
+        raise NormDriftError(f"state not normalized: squared norm {norm!r}")
+    return probs
 
 
 class NeighborhoodRule(enum.Enum):
@@ -74,7 +115,7 @@ class Evaluation:
     """The 4x4 unitary the evaluation phase applies inside every cell.
 
     It acts on the cell's local index 2*s + c: s is the more significant
-    bit, matching the register convention.  Two evaluations are equal when
+    bit, as `qubit` lays out a cell.  Two evaluations are equal when
     their entries are equal bit for bit.
     """
 
@@ -130,8 +171,8 @@ class QcaConfig:
             raise ValueError("n_steps must be nonnegative")
 
     @property
-    def layout(self) -> RegisterLayout:
-        return RegisterLayout(self.n_cells)
+    def n_qubits(self) -> int:
+        return 2 * self.n_cells
 
     @property
     def per_update(self) -> int:
@@ -177,7 +218,7 @@ def compile_interaction(config: QcaConfig) -> list[GateOp]:
     with a control pinned to 0 never fires and is dropped, a control pinned
     to 1 drops out of the control set (possibly leaving a plain X).
     """
-    layout, n = config.layout, config.n_cells
+    n = config.n_cells
     cyclic = config.boundary is BoundaryCondition.CYCLIC
     const_zero = config.boundary is BoundaryCondition.CONST_ZERO
     gates: list[GateOp] = []
@@ -186,7 +227,7 @@ def compile_interaction(config: QcaConfig) -> list[GateOp]:
         present = [nb % n for nb in neighbours if cyclic or 0 <= nb < n]
         if const_zero and len(present) < len(neighbours):
             continue
-        gates.append(ControlledFlip({layout.s_bit(nb) for nb in present}, layout.c_bit(j)))
+        gates.append(ControlledFlip({qubit(nb, "s") for nb in present}, qubit(j, "c")))
     return gates
 
 
@@ -194,13 +235,12 @@ def compile_evaluation(config: QcaConfig) -> list[GateOp]:
     """One cell-unitary gate per cell in ascending cell order; none for identity."""
     if config.evaluation == IDENTITY_EVAL:
         return []
-    layout, u = config.layout, config.evaluation.matrix
-    cells = range(config.n_cells)
-    return [LocalUnitary((layout.c_bit(j), layout.s_bit(j)), u) for j in cells]
+    u = config.evaluation.matrix
+    return [LocalUnitary((qubit(j, "c"), qubit(j, "s")), u) for j in range(config.n_cells)]
 
 
 def compile_rule(config: QcaConfig) -> CompiledRule:
-    n_qubits = config.layout.n_qubits
+    n_qubits = config.n_qubits
     interaction = tuple(compile_interaction(config))
     evaluation = tuple(compile_evaluation(config))
     return CompiledRule(n_qubits, interaction, evaluation, flip_source(interaction, n_qubits))
@@ -209,7 +249,7 @@ def compile_rule(config: QcaConfig) -> CompiledRule:
 def interaction_images(config: QcaConfig) -> np.ndarray:
     """Image of every basis index under the interaction permutation P,
     mapped one basis index at a time."""
-    return basis_images(compile_interaction(config), config.layout.n_qubits)
+    return basis_images(compile_interaction(config), config.n_qubits)
 
 
 def build_dense_rule(config: QcaConfig) -> np.ndarray:
@@ -312,7 +352,7 @@ def evolve(config: QcaConfig) -> np.ndarray:
         for _ in range(config.n_steps):
             yield from update
 
-    n_qubits, n_columns = config.layout.n_qubits, config.n_columns
+    n_qubits, n_columns = config.n_qubits, config.n_columns
     return _record(n_qubits, config.initial_index, dtype, n_columns, timesteps(),
                    config.per_update)
 

@@ -4,14 +4,15 @@ and config, float and complex formatting, shared by the test modules."""
 import numpy as np
 
 from qca2.gates import advance, state_dtype
-from qca2.register import basis_state, probabilities
 from qca2.rules import (
     CompiledRule,
     EVAL_PRESETS,
     QcaConfig,
     RecordMode,
+    basis_state,
     compile_evaluation,
     compile_rule,
+    probabilities,
 )
 
 
@@ -51,7 +52,7 @@ def evolve_reference(config: QcaConfig) -> np.ndarray:
     dtype = state_dtype(compile_evaluation(config))
     gather, *cells = compile_rule(config).kernels(dtype)
     phases = [[gather], cells] if config.record is RecordMode.PER_PHASE else [[gather, *cells]]
-    psi = basis_state(config.layout.n_qubits, config.initial_index, dtype)
+    psi = basis_state(config.n_qubits, config.initial_index, dtype)
     spare = np.empty_like(psi)
     columns = [probabilities(psi)]
     for _ in range(config.n_steps):

@@ -15,7 +15,6 @@ import pytest
 from qca2.analysis import check_interaction, check_translation, detect_period
 from qca2.cli import main
 from qca2.io_formats import parse_config, parse_script
-from qca2.register import basis_state
 from qca2.rules import (
     BoundaryCondition,
     Evaluation,
@@ -25,6 +24,7 @@ from qca2.rules import (
     NeighborhoodRule,
     QcaConfig,
     RecordMode,
+    basis_state,
     build_dense_rule,
     compile_rule,
     evolve,
@@ -139,7 +139,7 @@ def test_06_translation_covariance():
         for rule in NeighborhoodRule:
             cfg = QcaConfig(n, rule, BoundaryCondition.CYCLIC, H_BOTH_EVAL,
                             initial_index=2)
-            report = check_translation(cfg, steps=20)
+            report = check_translation(cfg)
             assert report.passed and report.worst_deviation <= 1e-12, report
             worst = max(worst, report.worst_deviation)
     _ok(6, f"cyclic shifts commute with evolution, worst deviation {worst:.2e}")

@@ -11,12 +11,20 @@ from qca2 import analysis
 from qca2.analysis import (
     cell_shift_permutation,
     check_interaction,
+    check_rule_unitary,
     check_translation,
-    check_unitary,
     detect_period,
     search_period,
 )
-from qca2.gates import ControlledFlip, LocalUnitary, basis_images, embed_gate, standard_gate
+from qca2.gates import (
+    UNITARY_TOL,
+    ControlledFlip,
+    LocalUnitary,
+    basis_images,
+    embed_gate,
+    standard_gate,
+    unitary_deviation,
+)
 from qca2.rules import (
     BoundaryCondition,
     Evaluation,
@@ -36,20 +44,27 @@ COMPLEX_CUSTOM = Evaluation(random_unitary(np.random.default_rng(5), 4))
 
 
 class TestCheckUnitary:
-    def test_identity_deviation_zero(self):
-        report = check_unitary(np.eye(8), tol=1e-12)
+    def test_identity_deviation_zero(self, monkeypatch):
+        assert unitary_deviation(np.eye(8)) == 0.0
+        monkeypatch.setattr(analysis, "build_dense_rule", lambda config: np.eye(8))
+        report = check_rule_unitary(QcaConfig(1, NeighborhoodRule.RIGHT))
         assert report.passed and report.worst_deviation == 0.0
+        assert report.details == "dimension 8, tolerance 1e-12"
 
     def test_dense_h_embedding(self):
         op = embed_gate(LocalUnitary((2,), standard_gate("H")), 4)
-        assert check_unitary(op, tol=1e-12).passed
+        assert unitary_deviation(op) <= UNITARY_TOL
 
     def test_compiled_rule(self):
         cfg = QcaConfig(2, NeighborhoodRule.RIGHT, BoundaryCondition.CYCLIC, H_BOTH_EVAL)
-        assert check_unitary(build_dense_rule(cfg), tol=1e-12).passed
+        report = check_rule_unitary(cfg)
+        assert report.passed and report.name == "rule-unitary"
+        assert report.worst_deviation == unitary_deviation(build_dense_rule(cfg))
 
-    def test_non_unitary_fails(self):
-        report = check_unitary(2 * np.eye(4), tol=1e-12)
+    def test_non_unitary_fails(self, monkeypatch):
+        assert unitary_deviation(2 * np.eye(4)) == 3.0
+        monkeypatch.setattr(analysis, "build_dense_rule", lambda config: 2 * np.eye(4))
+        report = check_rule_unitary(QcaConfig(1, NeighborhoodRule.RIGHT))
         assert not report.passed and report.worst_deviation == 3.0
 
 
@@ -323,18 +338,18 @@ class TestCheckTranslation:
     def test_two_cells_h_both(self):
         cfg = QcaConfig(2, NeighborhoodRule.RIGHT, BoundaryCondition.CYCLIC,
                         H_BOTH_EVAL, initial_index=2)
-        report = check_translation(cfg, steps=10)
+        report = check_translation(cfg)
         assert report.passed and report.worst_deviation <= 1e-12
 
     def test_all_zeros_initial_trivially_passes(self):
         cfg = QcaConfig(3, NeighborhoodRule.RIGHT, BoundaryCondition.CYCLIC,
                         H_BOTH_EVAL, initial_index=0)
-        assert check_translation(cfg, steps=5).passed
+        assert check_translation(cfg).passed
 
     def test_three_cells_both_h_s_then_cn(self):
         cfg = QcaConfig(3, NeighborhoodRule.BOTH, BoundaryCondition.CYCLIC,
                         H_S_THEN_CN_EVAL, initial_index=32)
-        report = check_translation(cfg, steps=10)
+        report = check_translation(cfg)
         assert report.passed and report.worst_deviation <= 1e-12
 
     def test_rejects_non_cyclic(self):

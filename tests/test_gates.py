@@ -16,7 +16,7 @@ from qca2.gates import (
     standard_gate,
     state_dtype,
 )
-from qca2.register import basis_state
+from qca2.rules import basis_state
 
 from helpers import random_orthogonal, random_state, random_unitary
 

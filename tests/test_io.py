@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -132,16 +133,27 @@ class TestParseScript:
             parse_script("cells=1\ninitial=0\nstep\nH q0\n")
 
     def test_qubit_out_of_range(self):
-        with pytest.raises(ConfigRangeError):
+        with pytest.raises(ConfigRangeError) as exc:
             parse_script("cells=1\ninitial=0\nstep\nH s1\n")
+        assert str(exc.value) == "line 4: cell index 1 out of range for 1 cells"
 
     def test_duplicate_qubits_rejected(self):
         with pytest.raises(ConfigSyntaxError):
             parse_script("cells=1\ninitial=0\nstep\nCN s0 s0\n")
 
     def test_initial_out_of_range(self):
-        with pytest.raises(ConfigRangeError):
+        with pytest.raises(ConfigRangeError) as exc:
             parse_script("cells=1\ninitial=4\nstep\nH s0\n")
+        assert str(exc.value) == "initial index 4 out of range for 2 qubits"
+
+    @pytest.mark.parametrize("cells", [0, 13, 1000000000])
+    def test_cells_out_of_range(self, cells):
+        # Refused before the 4**cells bound on the initial index is formed.
+        start = time.perf_counter()
+        with pytest.raises(ConfigRangeError) as exc:
+            parse_script(f"cells={cells}\ninitial=0\nstep\nH s0\n")
+        assert time.perf_counter() - start < 1.0
+        assert str(exc.value) == f"n_cells must be in 1..12, got {cells}"
 
 
 # Lines built from the words both file formats know, mixed with arbitrary

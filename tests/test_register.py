@@ -3,52 +3,50 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qca2.register import RegisterLayout, basis_state, probabilities
+from qca2.gates import ControlledFlip
+from qca2.io_formats import ConfigRangeError, ConfigSyntaxError, parse_script
+from qca2.rules import NeighborhoodRule, QcaConfig, basis_state, probabilities, qubit
 
 from helpers import random_state
 
 
 class TestLayout:
     def test_three_cell_s2_is_bit_five(self):
-        layout = RegisterLayout(3)
-        assert layout.s_bit(2) == 5
+        assert qubit(2, "s") == 5
         assert basis_state(6, 1 << 5)[32] == 1.0
 
     def test_c0_is_bit_zero(self):
+        assert qubit(0, "c") == 0
         for n in (1, 4, 12):
-            assert RegisterLayout(n).c_bit(0) == 0
+            _, _, script = parse_script(f"cells={n}\ninitial=0\nstep\nX c0\n")
+            assert script == [[ControlledFlip((), 0)]]
 
     def test_s1_of_four_cells(self):
-        assert RegisterLayout(4).s_bit(1) == 3
+        assert qubit(1, "s") == 3
 
     def test_role_dispatch(self):
-        layout = RegisterLayout(2)
-        assert layout.bit_position(1, "c") == 2
-        assert layout.bit_position(1, "s") == 3
-        with pytest.raises(ValueError):
-            layout.bit_position(0, "q")
+        assert qubit(1, "c") == 2
+        assert qubit(1, "s") == 3
+        _, _, script = parse_script("cells=2\ninitial=0\nstep\nCN s1 c1\n")
+        assert script == [[ControlledFlip({3}, 2)]]
+        with pytest.raises(ConfigSyntaxError):
+            parse_script("cells=2\ninitial=0\nstep\nX q0\n")
 
     def test_cell_out_of_range(self):
-        with pytest.raises(IndexError):
-            RegisterLayout(3).s_bit(3)
-        with pytest.raises(IndexError):
-            RegisterLayout(3).c_bit(-1)
+        with pytest.raises(ConfigRangeError):
+            parse_script("cells=3\ninitial=0\nstep\nH s3\n")
+        with pytest.raises(ConfigSyntaxError):  # a negative cell is no qubit name
+            parse_script("cells=3\ninitial=0\nstep\nX c-1\n")
 
-    def test_size_limits(self):
-        with pytest.raises(ValueError):
-            RegisterLayout(0)
-        with pytest.raises(ValueError):
-            RegisterLayout(13)
+    def test_size_limits(self):  # scripts: test_io.py::TestParseScript
+        for n in (0, 13):
+            with pytest.raises(ValueError):
+                QcaConfig(n, NeighborhoodRule.RIGHT)
 
     @given(st.integers(min_value=1, max_value=12))
     def test_bit_position_bijection(self, n_cells):
-        layout = RegisterLayout(n_cells)
-        positions = {
-            layout.bit_position(j, role)
-            for j in range(n_cells)
-            for role in ("s", "c")
-        }
-        assert positions == set(range(2 * n_cells))
+        positions = {qubit(j, role) for j in range(n_cells) for role in ("s", "c")}
+        assert positions == set(range(QcaConfig(n_cells, NeighborhoodRule.RIGHT).n_qubits))
 
 
 class TestBasisState:

@@ -15,7 +15,6 @@ from qca2.gates import (
     standard_gate,
 )
 from qca2.io_formats import parse_config
-from qca2.register import basis_state, probabilities
 from qca2.rules import (
     BoundaryCondition,
     Evaluation,
@@ -25,12 +24,14 @@ from qca2.rules import (
     NeighborhoodRule,
     QcaConfig,
     RecordMode,
+    basis_state,
     build_dense_rule,
     compile_evaluation,
     compile_interaction,
     compile_rule,
     evolve,
     interaction_images,
+    probabilities,
     run_bytes,
     run_gate_script,
 )
@@ -293,7 +294,7 @@ def test_dense_rule_equals_the_product_with_the_composed_interaction(evaluation,
         configs.append(make_config(5, rule, boundary, evaluation))
     for cfg in configs:
         cells = reduce(np.kron, [evaluation.matrix] * cfg.n_cells)
-        product = cells @ compose_dense(compile_interaction(cfg), cfg.layout.n_qubits)
+        product = cells @ compose_dense(compile_interaction(cfg), cfg.n_qubits)
         assert build_dense_rule(cfg).tobytes() == product.tobytes(), cfg.n_cells
 
 
@@ -810,7 +811,7 @@ class TestTranslationCovariance:
 
         cfg = make_config(3, rule, BoundaryCondition.CYCLIC, evaluation,
                           initial=2, steps=20)
-        report = check_translation(cfg, steps=20)
+        report = check_translation(cfg)
         assert report.passed, report
 
 
