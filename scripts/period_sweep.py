@@ -4,8 +4,7 @@ probability-pattern periods, with the search `qca2 period` runs over
 --horizon columns.
 
 The initial state places a single 1 on the most significant state qubit,
-mirroring the bundled figure configs.  Rules containing two-control flips
-are searched at a looser tolerance since their gate set is not Clifford.
+mirroring the bundled figure configs.
 """
 
 import argparse
@@ -34,8 +33,7 @@ def sweep(max_cells: int, horizon: int, boundary: BoundaryCondition) -> None:
                     evaluation=evaluation,
                     initial_index=1 << (2 * n - 1),
                 )
-                tol = 1e-6 if rule is NeighborhoodRule.BOTH else 1e-9
-                report = search_period(cfg, horizon, tol=tol)
+                report = search_period(cfg, horizon)
                 period = report.period if report.found else "-"
                 dev = f"{report.max_deviation:.1e}" if report.found else "n/a"
                 print(f"{rule.value:<6} {eval_name:<12} {n:>5} {period!s:>7} {dev:>10}")

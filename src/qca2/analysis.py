@@ -11,7 +11,7 @@ from operator import itemgetter
 import numpy as np
 
 from . import rules
-from .gates import UNITARY_TOL, unitary_deviation
+from .gates import UNITARY_TOL, state_dtype, unitary_deviation
 from .rules import (
     BoundaryCondition,
     QcaConfig,
@@ -151,7 +151,7 @@ def search_period(config: QcaConfig, n_columns: int,
     if not tol > 0:
         raise ValueError("tolerance must be positive")
     n_qubits, initial = config.n_qubits, config.initial_index
-    dtype = rules.run_dtype(config)
+    dtype = state_dtype([config.evaluation])
     rules.check_fits(search_bytes(n_qubits, n_columns, dtype), "states and working vectors")
     update = rules.update_kernels(config, dtype)
 
@@ -179,10 +179,11 @@ def search_period(config: QcaConfig, n_columns: int,
 
 
 def cell_shift_permutation(n_cells: int) -> np.ndarray:
-    """Basis-index permutation moving every cell's qubit pair up one cell
-    (modulo the cell count): a 2-bit left rotation of the index."""
-    k = np.arange(4**n_cells, dtype=np.int64)
-    return ((k << 2) | (k >> (2 * n_cells - 2))) & (4**n_cells - 1)
+    """Basis-index permutation moving every cell's qubits up one cell (modulo
+    the cell count): a left rotation of the index, as wide as the register."""
+    shift, width = rules.qubit(1, "c"), rules.qubit(n_cells, "c")
+    k = np.arange(1 << width, dtype=np.int64)
+    return ((k << shift) | (k >> (width - shift))) & ((1 << width) - 1)
 
 
 def check_translation(config: QcaConfig) -> CheckReport:

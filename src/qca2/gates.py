@@ -9,7 +9,7 @@ Two gate placements cover everything the automaton needs:
   matrix, mirroring the register convention.
 
 ``flip_source`` turns commuting flips into one index gather and ``contract``
-applies a small matrix to a block of bits; ``gate_kernels`` turns a gate
+applies a small matrix to a block of bits; ``gate_kernels`` turns any gate
 list into them, one gather per run of consecutive commuting flips.
 ``advance`` is the one loop that runs a state through them, for rules,
 scripts and ``apply_gate`` alike: on a float64 state when ``state_dtype``
@@ -22,7 +22,7 @@ embedded gates as the tests' generic oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
@@ -57,11 +57,6 @@ def unitary_deviation(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(matrix.conj().T @ matrix - np.eye(matrix.shape[0]))))
 
 
-def is_unitary(matrix: np.ndarray) -> bool:
-    d = matrix.shape[0]
-    return matrix.shape == (d, d) and unitary_deviation(matrix) <= UNITARY_TOL
-
-
 @dataclass(frozen=True)
 class ControlledFlip:
     """Flip `target` when all `controls` bits are 1; X when controls is empty."""
@@ -81,19 +76,21 @@ class ControlledFlip:
         return self.controls | {self.target}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocalUnitary:
     """A small unitary on contiguous bit positions, listed in ascending order.
 
-    Bit m of the small-matrix index is the qubit at ``qubits[m]``.
+    Bit m of the small-matrix index is the qubit at ``qubits[m]``.  The
+    matrix is a frozen copy; gates on the same qubits with bitwise-equal
+    entries are equal.
     """
 
     qubits: tuple[int, ...]
-    matrix: np.ndarray = field(compare=False)
+    matrix: np.ndarray
 
     def __init__(self, qubits: Sequence[int], matrix: np.ndarray):
         qubits = tuple(int(q) for q in qubits)
-        matrix = np.asarray(matrix, dtype=np.complex128)
+        matrix = np.array(matrix, dtype=np.complex128)
         if not qubits or qubits != tuple(range(qubits[0], qubits[0] + len(qubits))):
             raise ValueError("qubit positions must be contiguous and ascending")
         if qubits[0] < 0:
@@ -103,11 +100,18 @@ class LocalUnitary:
             raise ValueError(
                 f"matrix shape {matrix.shape} does not match {len(qubits)} qubits"
             )
-        if not is_unitary(matrix):
+        if not unitary_deviation(matrix) <= UNITARY_TOL:
             raise ValueError("gate matrix is not unitary within 1e-12")
         matrix.setflags(write=False)
         object.__setattr__(self, "qubits", qubits)
         object.__setattr__(self, "matrix", matrix)
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, LocalUnitary) and self.qubits == other.qubits
+                and self.matrix.tobytes() == other.matrix.tobytes())
+
+    def __hash__(self) -> int:
+        return hash((self.qubits, self.matrix.tobytes()))
 
     def bits(self) -> frozenset[int]:
         return frozenset(self.qubits)

@@ -43,10 +43,10 @@ import numpy as np
 
 from .gates import ControlledFlip, GateOp, LocalUnitary, standard_gate
 from .rules import (
+    CELL_ZERO,
     EVAL_PRESETS,
     MAX_CELLS,
     BoundaryCondition,
-    Evaluation,
     NeighborhoodRule,
     QcaConfig,
     RecordMode,
@@ -104,7 +104,7 @@ def _parse_complex(token: str, line_no: int) -> complex:
         raise ConfigSyntaxError(line_no, f"bad complex entry {token!r}") from None
 
 
-def _parse_eval(value: str, line_no: int) -> Evaluation:
+def _parse_eval(value: str, line_no: int) -> LocalUnitary:
     if value in EVAL_PRESETS:
         return EVAL_PRESETS[value]
     if value.startswith("custom:"):
@@ -116,9 +116,9 @@ def _parse_eval(value: str, line_no: int) -> Evaluation:
         entries = [_parse_complex(t.strip(), line_no) for t in tokens]
         matrix = np.array(entries, dtype=np.complex128).reshape(4, 4)
         try:
-            return Evaluation(matrix)
-        except ValueError as exc:
-            raise NonUnitaryMatrixError(str(exc)) from None
+            return LocalUnitary(CELL_ZERO, matrix)
+        except ValueError:
+            raise NonUnitaryMatrixError("evaluation matrix must be 4x4 unitary within 1e-12")
     raise ConfigSyntaxError(line_no, f"unknown eval {value!r}")
 
 

@@ -10,8 +10,10 @@ controlled qubit when the state qubits of its neighbors are all 1.  The
 flips are controlled by s-bits and target c-bits, so they commute and the
 whole phase is one involutive permutation P of basis indices: a single
 gather.  The evaluation phase applies the same 4x4 unitary U inside every
-cell.  The dense operator of one update is (U⊗…⊗U)·P, with P kept as the
-image of every basis index, mapped one at a time rather than by the gather.
+cell.  A config holds U as the `LocalUnitary` it is on cell 0, and
+`gates.gate_kernels` builds every kernel, of a rule's phases or a script's.
+The dense operator of one update is (U⊗…⊗U)·P, with P kept as the image
+of every basis index, mapped one at a time rather than by the gather.
 
 A run starts from a basis state, and P only moves amplitudes, so the state
 stays real when U is real, as it is for every preset.  A run's dtype is
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import enum
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
 from typing import Iterator, Sequence
@@ -47,9 +49,7 @@ from .gates import (
     apply_gate,
     basis_images,
     compose_dense,
-    flip_source,
     gate_kernels,
-    is_unitary,
     state_dtype,
 )
 
@@ -83,11 +83,11 @@ def basis_state(n_qubits: int, index: int, dtype=np.complex128) -> np.ndarray:
 
 def probabilities(state: np.ndarray) -> np.ndarray:
     """Measurement probabilities of every basis state; NormDriftError when
-    the squared norm of `state` is more than NORM_TOL from one."""
+    the squared norm of `state` is not within NORM_TOL of one, nan included."""
     probs = np.abs(state) ** 2
     norm = probs.sum()
-    if abs(norm - 1.0) > NORM_TOL:
-        raise NormDriftError(f"state not normalized: squared norm {norm!r}")
+    if not abs(norm - 1.0) <= NORM_TOL:
+        raise NormDriftError(f"state not normalized: squared norm {float(norm)}")
     return probs
 
 
@@ -110,41 +110,17 @@ class RecordMode(enum.Enum):
     PER_PHASE = "phase"
 
 
-@dataclass(frozen=True, eq=False)
-class Evaluation:
-    """The 4x4 unitary the evaluation phase applies inside every cell.
-
-    It acts on the cell's local index 2*s + c: s is the more significant
-    bit, as `qubit` lays out a cell.  Two evaluations are equal when
-    their entries are equal bit for bit.
-    """
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.array(self.matrix, dtype=np.complex128)
-        if m.shape != (4, 4) or not is_unitary(m):
-            raise ValueError("evaluation matrix must be 4x4 unitary within 1e-12")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Evaluation) and self.matrix.tobytes() == other.matrix.tobytes()
-
-    def __hash__(self) -> int:
-        return hash(self.matrix.tobytes())
-
+# The qubits of a config's cell unitary: its matrix index is then 2*s + c.
+CELL_ZERO = (qubit(0, "c"), qubit(0, "s"))
 
 # The presets by config keyword, written out exactly: H⊗H is ±1/2 in every
 # entry, and h_s_then_cn is H on s followed by CN from s to c.
 EVAL_PRESETS = {
-    "identity": Evaluation(np.eye(4)),
-    "h_both": Evaluation(
-        0.5 * np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]])
-    ),
-    "h_s_then_cn": Evaluation(
-        np.array([[1, 0, 1, 0], [0, 1, 0, 1], [0, 1, 0, -1], [1, 0, -1, 0]]) / np.sqrt(2.0)
-    ),
+    "identity": LocalUnitary(CELL_ZERO, np.eye(4)),
+    "h_both": LocalUnitary(CELL_ZERO, 0.5 * np.array(
+        [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]])),
+    "h_s_then_cn": LocalUnitary(CELL_ZERO, np.array(
+        [[1, 0, 1, 0], [0, 1, 0, 1], [0, 1, 0, -1], [1, 0, -1, 0]]) / np.sqrt(2.0)),
 }
 IDENTITY_EVAL, H_BOTH_EVAL, H_S_THEN_CN_EVAL = EVAL_PRESETS.values()
 
@@ -154,7 +130,7 @@ class QcaConfig:
     n_cells: int
     rule: NeighborhoodRule
     boundary: BoundaryCondition = BoundaryCondition.CONST_ZERO
-    evaluation: Evaluation = H_BOTH_EVAL
+    evaluation: LocalUnitary = H_BOTH_EVAL
     initial_index: int = 0
     n_steps: int = 0
     record: RecordMode = RecordMode.PER_STEP
@@ -187,18 +163,12 @@ class QcaConfig:
 
 @dataclass(frozen=True)
 class CompiledRule:
-    """One full update on `n_qubits` qubits: the gather ``psi[source]``, then
-    the `evaluation` gates, one cell unitary per cell.  The `interaction`
-    flips spell out the gather one gate at a time."""
+    """One full update on `n_qubits` qubits: the `interaction` flips, then
+    the `evaluation` gates, one cell unitary per cell."""
 
     n_qubits: int
     interaction: tuple[GateOp, ...]
     evaluation: tuple[GateOp, ...]
-    source: np.ndarray = field(compare=False, repr=False)
-
-    def kernels(self, dtype) -> list[Kernel]:
-        """The gather, then each cell's unitary, for a state of `dtype`."""
-        return [self.source, *gate_kernels(self.evaluation, self.n_qubits, dtype)]
 
 
 # Cell offsets of the neighbours whose s-qubits together flip a cell's c-qubit.
@@ -240,10 +210,8 @@ def compile_evaluation(config: QcaConfig) -> list[GateOp]:
 
 
 def compile_rule(config: QcaConfig) -> CompiledRule:
-    n_qubits = config.n_qubits
-    interaction = tuple(compile_interaction(config))
-    evaluation = tuple(compile_evaluation(config))
-    return CompiledRule(n_qubits, interaction, evaluation, flip_source(interaction, n_qubits))
+    return CompiledRule(config.n_qubits, tuple(compile_interaction(config)),
+                        tuple(compile_evaluation(config)))
 
 
 def interaction_images(config: QcaConfig) -> np.ndarray:
@@ -324,16 +292,14 @@ def _record(n_qubits: int, initial_index: int, dtype, n_columns: int, timesteps,
     return columns.T
 
 
-def run_dtype(config: QcaConfig) -> type:
-    """The dtype every state of `config`'s evolution has (see `state_dtype`)."""
-    return state_dtype(compile_evaluation(config))
-
-
 def update_kernels(config: QcaConfig, dtype) -> list[list[Kernel]]:
-    """The kernel lists of one update's timesteps, compiled now: the whole
-    update under PER_STEP, the gather and then the cells under PER_PHASE."""
-    gather, *cells = compile_rule(config).kernels(dtype)
-    return [[gather], cells] if config.record is RecordMode.PER_PHASE else [[gather, *cells]]
+    """The kernel lists of one update's timesteps, built now by
+    `gate_kernels`: the whole update under PER_STEP, the interaction and
+    then the evaluation under PER_PHASE."""
+    rule = compile_rule(config)
+    phases = ([rule.interaction, rule.evaluation] if config.record is RecordMode.PER_PHASE
+              else [rule.interaction + rule.evaluation])
+    return [list(gate_kernels(gates, rule.n_qubits, dtype)) for gates in phases]
 
 
 def evolve(config: QcaConfig) -> np.ndarray:
@@ -345,7 +311,7 @@ def evolve(config: QcaConfig) -> np.ndarray:
     The matrix is F-contiguous: each column is recorded as one contiguous
     block of memory.
     """
-    dtype = run_dtype(config)
+    dtype = state_dtype([config.evaluation])
 
     def timesteps():  # the rule's gather index is built once `_record` asks
         update = update_kernels(config, dtype)

@@ -3,14 +3,13 @@ and config, float and complex formatting, shared by the test modules."""
 
 import numpy as np
 
-from qca2.gates import advance, state_dtype
+from qca2.gates import advance, gate_kernels, state_dtype
 from qca2.rules import (
     CompiledRule,
     EVAL_PRESETS,
     QcaConfig,
     RecordMode,
     basis_state,
-    compile_evaluation,
     compile_rule,
     probabilities,
 )
@@ -41,24 +40,30 @@ def step(state: np.ndarray, rule: CompiledRule) -> np.ndarray:
         raise ValueError(
             f"state has {state.size} amplitudes, rule expects {1 << rule.n_qubits}"
         )
+    kernels = [kernel for gates in (rule.interaction, rule.evaluation)
+               for kernel in gate_kernels(gates, rule.n_qubits, state.dtype)]
     # `advance` writes its second kernel's output into its first buffer.
-    return advance(state.copy(), rule.kernels(state.dtype), np.empty_like(state))[0]
+    return advance(state.copy(), kernels, np.empty_like(state))[0]
 
 
 def evolve_reference(config: QcaConfig) -> np.ndarray:
     """`evolve`'s probability matrix from a loop that never stops early: it
     advances the state through every update of the run and records every
-    column, on the state dtype `evolve` chooses."""
-    dtype = state_dtype(compile_evaluation(config))
-    gather, *cells = compile_rule(config).kernels(dtype)
-    phases = [[gather], cells] if config.record is RecordMode.PER_PHASE else [[gather, *cells]]
+    column, on the state dtype `evolve` chooses.  Its kernels are built one
+    phase at a time, and an interaction without flips has no gather."""
+    dtype = state_dtype([config.evaluation])
+    rule = compile_rule(config)
+    interaction, evaluation = (list(gate_kernels(gates, rule.n_qubits, dtype))
+                               for gates in (rule.interaction, rule.evaluation))
     psi = basis_state(config.n_qubits, config.initial_index, dtype)
     spare = np.empty_like(psi)
     columns = [probabilities(psi)]
     for _ in range(config.n_steps):
-        for kernels in phases:
-            psi, spare = advance(psi, kernels, spare)
+        psi, spare = advance(psi, interaction, spare)
+        if config.record is RecordMode.PER_PHASE:
             columns.append(probabilities(psi))
+        psi, spare = advance(psi, evaluation, spare)
+        columns.append(probabilities(psi))
     return np.column_stack(columns)
 
 

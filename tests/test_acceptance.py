@@ -14,10 +14,10 @@ import pytest
 
 from qca2.analysis import check_interaction, check_translation, detect_period
 from qca2.cli import main
+from qca2.gates import LocalUnitary
 from qca2.io_formats import parse_config, parse_script
 from qca2.rules import (
     BoundaryCondition,
-    Evaluation,
     H_BOTH_EVAL,
     H_S_THEN_CN_EVAL,
     IDENTITY_EVAL,
@@ -101,7 +101,7 @@ def test_04_oracle_equivalence_random_configs():
         n = int(rng.integers(1, 5))
         evaluation = [
             IDENTITY_EVAL, H_BOTH_EVAL, H_S_THEN_CN_EVAL,
-            Evaluation(random_unitary(rng, 4)),
+            LocalUnitary((0, 1), random_unitary(rng, 4)),
         ][int(rng.integers(0, 4))]
         cfg = QcaConfig(
             n_cells=n,

@@ -27,7 +27,6 @@ from qca2.gates import (
 )
 from qca2.rules import (
     BoundaryCondition,
-    Evaluation,
     H_BOTH_EVAL,
     H_S_THEN_CN_EVAL,
     IDENTITY_EVAL,
@@ -40,7 +39,7 @@ from qca2.rules import (
 
 from helpers import random_unitary
 
-COMPLEX_CUSTOM = Evaluation(random_unitary(np.random.default_rng(5), 4))
+COMPLEX_CUSTOM = LocalUnitary((0, 1), random_unitary(np.random.default_rng(5), 4))
 
 
 class TestCheckUnitary:
@@ -275,7 +274,7 @@ class TestSearchPeriod:
     # exactly.
     def test_odd_lag_under_record_phase(self, twin_runs):
         c, s = np.cos(1e-6), np.sin(1e-6)
-        rotation = Evaluation(np.kron(np.eye(2), [[c, -s], [s, c]]))
+        rotation = LocalUnitary((0, 1), np.kron(np.eye(2), [[c, -s], [s, c]]))
         cfg = QcaConfig(2, NeighborhoodRule.RIGHT, BoundaryCondition.CONST_ZERO, rotation,
                         initial_index=0, record=RecordMode.PER_PHASE)
         report = search_period(cfg, 65)

@@ -244,7 +244,7 @@ def test_closed_stdout_ends_in_one_error_line(tmp_path):
     assert "Traceback" not in err
 
 
-def test_memory_check_counts_states_at_the_run_dtype(tmp_path, capsys, monkeypatch):
+def test_memory_check_counts_states_at_the_state_dtype(tmp_path, capsys, monkeypatch):
     # 5 cells, two columns: 16 KiB of probabilities, 24 KiB of gather index
     # and probability temporaries, and two states of 8 KiB each when real or
     # 16 KiB each when complex, against 56 KiB of memory.

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qca2.gates import (
+    UNITARY_TOL,
     ControlledFlip,
     LocalUnitary,
     apply_gate,
@@ -12,9 +13,9 @@ from qca2.gates import (
     contract,
     embed_gate,
     flip_source,
-    is_unitary,
     standard_gate,
     state_dtype,
+    unitary_deviation,
 )
 from qca2.rules import basis_state
 
@@ -39,7 +40,7 @@ class TestStandardGates:
 
     def test_all_standard_gates_unitary(self):
         for name in ("X", "H", "CN"):
-            assert is_unitary(standard_gate(name))
+            assert unitary_deviation(standard_gate(name)) <= UNITARY_TOL
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
@@ -73,6 +74,23 @@ class TestGateOps:
     def test_matrix_shape_must_match(self):
         with pytest.raises(ValueError):
             LocalUnitary((0, 1), standard_gate("H"))
+
+    def test_different_matrices_on_one_qubit_differ_and_hash_apart(self):
+        i, x = LocalUnitary((0,), np.eye(2)), LocalUnitary((0,), standard_gate("X"))
+        assert i != x and hash(i) != hash(x) and len({i, x}) == 2
+
+    def test_equal_entries_on_equal_qubits_are_equal_and_hash_alike(self, rng):
+        u = random_unitary(rng, 4)
+        a, b = LocalUnitary((0, 1), u), LocalUnitary([0, 1], u.copy())
+        assert a == b and hash(a) == hash(b)
+        assert a != LocalUnitary((1, 2), u)
+
+    def test_the_callers_matrix_stays_writeable(self):
+        h = standard_gate("H")
+        gate = LocalUnitary((0,), h)
+        h[0, 0] = 0
+        assert gate.matrix[0, 0] == standard_gate("H")[0, 0]
+        assert not gate.matrix.flags.writeable
 
 
 class TestEmbedGate:

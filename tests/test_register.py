@@ -5,7 +5,14 @@ from hypothesis import strategies as st
 
 from qca2.gates import ControlledFlip
 from qca2.io_formats import ConfigRangeError, ConfigSyntaxError, parse_script
-from qca2.rules import NeighborhoodRule, QcaConfig, basis_state, probabilities, qubit
+from qca2.rules import (
+    NeighborhoodRule,
+    NormDriftError,
+    QcaConfig,
+    basis_state,
+    probabilities,
+    qubit,
+)
 
 from helpers import random_state
 
@@ -95,6 +102,15 @@ class TestProbabilities:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             probabilities(np.ones(4, dtype=np.complex128))
+
+    def test_reports_the_norm_as_a_plain_float(self):
+        with pytest.raises(NormDriftError) as info:
+            probabilities(np.array([1.0, 0.5]))
+        assert str(info.value) == "state not normalized: squared norm 1.25"
+
+    def test_rejects_a_nan_norm(self):
+        with pytest.raises(NormDriftError, match="squared norm nan"):
+            probabilities(np.array([np.nan, 0.0]))
 
     @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=8))
     def test_random_state_sums_to_one(self, seed, n):

@@ -17,7 +17,6 @@ from qca2.gates import (
 from qca2.io_formats import parse_config
 from qca2.rules import (
     BoundaryCondition,
-    Evaluation,
     H_BOTH_EVAL,
     H_S_THEN_CN_EVAL,
     IDENTITY_EVAL,
@@ -89,14 +88,16 @@ class TestConfigValidation:
 
     def test_custom_eval_must_be_unitary(self):
         with pytest.raises(ValueError):
-            Evaluation(np.ones((4, 4)))
+            LocalUnitary((0, 1), np.ones((4, 4)))
 
     def test_configs_with_different_custom_matrices_differ(self, rng):
-        a, b = (make_config(2, NeighborhoodRule.RIGHT, evaluation=Evaluation(random_unitary(rng, 4)))
+        a, b = (make_config(2, NeighborhoodRule.RIGHT,
+                            evaluation=LocalUnitary((0, 1), random_unitary(rng, 4)))
                 for _ in range(2))
         assert a != b
         assert len({a, b}) == 2
-        assert a == make_config(2, NeighborhoodRule.RIGHT, evaluation=Evaluation(a.evaluation.matrix))
+        assert a == make_config(2, NeighborhoodRule.RIGHT,
+                                evaluation=LocalUnitary((0, 1), a.evaluation.matrix))
 
 
 class TestEvalPresets:
@@ -238,7 +239,7 @@ class TestCompileEvaluation:
     def test_custom_matrix_placement(self, rng):
         u = random_unitary(rng, 4)
         cfg = make_config(2, NeighborhoodRule.RIGHT,
-                          evaluation=Evaluation(u))
+                          evaluation=LocalUnitary((0, 1), u))
         gates = compile_evaluation(cfg)
         assert gates == [LocalUnitary((0, 1), u), LocalUnitary((2, 3), u)]
 
@@ -281,8 +282,8 @@ class TestDenseRule:
 # The column gather equals the product with the dense interaction matrix
 # bit for bit, signs of zeros included: it is what `qca2 matrix` prints.
 @pytest.mark.parametrize("evaluation", [
-    *PRESET_EVALS, Evaluation(random_orthogonal(np.random.default_rng(8), 4)),
-    Evaluation(COMPLEX_CUSTOM),
+    *PRESET_EVALS, LocalUnitary((0, 1), random_orthogonal(np.random.default_rng(8), 4)),
+    LocalUnitary((0, 1), COMPLEX_CUSTOM),
 ], ids=["identity", "h_both", "h_s_then_cn", "real-custom", "complex-custom"])
 @pytest.mark.parametrize("rule", ALL_RULES)
 @pytest.mark.parametrize("boundary", ALL_BOUNDARIES)
@@ -290,7 +291,7 @@ def test_dense_rule_equals_the_product_with_the_composed_interaction(evaluation,
                                                                      boundary):
     configs = [make_config(n, rule, boundary, evaluation) for n in range(1, 5)]
     if (rule, boundary, evaluation) == (NeighborhoodRule.BOTH, BoundaryCondition.CYCLIC,
-                                        Evaluation(COMPLEX_CUSTOM)):
+                                        LocalUnitary((0, 1), COMPLEX_CUSTOM)):
         configs.append(make_config(5, rule, boundary, evaluation))
     for cfg in configs:
         cells = reduce(np.kron, [evaluation.matrix] * cfg.n_cells)
@@ -347,7 +348,7 @@ class TestStep:
 
     def test_real_state_refuses_a_complex_cell_unitary(self):
         rule = compile_rule(make_config(2, NeighborhoodRule.RIGHT,
-                                        evaluation=Evaluation(COMPLEX_CUSTOM)))
+                                        evaluation=LocalUnitary((0, 1), COMPLEX_CUSTOM)))
         with pytest.raises(TypeError):
             step(basis_state(4, 1, np.float64), rule)
 
@@ -423,7 +424,8 @@ def reference_interaction(n_cells, rule, boundary):
 @pytest.mark.parametrize("boundary", ALL_BOUNDARIES)
 def test_interaction_gather_matches_rule_text(rule, boundary):
     for n in range(1, 7):
-        source = compile_rule(make_config(n, rule, boundary)).source
+        cfg = make_config(n, rule, boundary)
+        source = flip_source(compile_interaction(cfg), cfg.n_qubits)
         assert source.tolist() == reference_interaction(n, rule, boundary), n
 
 
@@ -475,7 +477,7 @@ def complex_reference(cfg):
     columns = [probabilities(psi)]
     for _ in range(cfg.n_steps):
         if cfg.record is RecordMode.PER_PHASE:
-            columns.append(probabilities(psi[rule.source]))
+            columns.append(probabilities(psi[flip_source(rule.interaction, rule.n_qubits)]))
         psi = step(psi, rule)
         columns.append(probabilities(psi))
     return np.column_stack(columns)
@@ -486,7 +488,7 @@ def complex_reference(cfg):
 @pytest.mark.parametrize("record", list(RecordMode))
 def test_evolve_is_column_contiguous_and_equals_step_bitwise(record):
     cfg = make_config(4, NeighborhoodRule.BOTH, BoundaryCondition.CYCLIC,
-                      Evaluation(COMPLEX_CUSTOM), initial=77, steps=12, record=record)
+                      LocalUnitary((0, 1), COMPLEX_CUSTOM), initial=77, steps=12, record=record)
     matrix = evolve(cfg)
     assert matrix.T.flags.c_contiguous and matrix.shape == (256, cfg.n_columns)
     assert matrix.tobytes() == complex_reference(cfg).tobytes()
@@ -498,7 +500,7 @@ def test_evolve_is_column_contiguous_and_equals_step_bitwise(record):
 # columns equal, byte for byte, those of two loops that evolve to the end:
 # one on the run's own state dtype and one on a complex128 state, which the
 # presets, all real, never use.
-@pytest.mark.parametrize("evaluation", [*PRESET_EVALS, Evaluation(COMPLEX_CUSTOM)],
+@pytest.mark.parametrize("evaluation", [*PRESET_EVALS, LocalUnitary((0, 1), COMPLEX_CUSTOM)],
                          ids=["identity", "h_both", "h_s_then_cn", "complex-custom"])
 @pytest.mark.parametrize("rule", ALL_RULES)
 @pytest.mark.parametrize("boundary", ALL_BOUNDARIES)
@@ -544,7 +546,7 @@ class TestRecurrence:
     def test_a_probability_of_one_beside_other_amplitudes_does_not_stop_the_run(self):
         u = np.eye(4)
         u[:2, :2] = [[1.0, -1e-9], [1e-9, 1.0]]
-        cfg = make_config(1, NeighborhoodRule.RIGHT, evaluation=Evaluation(u), steps=5)
+        cfg = make_config(1, NeighborhoodRule.RIGHT, evaluation=LocalUnitary((0, 1), u), steps=5)
         matrix = evolve(cfg)
         assert (matrix[0] == 1.0).all() and matrix[1, 5] > matrix[1, 1] > 0
         assert matrix.tobytes() == evolve_reference(cfg).tobytes()
@@ -555,7 +557,7 @@ class TestRecurrence:
     @pytest.mark.parametrize("record", list(RecordMode))
     @pytest.mark.parametrize("rule, evaluation, drawn", [
         (NeighborhoodRule.RIGHT, H_BOTH_EVAL, 6),
-        (NeighborhoodRule.BOTH, Evaluation(COMPLEX_CUSTOM), 40),
+        (NeighborhoodRule.BOTH, LocalUnitary((0, 1), COMPLEX_CUSTOM), 40),
     ], ids=["h_both-returns", "complex-custom-never-returns"])
     def test_columns_drawn(self, monkeypatch, rule, evaluation, drawn, record):
         calls = []
@@ -617,7 +619,7 @@ class TestEvolveBytes:
     @pytest.mark.parametrize("steps", [0, 3], ids=["one-column", "many-columns"])
     @pytest.mark.parametrize("record", list(RecordMode))
     @pytest.mark.parametrize("evaluation, dtype", [
-        (H_BOTH_EVAL, np.float64), (Evaluation(COMPLEX_CUSTOM), np.complex128),
+        (H_BOTH_EVAL, np.float64), (LocalUnitary((0, 1), COMPLEX_CUSTOM), np.complex128),
     ], ids=["h_both", "complex-custom"])
     def test_is_what_evolve_allocates(self, run_states, evaluation, dtype, record, steps):
         cfg = make_config(8, NeighborhoodRule.BOTH, BoundaryCondition.CYCLIC, evaluation,
@@ -661,7 +663,7 @@ class TestEvolveBytes:
     def test_refused_run_allocates_nothing_first(self, monkeypatch, record):
         monkeypatch.setattr(rules, "_physical_memory", lambda: 1 << 20)
         cfg = make_config(8, NeighborhoodRule.BOTH, BoundaryCondition.CYCLIC,
-                          Evaluation(COMPLEX_CUSTOM), initial=1, steps=3, record=record)
+                          LocalUnitary((0, 1), COMPLEX_CUSTOM), initial=1, steps=3, record=record)
 
         def refused():
             with pytest.raises(MemoryError, match="physical memory"):
@@ -686,7 +688,7 @@ class TestSearchBytes:
     # returns exactly; the complex run has no period, and its first lag gets
     # a twin only because the screen is made to let every lag through.
     @pytest.mark.parametrize("evaluation, dtype", [
-        (H_S_THEN_CN_EVAL, np.float64), (Evaluation(COMPLEX_CUSTOM), np.complex128),
+        (H_S_THEN_CN_EVAL, np.float64), (LocalUnitary((0, 1), COMPLEX_CUSTOM), np.complex128),
     ], ids=["h_s_then_cn", "complex-custom"])
     def test_is_what_a_search_with_a_twin_allocates(self, monkeypatch, run_states, twin_runs,
                                                     evaluation, dtype):
@@ -707,7 +709,7 @@ class TestSearchBytes:
     def test_refused_search_allocates_nothing_first(self, monkeypatch, record):
         monkeypatch.setattr(rules, "_physical_memory", lambda: 1 << 20)
         cfg = make_config(8, NeighborhoodRule.BOTH, BoundaryCondition.CYCLIC,
-                          Evaluation(COMPLEX_CUSTOM), initial=1, record=record)
+                          LocalUnitary((0, 1), COMPLEX_CUSTOM), initial=1, record=record)
 
         def refused():
             with pytest.raises(MemoryError, match="physical memory"):

@@ -20,13 +20,27 @@ def test_run_figures_reproduces_the_goldens(tmp_path):
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
 
+# The period column of `period_sweep.py --max-cells 3 --horizon 64`, by rule
+# and evaluation, for 1, 2 and 3 cells.
+SWEEP_PERIODS_3_CELLS = {
+    ("right", "h_both"): ["2", "2", "2"], ("right", "h_s_then_cn"): ["8", "8", "8"],
+    ("left", "h_both"): ["2", "6", "6"], ("left", "h_s_then_cn"): ["8", "8", "8"],
+    ("both", "h_both"): ["2", "2", "2"], ("both", "h_s_then_cn"): ["8", "8", "24"],
+}
+
+
 def test_period_sweep_runs():
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, str(SCRIPTS / "period_sweep.py"), "--max-cells", "2", "--horizon", "64"],
+        [sys.executable, str(SCRIPTS / "period_sweep.py"), "--max-cells", "3", "--horizon", "64"],
         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stderr
+    periods = {}
+    for line in result.stdout.splitlines()[1:]:
+        rule, evaluation, _, period, _ = line.split()
+        periods.setdefault((rule, evaluation), []).append(period)
+    assert periods == SWEEP_PERIODS_3_CELLS
 
 
 # `output_digest.py --max-cells 2`: any changed byte of any output changes one.
