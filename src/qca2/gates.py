@@ -53,8 +53,9 @@ def standard_gate(name: str) -> np.ndarray:
 
 
 def unitary_deviation(matrix: np.ndarray) -> float:
-    """Max-norm distance of matrix†·matrix from the identity."""
-    return float(np.max(np.abs(matrix.conj().T @ matrix - np.eye(matrix.shape[0]))))
+    """Max-norm distance of matrix†·matrix from the identity; inf or nan on overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.max(np.abs(matrix.conj().T @ matrix - np.eye(matrix.shape[0]))))
 
 
 @dataclass(frozen=True)

@@ -29,15 +29,17 @@ CSV values are the shortest positional decimals that round-trip each
 double, the digits of ``repr`` and of numpy's
 ``format_float_positional(unique=True, trim="-")``.  They are computed with
 numpy, a block of values at a time: Schubfach finds each value's digits
-with integer arithmetic, each distinct value is laid out as a fixed-width
-row of bytes, and the rows are gathered and compacted into text, as
-`render_pgm` builds its bytes.
+with integer arithmetic, and each distinct value is laid out as a
+fixed-width row of bytes, NUL where it has no character.  PGM pixels take
+their rows from one table of the 256 pixel texts.  Every writer gathers a
+block's rows, writes separators and line ends into their last columns and
+drops the NULs.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Iterator
+from typing import Container, Iterator
 
 import numpy as np
 
@@ -72,13 +74,6 @@ class ConfigRangeError(ConfigError):
 
 class NonUnitaryMatrixError(ConfigError):
     pass
-
-
-_RULES = {r.value: r for r in NeighborhoodRule}
-_BOUNDARIES = {b.value: b for b in BoundaryCondition}
-_RECORDS = {m.value: m for m in RecordMode}
-
-_CONFIG_KEYS = {"cells", "rule", "boundary", "eval", "steps", "initial", "record"}
 
 
 def _split_lines(text: str) -> list[tuple[int, str]]:
@@ -123,7 +118,7 @@ def _parse_eval(value: str, line_no: int) -> LocalUnitary:
 
 
 def _key_values(
-    lines: list[tuple[int, str]], allowed: set[str], required: tuple[str, ...]
+    lines: list[tuple[int, str]], allowed: Container[str], required: tuple[str, ...]
 ) -> dict[str, tuple[int, str]]:
     pairs: dict[str, tuple[int, str]] = {}
     for line_no, line in lines:
@@ -142,40 +137,34 @@ def _key_values(
     return pairs
 
 
-def _int_values(pairs: dict[str, tuple[int, str]], *keys: str) -> list[int]:
-    return [_parse_int(pairs[key][1], pairs[key][0], key) for key in keys]
+def _parse_member(enum_type: type, what: str, value: str, line_no: int):
+    """The member of `enum_type` with `value`; a bad value is named as `what`."""
+    try:
+        return enum_type(value)
+    except ValueError:
+        raise ConfigSyntaxError(line_no, f"unknown {what} {value!r}") from None
+
+
+# Each config key's QcaConfig field and parser, in the order keys are read;
+# a key the file leaves out takes the field's default.
+_CONFIG_FIELDS = {
+    "rule": ("rule", functools.partial(_parse_member, NeighborhoodRule, "rule")),
+    "boundary": ("boundary", functools.partial(_parse_member, BoundaryCondition, "boundary")),
+    "eval": ("evaluation", _parse_eval),
+    "record": ("record", functools.partial(_parse_member, RecordMode, "record mode")),
+    "cells": ("n_cells", functools.partial(_parse_int, key="cells")),
+    "initial": ("initial_index", functools.partial(_parse_int, key="initial")),
+    "steps": ("n_steps", functools.partial(_parse_int, key="steps")),
+}
 
 
 def parse_config(text: str) -> QcaConfig:
     """Parse a run config; raises ConfigError subclasses on bad input."""
-    pairs = _key_values(_split_lines(text), _CONFIG_KEYS, ("cells", "rule", "steps", "initial"))
-
-    line_no, value = pairs["rule"]
-    if value not in _RULES:
-        raise ConfigSyntaxError(line_no, f"unknown rule {value!r}")
-    rule = _RULES[value]
-
-    boundary = BoundaryCondition.CONST_ZERO
-    if "boundary" in pairs:
-        line_no, value = pairs["boundary"]
-        if value not in _BOUNDARIES:
-            raise ConfigSyntaxError(line_no, f"unknown boundary {value!r}")
-        boundary = _BOUNDARIES[value]
-
-    evaluation = EVAL_PRESETS["h_both"]
-    if "eval" in pairs:
-        evaluation = _parse_eval(pairs["eval"][1], pairs["eval"][0])
-
-    record = RecordMode.PER_STEP
-    if "record" in pairs:
-        line_no, value = pairs["record"]
-        if value not in _RECORDS:
-            raise ConfigSyntaxError(line_no, f"unknown record mode {value!r}")
-        record = _RECORDS[value]
-
-    cells, initial, steps = _int_values(pairs, "cells", "initial", "steps")
+    pairs = _key_values(_split_lines(text), _CONFIG_FIELDS, ("cells", "rule", "steps", "initial"))
+    fields = {field: parse(pairs[key][1], pairs[key][0])
+              for key, (field, parse) in _CONFIG_FIELDS.items() if key in pairs}
     try:
-        return QcaConfig(cells, rule, boundary, evaluation, initial, steps, record)
+        return QcaConfig(**fields)
     except ValueError as exc:
         raise ConfigRangeError(str(exc)) from None
 
@@ -200,7 +189,7 @@ def parse_script(text: str) -> tuple[int, int, list[list[GateOp]]]:
     first_step = next((i for i, (_, line) in enumerate(lines) if line == "step"), len(lines))
     header, body = lines[:first_step], lines[first_step:]
     pairs = _key_values(header, {"cells", "initial"}, ("cells", "initial"))
-    cells, initial = _int_values(pairs, "cells", "initial")
+    cells, initial = (_parse_int(pairs[k][1], pairs[k][0], k) for k in ("cells", "initial"))
     if not 1 <= cells <= MAX_CELLS:  # before 4**cells is formed
         raise ConfigRangeError(f"n_cells must be in 1..{MAX_CELLS}, got {cells}")
     n_qubits = 2 * cells
@@ -224,13 +213,8 @@ def parse_script(text: str) -> tuple[int, int, list[list[GateOp]]]:
         bits = [_parse_qubit(a, cells, line_no) for a in args]
         if len(set(bits)) != len(bits):
             raise ConfigSyntaxError(line_no, "gate qubits must be distinct")
-        if name == "H":
-            gate: GateOp = LocalUnitary((bits[0],), standard_gate("H"))
-        elif name == "X":
-            gate = ControlledFlip((), bits[0])
-        else:
-            gate = ControlledFlip(bits[:-1], bits[-1])
-        script[-1].append(gate)
+        script[-1].append(LocalUnitary((bits[0],), standard_gate("H")) if name == "H"
+                          else ControlledFlip(bits[:-1], bits[-1]))
     return n_qubits, initial, script
 
 
@@ -475,7 +459,10 @@ def read_csv(text: str) -> np.ndarray:
     return np.array(rows, dtype=np.float64)
 
 
-_PGM_BLOCK_PIXELS = 1 << 16  # per numpy pass: temporaries of a few MB at most
+# Each pixel value's text as a row: its digits, NUL padding and a space.
+_PIXEL_TEXT = np.frombuffer(
+    b"".join(str(v).encode().ljust(3, b"\0") + b" " for v in range(256)), np.uint8
+).reshape(256, 4)
 
 
 def render_pgm(matrix: np.ndarray) -> bytes:
@@ -486,24 +473,18 @@ def render_pgm(matrix: np.ndarray) -> bytes:
     left to right.
     """
     n_rows, n_cols = matrix.shape
-    chunks = [f"P2\n{n_cols} {n_rows}\n255\n".encode("ascii")]
-    rows_per_block = max(1, _PGM_BLOCK_PIXELS // n_cols)
+    header = f"P2\n{n_cols} {n_rows}\n255\n".encode("ascii")
+    if n_cols == 0:
+        return header + b"\n" * n_rows
+    chunks = [header]
+    rows_per_block = max(1, _BLOCK_VALUES // n_cols)
     for start in range(0, n_rows, rows_per_block):
         block = matrix[start:start + rows_per_block]
         # 255*(1-p) is nonnegative, so floor(x + 0.5) is half-away-from-zero.
         pixels = np.floor(255.0 * (1.0 - block) + 0.5).astype(np.int64)
-        values = np.clip(pixels, 0, 255).astype(np.uint8).ravel()
-        # A value takes 1-3 digits and a space or newline; the running sum
-        # of those widths is where each value ends, and its digits go back
-        # from there.
-        tens, hundreds = values >= 10, values >= 100
-        end = np.cumsum(2 + tens + hundreds)
-        text = np.full(end[-1], ord(" "), dtype=np.uint8)
-        text[end[n_cols - 1::n_cols] - 1] = ord("\n")
-        text[end - 2] = ord("0") + values % 10
-        text[end[tens] - 3] = ord("0") + values[tens] // 10 % 10
-        text[end[hundreds] - 4] = ord("0") + values[hundreds] // 100
-        chunks.append(text.tobytes())
+        chars = _PIXEL_TEXT[np.clip(pixels, 0, 255)]
+        chars[:, -1, -1] = ord("\n")
+        chunks.append(chars[chars != 0].tobytes())
     return b"".join(chunks)
 
 

@@ -17,6 +17,7 @@ from qca2.cli import main
 from qca2.gates import LocalUnitary
 from qca2.io_formats import parse_config, parse_script
 from qca2.rules import (
+    EVAL_PRESETS,
     BoundaryCondition,
     H_BOTH_EVAL,
     H_S_THEN_CN_EVAL,
@@ -41,7 +42,7 @@ SWEEP = list(itertools.product(
     list(NeighborhoodRule),
     list(BoundaryCondition),
     [1, 2, 3, 4],
-    [IDENTITY_EVAL, H_BOTH_EVAL, H_S_THEN_CN_EVAL],
+    list(EVAL_PRESETS),
 ))
 
 FIG3 = QcaConfig(3, NeighborhoodRule.RIGHT, BoundaryCondition.CONST_ZERO,
@@ -73,11 +74,11 @@ def test_01_fig2_script_reproduction():
 def test_02_unitarity_sweep():
     t0 = time.perf_counter()
     worst = 0.0
-    for rule, boundary, n, evaluation in SWEEP:
-        cfg = QcaConfig(n, rule, boundary, evaluation)
+    for rule, boundary, n, preset in SWEEP:
+        cfg = QcaConfig(n, rule, boundary, EVAL_PRESETS[preset])
         op = build_dense_rule(cfg)
         dev = float(np.max(np.abs(op.conj().T @ op - np.eye(op.shape[0]))))
-        assert dev <= 1e-12, (rule, boundary, n, evaluation.kind, dev)
+        assert dev <= 1e-12, (rule, boundary, n, preset, dev)
         worst = max(worst, dev)
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0
@@ -85,8 +86,8 @@ def test_02_unitarity_sweep():
 
 
 def test_03_interaction_phase_contract():
-    for rule, boundary, n, evaluation in SWEEP:
-        cfg = QcaConfig(n, rule, boundary, evaluation)
+    for rule, boundary, n, preset in SWEEP:
+        cfg = QcaConfig(n, rule, boundary, EVAL_PRESETS[preset])
         report = check_interaction(cfg)
         assert report.passed, (rule, boundary, n, report)
     _ok(3, f"{len(SWEEP)} interaction operators are s-bit-preserving permutations")

@@ -176,6 +176,7 @@ class TestMatrixCommand:
     (["simulate", "{conf}", "--out-csv", "{tmp}/missing/x.csv"], "cannot write"),
     (["simulate", "{conf}", "--out-pgm", "{tmp}/missing/x.pgm"], "cannot write"),
     (["simulate", "{no_steps}"], "error: missing required key 'steps'\n"),
+    (["simulate", "{overflow}"], "error: evaluation matrix must be 4x4 unitary within 1e-12\n"),
     (["period", "{drift}", "--horizon", "4096"], "state not normalized"),
     (["simulate", "{not_utf8}"], "cannot read"),
     (["simulate", "{large}"], "physical memory"),
@@ -185,7 +186,7 @@ class TestMatrixCommand:
     (["period"], "the following arguments are required: config"),
     (["frobnicate", "{conf}"], "invalid choice: 'frobnicate'"),
 ], ids=["negative-tol", "nan-tol", "unwritable-csv", "unwritable-pgm", "missing-key",
-        "norm-drift", "not-utf8", "too-large-simulate", "too-large-period",
+        "overflowing-eval", "norm-drift", "not-utf8", "too-large-simulate", "too-large-period",
         "too-large-script", "bad-flag-value", "missing-config", "unknown-subcommand"])
 def test_bad_input_ends_in_one_error_line(argv, message, cyclic_conf, tmp_path, capsys,
                                           monkeypatch):
@@ -208,9 +209,12 @@ def test_bad_input_ends_in_one_error_line(argv, message, cyclic_conf, tmp_path, 
     drift = tmp_path / "drift.conf"
     diagonal = ",".join("1.0000000000004" if i % 5 == 0 else "0" for i in range(16))
     drift.write_text(f"cells=5\nrule=both\neval=custom:{diagonal}\nsteps=0\ninitial=0\n")
+    # Its entry squares to inf in the unitarity check, without a numpy warning.
+    overflow = tmp_path / "overflow.conf"
+    overflow.write_text(f"cells=2\nrule=right\neval=custom:1e200{',0' * 15}\nsteps=1\ninitial=0\n")
     not_utf8 = tmp_path / "not_utf8.conf"
     not_utf8.write_bytes(b"\xff\xfe")
-    paths = {"conf": cyclic_conf, "tmp": tmp_path, "no_steps": no_steps,
+    paths = {"conf": cyclic_conf, "tmp": tmp_path, "no_steps": no_steps, "overflow": overflow,
              "drift": drift, "not_utf8": not_utf8, "large": large,
              "large_period": large_period, "large_script": large_script}
     assert main([arg.format(**paths) for arg in argv]) == 2

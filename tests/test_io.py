@@ -51,8 +51,10 @@ class TestParseConfig:
 
     def test_minimal_config_defaults(self):
         config = parse_config("cells=1\nrule=right\nsteps=0\ninitial=0\n")
+        assert config == QcaConfig(1, NeighborhoodRule.RIGHT, initial_index=0, n_steps=0)
         assert config.boundary is BoundaryCondition.CONST_ZERO
         assert config.evaluation == H_BOTH_EVAL
+        assert config.record is RecordMode.PER_STEP
 
     def test_initial_out_of_range(self):
         with pytest.raises(ConfigRangeError):
@@ -70,6 +72,23 @@ class TestParseConfig:
     def test_bad_rule_value(self):
         with pytest.raises(ConfigSyntaxError):
             parse_config("cells=2\nrule=up\nsteps=1\ninitial=0\n")
+
+    # With two bad values the first one in key order (rule, boundary, eval,
+    # record, cells, initial, steps) is reported, wherever its line is.
+    @pytest.mark.parametrize("lines, message", [
+        (["cells=2", "rule=diag", "boundary=x"], "line 2: unknown rule 'diag'"),
+        (["cells=2", "rule=right", "boundary=x", "record=y"], "line 3: unknown boundary 'x'"),
+        (["cells=2", "rule=right", "record=y", "eval=bogus"], "line 4: unknown eval 'bogus'"),
+        (["cells=2", "rule=right", "record=y", "steps=a"], "line 3: unknown record mode 'y'"),
+        (["cells=x", "rule=right", "steps=a"], "line 1: cells must be an integer, got 'x'"),
+    ], ids=["rule-before-boundary", "boundary-before-record", "eval-before-record",
+            "record-before-steps", "cells-before-steps"])
+    def test_first_bad_value_in_key_order_wins(self, lines, message):
+        given = {line.partition("=")[0] for line in lines}
+        filler = [f"{key}=0" for key in ("steps", "initial") if key not in given]
+        with pytest.raises(ConfigSyntaxError) as exc:
+            parse_config("\n".join(lines + filler) + "\n")
+        assert str(exc.value) == message
 
     def test_comments_and_blank_lines(self):
         text = "# header\n\ncells=2  # two cells\nrule=left\nsteps=3\ninitial=1\n"
@@ -294,17 +313,16 @@ def test_writers_match_per_value_formatting(pool, shape, seed):
     assert write_operator_csv(op) == _reference_operator(op)
 
 
-# Probabilities whose pixels are 0, 9, 10, 99, 100 and 255, where the width
-# of a pixel's decimal digits changes.
-_PIXEL_EDGES = 1.0 - np.array([0, 9, 10, 99, 100, 255]) / 255.0
+# A probability for every pixel value from 0 to 255.
+_PIXEL_VALUES = 1.0 - np.arange(256) / 255.0
 
 
 # `evolve` returns an F-contiguous matrix; the writers' bytes must not
 # depend on the memory order.  300 x 300 spans two PGM blocks.
-@pytest.mark.parametrize("shape", [(1, 6), (6, 1), (300, 300)],
+@pytest.mark.parametrize("shape", [(1, 256), (256, 1), (300, 300)],
                          ids=["one-row", "one-column", "two-pgm-blocks"])
 def test_writers_give_the_same_bytes_for_either_memory_order(rng, shape):
-    values = np.concatenate([_PIXEL_EDGES, rng.random(shape[0] * shape[1] - 6)])
+    values = np.concatenate([_PIXEL_VALUES, rng.random(shape[0] * shape[1] - 256)])
     matrix = rng.permutation(values).reshape(shape)
     op = matrix + 1j * rng.permutation(values).reshape(shape)
     c_order, f_order = np.ascontiguousarray(matrix), np.asfortranarray(matrix)
@@ -314,15 +332,17 @@ def test_writers_give_the_same_bytes_for_either_memory_order(rng, shape):
     assert write_operator_csv(np.ascontiguousarray(op)) == \
         write_operator_csv(np.asfortranarray(op))
     pixels = render_pgm(matrix).split(b"\n", 3)[3].split()
-    assert {b"0", b"9", b"10", b"99", b"100", b"255"} <= set(pixels)
+    assert set(pixels) == {str(v).encode() for v in range(256)}
 
 
 # Without columns a CSV row is its state index and a comma, and an operator
-# row is an empty line.
+# row and a PGM row are empty lines.
 def test_writers_of_a_matrix_without_columns():
     matrix, op = np.zeros((2, 0)), np.zeros((2, 0), dtype=np.complex128)
     assert write_csv(matrix) == _reference_csv(matrix) == "state,\n0,\n1,\n"
     assert write_operator_csv(op) == _reference_operator(op) == "\n\n"
+    assert render_pgm(matrix) == _reference_pgm(matrix) == b"P2\n0 2\n255\n\n\n"
+    assert render_pgm(np.zeros((0, 0))) == _reference_pgm(np.zeros((0, 0))) == b"P2\n0 0\n255\n"
 
 
 class TestCsv:
