@@ -7,10 +7,10 @@ evaluations: identity, h_both, h_s_then_cn and a complex custom matrix.
 Each config runs 12 steps from a fixed initial state, recording per phase
 when the cell count is even and per step otherwise.  For every config the
 CLI runs in process: `simulate` (CSV file, PGM file, and CSV on stdout),
-`period --horizon 64`, `check` and `matrix`.  `script` runs the bundled
-fig2 script once.  A kind's digest covers the config, exit code, stdout and
-stderr of each of its runs in grid order, so one changed byte changes its
-line.
+`period --horizon 64`, `check` and `matrix`; `matrix` stops at 5 cells,
+and so does the grid.  `script` runs the bundled fig2 script once.  A
+kind's digest covers the config, exit code, stdout and stderr of each of
+its runs in grid order, so one changed byte changes its line.
 
     PYTHONPATH=src python scripts/output_digest.py [--max-cells N]
 """
@@ -95,7 +95,7 @@ def parse_args(argv=None) -> argparse.Namespace:
                         help="largest cell count of the grid, at most 5 (default 5)")
     args = parser.parse_args(argv)
     if not 1 <= args.max_cells <= 5:
-        parser.error("--max-cells must be in 1..5: `check` and `matrix` stop at 5 cells")
+        parser.error("--max-cells must be in 1..5: `matrix` stops at 5 cells")
     return args
 
 

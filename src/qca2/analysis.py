@@ -4,21 +4,17 @@ config's evolution, streamed column by column."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from itertools import cycle, islice
+from dataclasses import dataclass
+from functools import reduce
+from itertools import chain, cycle, islice
 from operator import itemgetter
 
 import numpy as np
 
 from . import rules
 from .gates import UNITARY_TOL, state_dtype, unitary_deviation
-from .rules import (
-    BoundaryCondition,
-    QcaConfig,
-    build_dense_rule,
-    evolve,
-    interaction_images,
-)
+# perfbench/tracing.py wraps analysis.evolve and analysis.build_dense_rule by name.
+from .rules import BoundaryCondition, QcaConfig, build_dense_rule, evolve
 
 DEFAULT_PERIOD_TOL = 1e-9
 TRANSLATION_STEPS = 20
@@ -48,21 +44,20 @@ class CheckReport:
 
 
 def check_interaction(config: QcaConfig) -> CheckReport:
-    """Verify the interaction maps the basis indices one to one and keeps
-    every s-bit of each: its deviation is the largest miscount of how often
-    an index is hit, plus the number of indices whose s-bits move."""
-    images = interaction_images(config)
-    dim = images.size
-    perm_dev = float(np.abs(np.bincount(images, minlength=dim) - 1).max())
+    """Verify the gathers of `rules.update_kernels`, composed, permute the
+    basis indices and keep every s-bit of each: its deviation is the largest
+    miscount of how often an index is a source, plus the number of indices
+    whose s-bits move."""
+    dim = 1 << config.n_qubits
+    kernels = chain.from_iterable(rules.update_kernels(config, state_dtype([config.evaluation])))
+    source = reduce(lambda composed, gather: composed[gather],
+                    (k for k in kernels if not isinstance(k, tuple)), np.arange(dim))
+    perm_dev = float(np.abs(np.bincount(source, minlength=dim) - 1).max())
     s_mask = sum(1 << rules.qubit(j, "s") for j in range(config.n_cells))
-    violations = int(np.count_nonzero((images ^ np.arange(dim)) & s_mask))
+    violations = int(np.count_nonzero((source ^ np.arange(dim)) & s_mask))
     deviation = perm_dev + violations
-    return CheckReport(
-        name="interaction-permutation",
-        passed=perm_dev == 0.0 and violations == 0,
-        worst_deviation=deviation,
-        details=f"{violations} s-bit violations over {dim} basis states",
-    )
+    return CheckReport("interaction-permutation", deviation == 0, deviation,
+                       f"{violations} s-bit violations over {dim} basis states")
 
 
 def detect_period(matrix: np.ndarray, tol: float = DEFAULT_PERIOD_TOL) -> PeriodReport:
@@ -119,6 +114,19 @@ def _twin(evolution, lag: int, n_pairs: int, tol: float) -> float | None:
     return deviation
 
 
+def _evolution(config: QcaConfig, dtype):
+    """`config`'s evolution on `dtype` states: a function that starts its
+    endless `rules.probability_columns` afresh from `initial` (the config's
+    initial index by default); one update's kernels are built once, now."""
+    update = rules.update_kernels(config, dtype)
+
+    def evolution(initial: int = config.initial_index, per_update: int = 0):
+        return rules.probability_columns(config.n_qubits, initial, dtype, cycle(update),
+                                         per_update)
+
+    return evolution
+
+
 def search_bytes(n_qubits: int, n_columns: int, dtype) -> int:
     """Bytes `search_period` holds at its peak, at most: two states of
     `dtype`, or four once there are 3 columns and so a lag a twin may check,
@@ -153,15 +161,11 @@ def search_period(config: QcaConfig, n_columns: int,
     n_qubits, initial = config.n_qubits, config.initial_index
     dtype = state_dtype([config.evaluation])
     rules.check_fits(search_bytes(n_qubits, n_columns, dtype), "states and working vectors")
-    update = rules.update_kernels(config, dtype)
-
-    def evolution(per_update: int = 0):
-        return rules.probability_columns(n_qubits, initial, dtype, cycle(update), per_update)
-
+    evolution = _evolution(config, dtype)
     # `map` keeps no column alive while the next one is computed, and the
     # evolution's states are freed before any twin runs.
-    trace = np.fromiter(
-        map(itemgetter(initial), islice(evolution(config.per_update), n_columns)), np.float64)
+    trace = np.fromiter(map(itemgetter(initial), islice(
+        evolution(per_update=config.per_update), n_columns)), np.float64)
     # Timesteps to the exact return; a run that does not return within the
     # horizon counts as returning just past it.  Past the return, the trace
     # repeats its first `back` values.
@@ -186,31 +190,35 @@ def cell_shift_permutation(n_cells: int) -> np.ndarray:
     return ((k << shift) | (k >> (width - shift))) & ((1 << width) - 1)
 
 
+def check_bytes(config: QcaConfig) -> int:
+    """Bytes of the vectors `check_translation` holds at its peak, more than
+    `check_interaction` holds: two state pairs of the run's `state_dtype`,
+    the int64 gather and cell-shift indices, and three float64 columns (a
+    column pair and a gathered copy, or a column and ``|x|`` and its square)."""
+    return (4 * np.dtype(state_dtype([config.evaluation])).itemsize + 5 * 8) << config.n_qubits
+
+
 def check_translation(config: QcaConfig) -> CheckReport:
     """Under a cyclic boundary, evolving a cell-shifted initial state for
-    TRANSLATION_STEPS updates must equal the cell-shifted evolution."""
+    TRANSLATION_STEPS updates must equal the cell-shifted evolution; the two
+    run in lockstep over one update's kernels, a column pair at a time."""
     if config.boundary is not BoundaryCondition.CYCLIC:
         raise ValueError("translation covariance is defined for cyclic boundaries only")
     perm = cell_shift_permutation(config.n_cells)
-    base = replace(config, n_steps=TRANSLATION_STEPS)
-    shifted = replace(base, initial_index=int(perm[config.initial_index]))
-    # Row perm[k] of the shifted run corresponds to row k of the base run.
-    deviation = float(np.max(np.abs(evolve(shifted)[perm, :] - evolve(base))))
-    return CheckReport(
-        name="translation-covariance",
-        passed=deviation <= 1e-12,
-        worst_deviation=deviation,
-        details=f"{TRANSLATION_STEPS} steps, {config.n_cells} cells",
-    )
+    evolution = _evolution(config, state_dtype([config.evaluation]))
+    shifted, deviation = evolution(int(perm[config.initial_index])), 0.0
+    for diff in islice(evolution(), 1 + config.per_update * TRANSLATION_STEPS):
+        # Row perm[k] of the shifted run corresponds to row k of the base run.
+        np.subtract(next(shifted)[perm], diff, out=diff)
+        deviation = max(deviation, float(np.max(np.abs(diff, out=diff))))
+    return CheckReport("translation-covariance", deviation <= 1e-12, deviation,
+                       f"{TRANSLATION_STEPS} steps, {config.n_cells} cells")
 
 
 def check_rule_unitary(config: QcaConfig) -> CheckReport:
-    """Max-norm distance of W†·W from the identity, W one update's dense operator."""
-    op = build_dense_rule(config)
-    deviation = unitary_deviation(op)
-    return CheckReport(
-        name="rule-unitary",
-        passed=deviation <= UNITARY_TOL,
-        worst_deviation=deviation,
-        details=f"dimension {op.shape[0]}, tolerance {UNITARY_TOL:g}",
-    )
+    """Max-norm distance of U†·U from the identity, U the cell unitary that
+    `compile_evaluation` places in every cell.  One update is P, a
+    permutation, then U in every cell, so it is unitary exactly when U is."""
+    deviation = unitary_deviation(config.evaluation.matrix)
+    return CheckReport("rule-unitary", deviation <= UNITARY_TOL, deviation,
+                       f"4x4 cell unitary, tolerance {UNITARY_TOL:g}")

@@ -9,14 +9,16 @@ Subcommands:
 * ``period <config> [--horizon N] [--tol X]`` -- search the first N
   probability columns for a period, without holding them, and report it as
   key=value lines.
-* ``check <config>`` -- unitarity and interaction-permutation checks, plus
+* ``check <config>`` -- checks of the update ``simulate`` runs: a unitary
+  cell matrix, an interaction gather that permutes and keeps s-bits, and
   translation covariance for cyclic boundaries.
-* ``matrix <config>`` -- dump the dense full-update operator as CSV.
+* ``matrix <config>`` -- dump the dense full-update operator (at most 5
+  cells) as CSV.
 
 Exit codes: 0 success, 1 failed check or period not found, 2 bad input
 (config, script, flag or output path, a closed stdout included), a run whose
-probability matrix and states, or a period search whose states and working
-vectors, would not fit in physical memory, an allocation that was
+probability matrix and states, or a period search or check whose states and
+working vectors, would not fit in physical memory, an allocation that was
 refused, or a state whose norm drifted.
 """
 
@@ -100,21 +102,10 @@ def _cmd_period(args) -> int:
     return 0 if report.found else 1
 
 
-def _dense_config(args) -> rules.QcaConfig:
-    """The config of `check` or `matrix`, refused above MAX_DENSE_CELLS cells."""
-    config = io_formats.parse_config(_load(args.config))
-    if config.n_cells > MAX_DENSE_CELLS:
-        raise io_formats.ConfigError(f"{args.command} needs the dense operator; "
-                                     f"at most {MAX_DENSE_CELLS} cells")
-    return config
-
-
 def _cmd_check(args) -> int:
-    config = _dense_config(args)
-    reports = [
-        analysis.check_rule_unitary(config),
-        analysis.check_interaction(config),
-    ]
+    config = io_formats.parse_config(_load(args.config))
+    rules.check_fits(analysis.check_bytes(config), "states and working vectors")
+    reports = [analysis.check_rule_unitary(config), analysis.check_interaction(config)]
     if config.boundary is BoundaryCondition.CYCLIC:
         reports.append(analysis.check_translation(config))
     _write_stdout("".join(
@@ -126,7 +117,11 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_matrix(args) -> int:
-    _write_stdout(io_formats.write_operator_csv(rules.build_dense_rule(_dense_config(args))))
+    config = io_formats.parse_config(_load(args.config))
+    if config.n_cells > MAX_DENSE_CELLS:
+        raise io_formats.ConfigError("matrix needs the dense operator; "
+                                     f"at most {MAX_DENSE_CELLS} cells")
+    _write_stdout(io_formats.write_operator_csv(rules.build_dense_rule(config)))
     return 0
 
 
@@ -163,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=analysis.DEFAULT_PERIOD_TOL)
     p.set_defaults(func=_cmd_period)
 
-    p = sub.add_parser("check", help="run structural property checks")
+    p = sub.add_parser("check", help="check the cell unitary, interaction and symmetry")
     p.add_argument("config")
     p.set_defaults(func=_cmd_check)
 

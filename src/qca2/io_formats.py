@@ -470,7 +470,7 @@ def render_pgm(matrix: np.ndarray) -> bytes:
 
     Probability 1 maps to black (0) and probability 0 to white (255); pixel
     values round half away from zero.  State 0 is the top row, time runs
-    left to right.
+    left to right.  A probability that is nan or infinite raises ValueError.
     """
     n_rows, n_cols = matrix.shape
     header = f"P2\n{n_cols} {n_rows}\n255\n".encode("ascii")
@@ -480,9 +480,11 @@ def render_pgm(matrix: np.ndarray) -> bytes:
     rows_per_block = max(1, _BLOCK_VALUES // n_cols)
     for start in range(0, n_rows, rows_per_block):
         block = matrix[start:start + rows_per_block]
+        if not np.isfinite(block).all():
+            raise ValueError("probabilities must be finite")
         # 255*(1-p) is nonnegative, so floor(x + 0.5) is half-away-from-zero.
-        pixels = np.floor(255.0 * (1.0 - block) + 0.5).astype(np.int64)
-        chars = _PIXEL_TEXT[np.clip(pixels, 0, 255)]
+        pixels = np.floor(255.0 * (1.0 - np.clip(block, 0.0, 1.0)) + 0.5).astype(np.int64)
+        chars = _PIXEL_TEXT[pixels]
         chars[:, -1, -1] = ord("\n")
         chunks.append(chars[chars != 0].tobytes())
     return b"".join(chunks)

@@ -214,16 +214,11 @@ def compile_rule(config: QcaConfig) -> CompiledRule:
                         tuple(compile_evaluation(config)))
 
 
-def interaction_images(config: QcaConfig) -> np.ndarray:
-    """Image of every basis index under the interaction permutation P,
-    mapped one basis index at a time."""
-    return basis_images(compile_interaction(config), config.n_qubits)
-
-
 def build_dense_rule(config: QcaConfig) -> np.ndarray:
     """Dense full-update operator (U⊗…⊗U)·P, the interaction permutation and
-    then every cell's unitary: column k is column ``images[k]`` of U⊗…⊗U."""
-    images = interaction_images(config)  # refuses oversized registers first
+    then every cell's unitary: column k is column ``images[k]`` of U⊗…⊗U,
+    the image of k under the flips, mapped one index at a time."""
+    images = basis_images(compile_interaction(config), config.n_qubits)  # size-checked first
     op = reduce(np.kron, [config.evaluation.matrix] * config.n_cells)[:, images]
     op += 0.0  # -0 entries become +0, as in the product with P: `matrix` prints them
     return op

@@ -1,10 +1,15 @@
-"""Random states and unitaries, a one-update step and a reference evolution,
-and config, float and complex formatting, shared by the test modules."""
+"""Random states and unitaries, a non-unitary cell matrix, a one-update step
+and a reference evolution, and config, float and complex formatting, shared
+by the test modules."""
+
+from functools import lru_cache
 
 import numpy as np
 
-from qca2.gates import advance, gate_kernels, state_dtype
+from qca2 import gates
+from qca2.gates import LocalUnitary, advance, gate_kernels, state_dtype
 from qca2.rules import (
+    CELL_ZERO,
     CompiledRule,
     EVAL_PRESETS,
     QcaConfig,
@@ -32,6 +37,14 @@ def random_orthogonal(rng: np.random.Generator, dim: int) -> np.ndarray:
     return np.linalg.qr(rng.normal(size=(dim, dim)))[0]
 
 
+def doubled_identity(monkeypatch) -> LocalUnitary:
+    """2·I as a cell unitary.  `LocalUnitary`'s unitarity check passes every
+    matrix for the rest of the test, so that the rule compiles too; the
+    checks in `analysis` keep their own `unitary_deviation`."""
+    monkeypatch.setattr(gates, "unitary_deviation", lambda matrix: 0.0)
+    return LocalUnitary(CELL_ZERO, 2 * np.eye(4))
+
+
 def step(state: np.ndarray, rule: CompiledRule) -> np.ndarray:
     """Advance one full update: the interaction gather, then every cell's
     evaluation.  The result keeps the state's dtype; a real state meeting a
@@ -40,10 +53,16 @@ def step(state: np.ndarray, rule: CompiledRule) -> np.ndarray:
         raise ValueError(
             f"state has {state.size} amplitudes, rule expects {1 << rule.n_qubits}"
         )
-    kernels = [kernel for gates in (rule.interaction, rule.evaluation)
-               for kernel in gate_kernels(gates, rule.n_qubits, state.dtype)]
     # `advance` writes its second kernel's output into its first buffer.
-    return advance(state.copy(), kernels, np.empty_like(state))[0]
+    return advance(state.copy(), _rule_kernels(rule, state.dtype), np.empty_like(state))[0]
+
+
+@lru_cache(maxsize=8)
+def _rule_kernels(rule: CompiledRule, dtype: np.dtype) -> list:
+    """The kernels of one update of `rule` on states of `dtype`, built once
+    a pair: the interaction's gather, then every cell's evaluation."""
+    return [kernel for phase in (rule.interaction, rule.evaluation)
+            for kernel in gate_kernels(phase, rule.n_qubits, dtype)]
 
 
 def evolve_reference(config: QcaConfig) -> np.ndarray:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qca2 import analysis
+from qca2 import analysis, rules
 from qca2.analysis import (
     cell_shift_permutation,
     check_interaction,
@@ -20,8 +20,8 @@ from qca2.gates import (
     UNITARY_TOL,
     ControlledFlip,
     LocalUnitary,
-    basis_images,
     embed_gate,
+    flip_source,
     standard_gate,
     unitary_deviation,
 )
@@ -37,18 +37,20 @@ from qca2.rules import (
     evolve,
 )
 
-from helpers import random_unitary
+from helpers import doubled_identity, random_unitary
 
 COMPLEX_CUSTOM = LocalUnitary((0, 1), random_unitary(np.random.default_rng(5), 4))
 
 
+ALL_RULES, ALL_BOUNDARIES = list(NeighborhoodRule), list(BoundaryCondition)
+
+
 class TestCheckUnitary:
-    def test_identity_deviation_zero(self, monkeypatch):
-        assert unitary_deviation(np.eye(8)) == 0.0
-        monkeypatch.setattr(analysis, "build_dense_rule", lambda config: np.eye(8))
-        report = check_rule_unitary(QcaConfig(1, NeighborhoodRule.RIGHT))
+    def test_identity_deviation_zero(self):
+        report = check_rule_unitary(QcaConfig(1, NeighborhoodRule.RIGHT,
+                                              evaluation=IDENTITY_EVAL))
         assert report.passed and report.worst_deviation == 0.0
-        assert report.details == "dimension 8, tolerance 1e-12"
+        assert report.details == "4x4 cell unitary, tolerance 1e-12"
 
     def test_dense_h_embedding(self):
         op = embed_gate(LocalUnitary((2,), standard_gate("H")), 4)
@@ -58,13 +60,32 @@ class TestCheckUnitary:
         cfg = QcaConfig(2, NeighborhoodRule.RIGHT, BoundaryCondition.CYCLIC, H_BOTH_EVAL)
         report = check_rule_unitary(cfg)
         assert report.passed and report.name == "rule-unitary"
-        assert report.worst_deviation == unitary_deviation(build_dense_rule(cfg))
+        assert report.worst_deviation == unitary_deviation(H_BOTH_EVAL.matrix)
+
+    # The dense operator of one update, the definition `check` once tested,
+    # is unitary for every rule the cell unitaries make.
+    @pytest.mark.parametrize("evaluation", [IDENTITY_EVAL, H_BOTH_EVAL, H_S_THEN_CN_EVAL],
+                             ids=["identity", "h_both", "h_s_then_cn"])
+    def test_dense_operator_is_unitary(self, evaluation):
+        configs = [QcaConfig(n, rule, boundary, evaluation) for n in (1, 2, 3)
+                   for rule in ALL_RULES for boundary in ALL_BOUNDARIES]
+        if evaluation is H_S_THEN_CN_EVAL:
+            configs.append(QcaConfig(5, NeighborhoodRule.BOTH, BoundaryCondition.CYCLIC,
+                                     COMPLEX_CUSTOM))
+        for cfg in configs:
+            assert unitary_deviation(build_dense_rule(cfg)) <= UNITARY_TOL, cfg
 
     def test_non_unitary_fails(self, monkeypatch):
         assert unitary_deviation(2 * np.eye(4)) == 3.0
-        monkeypatch.setattr(analysis, "build_dense_rule", lambda config: 2 * np.eye(4))
-        report = check_rule_unitary(QcaConfig(1, NeighborhoodRule.RIGHT))
+        cfg = QcaConfig(1, NeighborhoodRule.RIGHT, evaluation=doubled_identity(monkeypatch))
+        report = check_rule_unitary(cfg)
         assert not report.passed and report.worst_deviation == 3.0
+
+
+def update_with_gathers(*gathers):
+    """A stand-in for `rules.update_kernels` whose update holds `gathers`,
+    one timestep each, after a cell unitary."""
+    return lambda config, dtype: [[(np.eye(4), 0)]] + [[gather] for gather in gathers]
 
 
 class TestCheckInteraction:
@@ -82,21 +103,28 @@ class TestCheckInteraction:
 
     def test_counts_every_state_whose_s_bit_moves(self, monkeypatch):
         # An X on s0 of a one-cell register moves the s-bit of all 4 states.
-        x_on_s0 = basis_images([ControlledFlip((), 1)], 2)
-        monkeypatch.setattr(analysis, "interaction_images", lambda config: x_on_s0)
+        x_on_s0 = flip_source([ControlledFlip((), 1)], 2)
+        monkeypatch.setattr(rules, "update_kernels", update_with_gathers(x_on_s0))
         report = check_interaction(QcaConfig(1, NeighborhoodRule.RIGHT))
         assert not report.passed and report.worst_deviation == 4.0
         assert report.details.startswith("4 s-bit violations over 4 ")
 
+    def test_composes_every_gather_of_the_update(self, monkeypatch):
+        x_on_c0, x_on_s0 = (flip_source([ControlledFlip((), q)], 2) for q in (0, 1))
+        monkeypatch.setattr(rules, "update_kernels", update_with_gathers(x_on_c0, x_on_c0))
+        assert check_interaction(QcaConfig(1, NeighborhoodRule.RIGHT)).passed
+        monkeypatch.setattr(rules, "update_kernels", update_with_gathers(x_on_c0, x_on_s0))
+        assert check_interaction(QcaConfig(1, NeighborhoodRule.RIGHT)).worst_deviation == 4.0
+
     def test_fails_on_a_map_that_is_not_one_to_one(self, monkeypatch):
-        # States 0 and 1 both map to 0 (their s-bit stays 0), and nothing
-        # maps to 1: index 0 is hit twice and index 1 never.
-        images = np.array([0, 0, 2, 3])
-        monkeypatch.setattr(analysis, "interaction_images", lambda config: images)
+        # States 0 and 1 both gather from 0 (their s-bit stays 0), and none
+        # from 1: index 0 is a source twice and index 1 never.
+        gather = np.array([0, 0, 2, 3])
+        monkeypatch.setattr(rules, "update_kernels", update_with_gathers(gather))
         report = check_interaction(QcaConfig(1, NeighborhoodRule.RIGHT))
         assert not report.passed and report.worst_deviation == 1.0
         assert report.details == "0 s-bit violations over 4 basis states"
-        images[:] = [3, 0, 2, 3]  # also moves the s-bit of state 0
+        gather[:] = [3, 0, 2, 3]  # also moves the s-bit of state 0
         report = check_interaction(QcaConfig(1, NeighborhoodRule.RIGHT))
         assert not report.passed and report.worst_deviation == 2.0
 
@@ -350,6 +378,22 @@ class TestCheckTranslation:
                         H_S_THEN_CN_EVAL, initial_index=32)
         report = check_translation(cfg)
         assert report.passed and report.worst_deviation <= 1e-12
+
+    # The deviation of the two whole probability matrices, the definition
+    # the lockstep evolutions reach bit for bit.
+    @pytest.mark.parametrize("record", list(RecordMode))
+    def test_equals_the_deviation_of_the_whole_evolutions(self, record):
+        deviations = []
+        for n, rule, evaluation in product(range(1, 6), ALL_RULES,
+                                           [H_BOTH_EVAL, H_S_THEN_CN_EVAL, COMPLEX_CUSTOM]):
+            cfg = QcaConfig(n, rule, BoundaryCondition.CYCLIC, evaluation, (7 * n + 3) % 4**n,
+                            analysis.TRANSLATION_STEPS, record)
+            perm = cell_shift_permutation(n)
+            shifted = replace(cfg, initial_index=int(perm[cfg.initial_index]))
+            expected = float(np.max(np.abs(evolve(shifted)[perm] - evolve(cfg))))
+            assert check_translation(cfg).worst_deviation == expected, cfg
+            deviations.append(expected)
+        assert max(deviations) > 0.0  # some rounding differs between the two runs
 
     def test_rejects_non_cyclic(self):
         cfg = QcaConfig(2, NeighborhoodRule.RIGHT)

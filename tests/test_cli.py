@@ -11,7 +11,7 @@ from qca2 import cli, io_formats, rules
 from qca2.cli import main
 from qca2.io_formats import parse_config, read_csv
 
-from helpers import format_complex, random_unitary
+from helpers import doubled_identity, format_complex, random_unitary
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -150,16 +150,38 @@ class TestCheckCommand:
         assert main(["check", str(conf)]) == 0
         assert "translation" not in capsys.readouterr().out
 
-    # `check` and `matrix` share one guard on the dense operator's size.
-    @pytest.mark.parametrize("command", ["check", "matrix"])
+    # `check` runs the update `simulate` runs, at any cell count.
     @pytest.mark.parametrize("cells", [6, 8])
-    def test_too_many_cells_for_dense(self, tmp_path, capsys, command, cells):
+    def test_check_passes_above_the_dense_limit(self, tmp_path, capsys, cells):
         conf = tmp_path / "big.conf"
-        conf.write_text(f"cells={cells}\nrule=right\nsteps=1\ninitial=0\n")
-        assert main([command, str(conf)]) == 2
-        assert capsys.readouterr().err == (
-            f"error: {command} needs the dense operator; at most 5 cells\n")
+        conf.write_text(f"cells={cells}\nrule=both\nboundary=cyclic\neval=h_s_then_cn\n"
+                        "steps=1\ninitial=5\n")
+        assert main(["check", str(conf)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            "rule-unitary", "interaction-permutation", "translation-covariance"]
+        assert all(": pass (" in line for line in lines)
+        assert f"over {4**cells} basis states" in lines[1]
 
+    def test_non_unitary_cell_fails(self, tmp_path, capsys, monkeypatch):
+        config = rules.QcaConfig(1, rules.NeighborhoodRule.RIGHT,
+                                 evaluation=doubled_identity(monkeypatch))
+        monkeypatch.setattr(io_formats, "parse_config", lambda text: config)
+        conf = tmp_path / "any.conf"
+        conf.write_text("")
+        assert main(["check", str(conf)]) == 1
+        assert capsys.readouterr().out.splitlines()[0] == (
+            "rule-unitary: FAIL (worst deviation 3.000e+00; 4x4 cell unitary, tolerance 1e-12)")
+
+    def test_gather_moving_an_s_bit_fails(self, tmp_path, capsys, monkeypatch):
+        x_on_s0 = np.array([2, 3, 0, 1])  # the gather of an X on s0 of one cell
+        monkeypatch.setattr(rules, "update_kernels", lambda config, dtype: [[x_on_s0]])
+        conf = tmp_path / "one.conf"
+        conf.write_text("cells=1\nrule=right\nsteps=1\ninitial=0\n")
+        assert main(["check", str(conf)]) == 1
+        assert capsys.readouterr().out.splitlines()[1] == (
+            "interaction-permutation: FAIL (worst deviation 4.000e+00; "
+            "4 s-bit violations over 4 basis states)")
 
 
 class TestMatrixCommand:
@@ -168,6 +190,14 @@ class TestMatrixCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 16
         assert all(len(line.split(",")) == 16 for line in lines)
+
+    @pytest.mark.parametrize("cells", [6, 8])
+    def test_too_many_cells_for_dense(self, tmp_path, capsys, cells):
+        conf = tmp_path / "big.conf"
+        conf.write_text(f"cells={cells}\nrule=right\nsteps=1\ninitial=0\n")
+        assert main(["matrix", str(conf)]) == 2
+        assert capsys.readouterr().err == (
+            "error: matrix needs the dense operator; at most 5 cells\n")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -182,24 +212,29 @@ class TestMatrixCommand:
     (["simulate", "{large}"], "physical memory"),
     (["period", "{large_period}", "--horizon", "16"], "physical memory"),
     (["script", "{large_script}"], "physical memory"),
+    (["check", "{large_check}"], "error: out of memory: run needs about 0.1 GiB"),
     (["period", "{conf}", "--horizon", "abc"], "invalid int value: 'abc'"),
     (["period"], "the following arguments are required: config"),
     (["frobnicate", "{conf}"], "invalid choice: 'frobnicate'"),
 ], ids=["negative-tol", "nan-tol", "unwritable-csv", "unwritable-pgm", "missing-key",
         "overflowing-eval", "norm-drift", "not-utf8", "too-large-simulate", "too-large-period",
-        "too-large-script", "bad-flag-value", "missing-config", "unknown-subcommand"])
+        "too-large-script", "too-large-check", "bad-flag-value", "missing-config",
+        "unknown-subcommand"])
 def test_bad_input_ends_in_one_error_line(argv, message, cyclic_conf, tmp_path, capsys,
                                           monkeypatch):
-    # On a 64 MiB machine the 6-cell run and script (128 MiB) and the 10-cell
+    # On a 64 MiB machine the 6-cell run and script (128 MiB), the 10-cell
     # complex period search (four states of 16 MiB and 32 MiB of index and
-    # columns, 96 MiB) are refused, so a broken check allocates no more than
-    # 128 MiB; the other runs need at most 33 MB.
+    # columns, 96 MiB) and the 10-cell check (four real states of 8 MiB and
+    # 40 MiB of indices and columns, 72 MiB) are refused, so a broken memory
+    # check allocates no more than 128 MiB; the other runs need at most 33 MB.
     monkeypatch.setattr(rules, "_physical_memory", lambda: 64 << 20)
     large = tmp_path / "large.conf"
     large.write_text("cells=6\nrule=right\nsteps=4095\ninitial=0\n")
     large_period = tmp_path / "large_period.conf"
     s_gate = ",".join({0: "1", 5: "0+1i", 10: "1", 15: "1"}.get(i, "0") for i in range(16))
     large_period.write_text(f"cells=10\nrule=right\neval=custom:{s_gate}\nsteps=0\ninitial=1\n")
+    large_check = tmp_path / "large_check.conf"
+    large_check.write_text("cells=10\nrule=both\nboundary=cyclic\nsteps=0\ninitial=1\n")
     large_script = tmp_path / "large.qscript"
     large_script.write_text("cells=6\ninitial=0\n" + "step\n" * 4095)
     no_steps = tmp_path / "no_steps.conf"
@@ -216,7 +251,8 @@ def test_bad_input_ends_in_one_error_line(argv, message, cyclic_conf, tmp_path, 
     not_utf8.write_bytes(b"\xff\xfe")
     paths = {"conf": cyclic_conf, "tmp": tmp_path, "no_steps": no_steps, "overflow": overflow,
              "drift": drift, "not_utf8": not_utf8, "large": large,
-             "large_period": large_period, "large_script": large_script}
+             "large_period": large_period, "large_script": large_script,
+             "large_check": large_check}
     assert main([arg.format(**paths) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -399,3 +399,19 @@ class TestPgm:
     def test_deterministic(self, rng):
         matrix = rng.random((8, 8))
         assert render_pgm(matrix) == render_pgm(matrix.copy())
+
+    # Out of [0, 1], a probability takes the nearer end's pixel, without a
+    # numpy warning (warnings fail the tests) however far out it is.
+    def test_out_of_range_values_clamp(self):
+        matrix = np.array([[1.5, -0.5, 1e300, -1e300]])
+        assert render_pgm(matrix).decode().splitlines()[-1] == "0 255 0 255"
+
+    # A non-finite probability raises before the cast, in any block: the
+    # last row of a 300 x 300 matrix is past the first PGM block.
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("shape", [(1, 4), (300, 300)], ids=["one-row", "two-pgm-blocks"])
+    def test_non_finite_value_raises(self, value, shape):
+        matrix = np.full(shape, 0.5)
+        matrix[-1, -1] = value
+        with pytest.raises(ValueError, match="probabilities must be finite"):
+            render_pgm(matrix)

@@ -4,11 +4,12 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from qca2 import analysis, gates, rules
+from qca2 import analysis, cli, gates, rules
 from qca2.gates import (
     ControlledFlip,
     LocalUnitary,
     apply_gate,
+    basis_images,
     compose_dense,
     embed_gate,
     flip_source,
@@ -29,7 +30,6 @@ from qca2.rules import (
     compile_interaction,
     compile_rule,
     evolve,
-    interaction_images,
     probabilities,
     run_bytes,
     run_gate_script,
@@ -358,7 +358,8 @@ class TestInteractionProperties:
         for rule in ALL_RULES:
             for boundary in ALL_BOUNDARIES:
                 for n in (1, 2, 3, 4):
-                    images = interaction_images(make_config(n, rule, boundary))
+                    cfg = make_config(n, rule, boundary)
+                    images = basis_images(compile_interaction(cfg), cfg.n_qubits)
                     dim = 1 << (2 * n)
                     assert np.array_equal(np.sort(images), np.arange(dim))
                     s_mask = sum(1 << (2 * j + 1) for j in range(n))
@@ -722,6 +723,41 @@ class TestSearchBytes:
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
     def test_nine_cells_at_the_default_horizon_fit_in_256_mib(self, dtype):
         assert analysis.search_bytes(18, 4096, dtype) < 256 << 20
+
+
+class TestCheckBytes:
+    # The estimate counts the vectors of the checks' peak, which is the
+    # translation check's: the traced peak is within one float64 vector
+    # below it, or at most 16 KiB above it for the kernels and Python objects.
+    @pytest.mark.parametrize("record", list(RecordMode))
+    @pytest.mark.parametrize("evaluation, dtype", [
+        (H_S_THEN_CN_EVAL, np.float64), (LocalUnitary((0, 1), COMPLEX_CUSTOM), np.complex128),
+    ], ids=["h_s_then_cn", "complex-custom"])
+    def test_is_what_the_checks_allocate(self, run_states, evaluation, dtype, record):
+        cfg = make_config(8, NeighborhoodRule.BOTH, BoundaryCondition.CYCLIC, evaluation,
+                          initial=1, record=record)
+
+        def checks():
+            return [check(cfg) for check in (analysis.check_rule_unitary,
+                                             analysis.check_interaction,
+                                             analysis.check_translation)]
+
+        reports, peak = _traced(checks)
+        assert all(report.passed for report in reports)
+        # Two evolutions in lockstep, each with a pair of states.
+        assert run_states == [(dtype, np.dtype(dtype).itemsize << 16)] * 2
+        need = analysis.check_bytes(cfg)
+        assert need == (4 * np.dtype(dtype).itemsize + 5 * 8) << 16
+        assert need - (8 << 16) < peak <= need + (16 << 10)
+
+    # A refused check allocates nothing of its size first.
+    def test_refused_check_allocates_nothing_first(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(rules, "_physical_memory", lambda: 1 << 20)
+        conf = tmp_path / "check.conf"
+        conf.write_text("cells=8\nrule=both\nboundary=cyclic\nsteps=0\ninitial=1\n")
+        code, peak = _traced(cli.main, ["check", str(conf)])
+        assert code == 2 and peak < 8 << 16
+        assert capsys.readouterr().err.startswith("error: out of memory: ")
 
 
 class TestRunGateScript:

@@ -49,7 +49,7 @@ DIGESTS_2_CELLS = {
     "simulate.pgm": "95284f092601ca4aa39deeea7def28145d51f828326140b447a1d7a21dc2befe",
     "simulate.stdout": "d1e9717527c359eeba8ca2e49fb6b99d6aa74f7d91e534c88921a5a7fc6790af",
     "period": "8b1a4067f3328987394018415f56c5033eb1f186f7544e9165aeb29f26c47991",
-    "check": "78bacf17e9cd7f245b924b583dbf0bbbec6585fcd53b387e290a6149ccbc8664",
+    "check": "6242ce2d2da4fc6be6042c79520a0d7a8b52463ae9c6721af740ce1a22299da2",
     "matrix": "38f4976675e4213c163705d1cea76eeb62017437cf09c4c383e61bc25ad8e9ec",
     "script": "e3c06156fd92f58d660c95342ba9d2bc128f3fdce884dcfc69287dbd42399d88",
 }
