@@ -33,12 +33,17 @@ with integer arithmetic, and each distinct value is laid out as a
 fixed-width row of bytes, NUL where it has no character.  PGM pixels take
 their rows from one table of the 256 pixel texts.  Every writer gathers a
 block's rows, writes separators and line ends into their last columns and
-drops the NULs.
+drops the NULs.  On more than one CPU the writers format two blocks at a
+time, on the calling thread and one helper thread, and join the blocks'
+texts in order: the bytes are the same on one thread or two.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import os
+import threading
 from typing import Container, Iterator
 
 import numpy as np
@@ -393,7 +398,8 @@ def _format_floats(values) -> list[str]:
 
 
 # Values per block that is searched for repeated bit patterns, and per
-# `_layout` call: its temporaries take about 200 bytes a value.
+# `_layout` call: its temporaries take about 200 bytes a value.  Smaller
+# calls make the writers' two threads contend for the GIL.
 _BLOCK_VALUES, _LAYOUT_VALUES = 1 << 16, 1 << 13
 
 
@@ -429,6 +435,36 @@ def _formatted(values: np.ndarray, suffix: int) -> Iterator[tuple[np.ndarray, np
         yield rows.reshape(-1, n_cols, rows.shape[1]), sign.reshape(-1, n_cols)
 
 
+def _map_blocks(block, matrix: np.ndarray, row_values: int) -> list:
+    """`block(start, rows)` for each block of `matrix`'s rows, in order:
+    `_BLOCK_VALUES` values a block, counting `row_values` for each row.
+    On more than one CPU, the caller and one helper thread take the blocks
+    from a shared counter.  An exception in either thread stops both, and
+    is raised once the helper has stopped."""
+    step = max(1, _BLOCK_VALUES // row_values)
+    starts = range(0, len(matrix), step)
+    results, errors, taken = [None] * len(starts), [], itertools.count()
+
+    def work():
+        try:  # count's next() is atomic under the GIL
+            for i in itertools.takewhile(lambda i: i < len(starts) and not errors, taken):
+                results[i] = block(starts[i], matrix[starts[i]:starts[i] + step])
+        except BaseException as exc:
+            errors.append(exc)
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    helper = threading.Thread(target=work) if len(starts) > 1 and cpus > 1 else None
+    if helper:
+        _tables()  # built first, so two threads never race to build it
+        helper.start()
+    work()
+    if helper:
+        helper.join()
+    if errors:
+        raise errors[0]
+    return results
+
+
 def write_csv(matrix: np.ndarray) -> str:
     """Probability matrix as CSV: header ``state,t0,t1,...``, one row per
     basis state, values as shortest round-trip decimals.
@@ -436,20 +472,22 @@ def write_csv(matrix: np.ndarray) -> str:
     Each block of rows is copied in C order behind its state column and
     formatted with numpy; the blocks' texts are joined once at the end."""
     n_rows, n_cols = matrix.shape
-    texts = ["state," + ",".join(f"t{t}" for t in range(n_cols)) + "\n"]
+    header = "state," + ",".join(f"t{t}" for t in range(n_cols)) + "\n"
     if n_cols == 0:  # the state column's comma ends the row
-        return texts[0] + "".join(f"{r},\n" for r in range(n_rows))
-    rows_per_block = max(1, _BLOCK_VALUES // (n_cols + 1))
-    for start in range(0, n_rows, rows_per_block):
-        block = matrix[start:start + rows_per_block]
+        return header + "".join(f"{r},\n" for r in range(n_rows))
+
+    def block_text(start: int, block: np.ndarray) -> str:
         values = np.empty((len(block), n_cols + 1))
         values[:, 0] = np.arange(start, start + len(block))
         values[:, 1:] = block
+        texts = []
         for chars, _ in _formatted(values, 1):
             chars[:, :, -1] = ord(",")
             chars[:, -1, -1] = ord("\n")
             texts.append(str(chars[chars != 0], "ascii"))
-    return "".join(texts)
+        return "".join(texts)
+
+    return "".join([header, *_map_blocks(block_text, matrix, n_cols + 1)])
 
 
 def read_csv(text: str) -> np.ndarray:
@@ -476,18 +514,17 @@ def render_pgm(matrix: np.ndarray) -> bytes:
     header = f"P2\n{n_cols} {n_rows}\n255\n".encode("ascii")
     if n_cols == 0:
         return header + b"\n" * n_rows
-    chunks = [header]
-    rows_per_block = max(1, _BLOCK_VALUES // n_cols)
-    for start in range(0, n_rows, rows_per_block):
-        block = matrix[start:start + rows_per_block]
+
+    def block_bytes(start: int, block: np.ndarray) -> bytes:
         if not np.isfinite(block).all():
             raise ValueError("probabilities must be finite")
         # 255*(1-p) is nonnegative, so floor(x + 0.5) is half-away-from-zero.
         pixels = np.floor(255.0 * (1.0 - np.clip(block, 0.0, 1.0)) + 0.5).astype(np.int64)
         chars = _PIXEL_TEXT[pixels]
         chars[:, -1, -1] = ord("\n")
-        chunks.append(chars[chars != 0].tobytes())
-    return b"".join(chunks)
+        return chars[chars != 0].tobytes()
+
+    return b"".join([header, *_map_blocks(block_bytes, matrix, n_cols)])
 
 
 def write_operator_csv(op: np.ndarray) -> str:
@@ -497,11 +534,11 @@ def write_operator_csv(op: np.ndarray) -> str:
     n_rows, n_cols = op.shape
     if n_cols == 0:
         return "\n" * n_rows
-    texts = []
-    rows_per_block = max(1, _BLOCK_VALUES // (2 * n_cols))
-    for start in range(0, n_rows, rows_per_block):
-        block = np.ascontiguousarray(op[start:start + rows_per_block], dtype=np.complex128)
-        for chars, sign in _formatted(block.view(np.float64), 2):
+
+    def block_text(start: int, block: np.ndarray) -> str:
+        values = np.ascontiguousarray(block, dtype=np.complex128).view(np.float64)
+        texts = []
+        for chars, sign in _formatted(values, 2):
             # Odd columns are imaginary parts, which always show their sign.
             width = chars.shape[2]
             flat = chars.reshape(-1)
@@ -512,7 +549,9 @@ def write_operator_csv(op: np.ndarray) -> str:
             imag[:, :, -1] = ord(",")
             imag[:, -1, -1] = ord("\n")
             texts.append(str(chars[chars != 0], "ascii"))
-    return "".join(texts)
+        return "".join(texts)
+
+    return "".join(_map_blocks(block_text, op, 2 * n_cols))
 
 
 def format_period_report(report) -> str:

@@ -101,10 +101,11 @@ print(peak() - before)
 def test_csv_output_holds_about_two_copies_of_its_text(tmp_path):
     # 6 cells, 128 columns of nearly all distinct values: a 4 MiB matrix and
     # about 12 MB of CSV.  The blocks' texts and their join are alive
-    # together once, next to one block's formatting temporaries, and the
-    # file is written 1 MiB at a time: the growth peaks near 2.2 times the
-    # file size.  A third copy (the text with a final newline added, or an
-    # encoded copy for the file) would exceed 2.4 times the file size.
+    # together once, next to the formatting temporaries of the two blocks in
+    # flight (one per thread on two CPUs), and the file is written 1 MiB at
+    # a time: the growth peaks near 2.2 times the file size.  A third copy
+    # (the text with a final newline added, or an encoded copy for the file)
+    # would exceed 2.4 times the file size.
     entries = ",".join(map(format_complex, random_unitary(np.random.default_rng(3), 4).flat))
     conf, csv_path, warm_up = tmp_path / "run.conf", tmp_path / "run.csv", tmp_path / "1.conf"
     conf.write_text(f"cells=6\nrule=both\nboundary=cyclic\neval=custom:{entries}\n"
@@ -115,6 +116,19 @@ def test_csv_output_holds_about_two_copies_of_its_text(tmp_path):
     run = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
     matrix_bytes = 8 * 128 << 12
     assert int(run.stdout) < matrix_bytes + 2.4 * csv_path.stat().st_size
+
+
+# A fresh `import qca2.cli` is what every command pays first: the writers'
+# helper thread must not bring a thread pool (and its `logging`) with it,
+# nor start before a writer runs.
+def test_importing_the_cli_loads_no_pool_and_starts_no_thread():
+    code = ("import sys, threading, qca2.cli\n"
+            "print(threading.active_count(), *(m in sys.modules for m in "
+            "('concurrent.futures', 'logging')))")
+    env = {**os.environ, "PYTHONPATH": str(Path(qca2.__file__).parent.parent)}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout.split() == ["1", "False", "False"]
 
 
 class TestPeriodCommand:

@@ -1,4 +1,7 @@
 import math
+import os
+import sys
+import threading
 import time
 
 import numpy as np
@@ -6,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qca2 import io_formats
 from qca2.analysis import PeriodReport
 from qca2.gates import ControlledFlip, LocalUnitary
 from qca2.io_formats import (
@@ -333,6 +337,111 @@ def test_writers_give_the_same_bytes_for_either_memory_order(rng, shape):
         write_operator_csv(np.asfortranarray(op))
     pixels = render_pgm(matrix).split(b"\n", 3)[3].split()
     assert set(pixels) == {str(v).encode() for v in range(256)}
+
+
+# The writers format their blocks on one thread or, given two CPUs, on two.
+# 1250 x 127 is three CSV and three PGM blocks and five operator blocks.
+_THREAD_SHAPES = {"no-rows": (0, 5), "no-columns": (5, 0), "one-block": (10, 7),
+                  "odd-blocks": (1250, 127)}
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+class _NoThread:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a writer started a thread on one CPU")
+
+
+@pytest.mark.parametrize("shape", _THREAD_SHAPES.values(), ids=_THREAD_SHAPES.keys())
+@pytest.mark.parametrize("pool", [[0.0, -0.0, 0.25, 1.0], None], ids=["few-patterns", "per-value"])
+def test_writers_give_the_same_bytes_on_one_thread_and_two(monkeypatch, rng, shape, pool):
+    matrix = rng.random(shape) if pool is None else rng.choice(pool, size=shape)
+    special = matrix.copy()
+    special.flat[::7] = np.resize([-0.0, np.nan, np.inf, -np.inf], special.flat[::7].size)
+    op = np.empty(shape, dtype=np.complex128)
+    op.real, op.imag = special, rng.permutation(special.flat).reshape(shape)
+    started = []
+
+    class CountedThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    outputs = []
+    for cpus, thread in (({0}, _NoThread), ({0, 1}, CountedThread)):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        monkeypatch.setattr(threading, "Thread", thread)
+        outputs.append((write_csv(special), write_operator_csv(op), render_pgm(matrix)))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == _reference_csv(special)
+    assert len(started) == (3 if shape == _THREAD_SHAPES["odd-blocks"] else 0)
+
+
+# A non-finite probability in the first or the last block raises the same
+# error whichever thread formats that block, and no thread outlives the call.
+@pytest.mark.parametrize("row", [0, -1], ids=["first-block", "last-block"])
+def test_a_failing_block_stops_both_threads(two_cpus, row):
+    matrix = np.full(_THREAD_SHAPES["odd-blocks"], 0.5)
+    matrix[row, -1] = np.nan
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="^probabilities must be finite$"):
+        render_pgm(matrix)
+    assert threading.active_count() == before
+
+
+def test_an_exception_in_the_helper_thread_is_raised_unchanged(two_cpus):
+    error, helper_failed = MemoryError(), threading.Event()
+
+    def block(start, rows):
+        if threading.current_thread() is threading.main_thread():
+            assert helper_failed.wait(10)
+            return start
+        helper_failed.set()
+        raise error
+
+    with pytest.raises(MemoryError) as raised:  # four blocks of two rows
+        io_formats._map_blocks(block, np.zeros((8, 1)), io_formats._BLOCK_VALUES // 2)
+    assert raised.value is error
+
+
+# The thread that does not fail takes no block after the failure.
+def test_a_failing_block_stops_the_other_thread(two_cpus):
+    taken = []
+
+    def block(start, rows):
+        taken.append(start)
+        if start == 0:
+            raise ValueError("block 0")
+        time.sleep(0.01)  # lets the failing thread run
+
+    with pytest.raises(ValueError, match="^block 0$"):
+        io_formats._map_blocks(block, np.zeros((100, 1)), io_formats._BLOCK_VALUES)
+    assert len(taken) < 10
+
+
+# Many one-row blocks and a short switch interval: each block is taken by
+# exactly one thread and its result lands in its own place.  Each thread's
+# first block waits for the other thread's, so both take part.
+def test_every_block_is_formatted_once_and_in_place(two_cpus):
+    taken, interval, threads, both = [], sys.getswitchinterval(), set(), threading.Barrier(2)
+
+    def block(start, rows):
+        taken.append(start)
+        if threading.get_ident() not in threads:
+            threads.add(threading.get_ident())
+            both.wait(10)
+        return start, threading.get_ident()
+
+    sys.setswitchinterval(1e-6)
+    try:
+        results = io_formats._map_blocks(block, np.zeros((5000, 1)), io_formats._BLOCK_VALUES)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(taken) == [start for start, _ in results] == list(range(5000))
+    assert len({thread for _, thread in results}) == 2
 
 
 # Without columns a CSV row is its state index and a comma, and an operator
