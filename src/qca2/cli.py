@@ -17,9 +17,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 failed check or period not found, 2 bad input
 (config, script, flag or output path, a closed stdout included), a run whose
-probability matrix and states, or a period search or check whose states and
-working vectors, would not fit in physical memory, an allocation that was
-refused, or a state whose norm drifted.
+probability matrix, states and writers' blocks in flight, or a period search
+or check whose states and working vectors, would not fit in physical memory,
+an allocation that was refused, or a state whose norm drifted.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import argparse
 import os
 import sys
 from pathlib import Path
+from typing import Generator
 
 from . import analysis, io_formats, rules
 from .gates import MAX_DENSE_QUBITS
@@ -43,40 +44,41 @@ def _load(path: str) -> str:
         raise io_formats.ConfigError(f"cannot read {path}: {exc}") from None
 
 
-_WRITE_SLICE = 1 << 20  # characters encoded at a time
-
-
-def _write_text(text: str, file) -> None:
-    """Write `text` a slice at a time, so that its encoded form is never
-    held whole next to it."""
-    for start in range(0, len(text), _WRITE_SLICE):
-        file.write(text[start:start + _WRITE_SLICE])
-
-
 def _write_stdout(text: str) -> None:
     """Write `text` to stdout and flush it; a closed stdout is an unwritable
     output path."""
     try:
-        _write_text(text, sys.stdout)
+        sys.stdout.write(text)
         sys.stdout.flush()
     except OSError as exc:
         raise io_formats.ConfigError(f"cannot write output: {exc}") from None
 
 
-def _write_outputs(matrix, args) -> None:
-    """Write the PGM before formatting the CSV, so that the CSV text is
-    never alive during the render."""
+def _write_blocks(blocks: Generator, path: str | None = None) -> None:
+    """Write each block of a writer's stream as it comes: its bytes to the
+    file at `path`, or its text to stdout when `path` is None.  A failed
+    write stops the stream, and its helper thread with it."""
     try:
-        if args.out_pgm:
-            Path(args.out_pgm).write_bytes(io_formats.render_pgm(matrix))
-        if args.out_csv:
-            text = io_formats.write_csv(matrix)
-            with open(args.out_csv, "w") as file:
-                _write_text(text, file)
+        if path is None:
+            for block in blocks:
+                _write_stdout(str(block, "ascii"))
+            return
+        with open(path, "wb") as file:
+            for block in blocks:
+                file.write(block)
     except OSError as exc:
         raise io_formats.ConfigError(f"cannot write output: {exc}") from None
-    if not args.out_csv and not args.out_pgm:
-        _write_stdout(io_formats.write_csv(matrix))
+    finally:
+        blocks.close()
+
+
+def _write_outputs(matrix, args) -> None:
+    """Stream the PGM and then the CSV to their files, or the CSV to stdout
+    when no output path is given."""
+    if args.out_pgm:
+        _write_blocks(io_formats.pgm_blocks(matrix), args.out_pgm)
+    if args.out_csv or not args.out_pgm:
+        _write_blocks(io_formats.csv_blocks(matrix), args.out_csv)
 
 
 def _cmd_simulate(args) -> int:
@@ -121,7 +123,7 @@ def _cmd_matrix(args) -> int:
     if config.n_cells > MAX_DENSE_CELLS:
         raise io_formats.ConfigError("matrix needs the dense operator; "
                                      f"at most {MAX_DENSE_CELLS} cells")
-    _write_stdout(io_formats.write_operator_csv(rules.build_dense_rule(config)))
+    _write_blocks(io_formats.operator_blocks(rules.build_dense_rule(config)))
     return 0
 
 

@@ -33,15 +33,18 @@ with integer arithmetic, and each distinct value is laid out as a
 fixed-width row of bytes, NUL where it has no character.  PGM pixels take
 their rows from one table of the 256 pixel texts.  Every writer gathers a
 block's rows, writes separators and line ends into their last columns and
-drops the NULs.  On more than one CPU the writers format two blocks at a
-time, on the calling thread and one helper thread, and join the blocks'
-texts in order: the bytes are the same on one thread or two.
+drops the NULs.  Each writer is a stream: it yields its header and then
+each block's characters in order, so the caller can write a block while
+the next ones are formatted, and at most `BLOCKS_IN_FLIGHT` blocks are
+alive at once.  On more than one CPU the blocks are formatted on the
+consuming thread and one helper thread: the bytes are the same on one
+thread or two.  `write_csv`, `render_pgm` and `write_operator_csv` join a
+stream into one text.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import os
 import threading
 from typing import Container, Iterator
@@ -53,6 +56,8 @@ from .rules import (
     CELL_ZERO,
     EVAL_PRESETS,
     MAX_CELLS,
+    BLOCK_VALUES,
+    BLOCKS_IN_FLIGHT,
     BoundaryCondition,
     NeighborhoodRule,
     QcaConfig,
@@ -397,10 +402,11 @@ def _format_floats(values) -> list[str]:
     return [text[start:stop] for start, stop in zip([0, *ends], ends)]
 
 
-# Values per block that is searched for repeated bit patterns, and per
-# `_layout` call: its temporaries take about 200 bytes a value.  Smaller
-# calls make the writers' two threads contend for the GIL.
-_BLOCK_VALUES, _LAYOUT_VALUES = 1 << 16, 1 << 13
+# Values per `_layout` call: its temporaries take about 200 bytes a value.
+# Smaller calls make the writers' two threads contend for the GIL.
+_LAYOUT_VALUES = 1 << 13
+# Blocks that may be formatted past the last one handed to the consumer.
+_AHEAD = BLOCKS_IN_FLIGHT - 1
 
 
 def _few_patterns(bits: np.ndarray) -> np.ndarray | None:
@@ -435,59 +441,111 @@ def _formatted(values: np.ndarray, suffix: int) -> Iterator[tuple[np.ndarray, np
         yield rows.reshape(-1, n_cols, rows.shape[1]), sign.reshape(-1, n_cols)
 
 
-def _map_blocks(block, matrix: np.ndarray, row_values: int) -> list:
-    """`block(start, rows)` for each block of `matrix`'s rows, in order:
-    `_BLOCK_VALUES` values a block, counting `row_values` for each row.
-    On more than one CPU, the caller and one helper thread take the blocks
-    from a shared counter.  An exception in either thread stops both, and
-    is raised once the helper has stopped."""
-    step = max(1, _BLOCK_VALUES // row_values)
+def _map_blocks(block, matrix: np.ndarray, row_values: int) -> Iterator:
+    """The pieces of `block(start, rows)`, a list, for each block of
+    `matrix`'s rows, yielded in order: `BLOCK_VALUES` values a block,
+    counting `row_values` for each row.  A block's exception is raised in
+    its place, once the blocks before it are yielded.  On more than one
+    CPU, the caller and one helper thread take the blocks from a shared
+    counter, at most `_AHEAD` blocks past the last one yielded; the helper
+    stops at its first exception, and when the generator is closed or
+    raises."""
+    step = max(1, BLOCK_VALUES // row_values)
     starts = range(0, len(matrix), step)
-    results, errors, taken = [None] * len(starts), [], itertools.count()
+    done, ready = {}, threading.Condition()
+    taken = yielded = 0
+    stopped = False
 
-    def work():
-        try:  # count's next() is atomic under the GIL
-            for i in itertools.takewhile(lambda i: i < len(starts) and not errors, taken):
-                results[i] = block(starts[i], matrix[starts[i]:starts[i] + step])
+    def take() -> int | None:
+        """The next block to format, None when there is none in the window;
+        `ready` held."""
+        nonlocal taken
+        if stopped or taken >= min(len(starts), yielded + _AHEAD):
+            return None
+        taken += 1
+        return taken - 1
+
+    def run(i: int) -> bool:
+        """Format block i; False when it raised."""
+        try:
+            outcome = block(starts[i], matrix[starts[i]:starts[i] + step]), None
         except BaseException as exc:
-            errors.append(exc)
+            outcome = None, exc
+        with ready:
+            done[i] = outcome
+            ready.notify_all()
+        return outcome[1] is None
+
+    def help_out() -> None:
+        while True:
+            with ready:
+                while (i := take()) is None:
+                    if stopped or taken == len(starts):
+                        return
+                    ready.wait()
+            if not run(i):
+                return
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    helper = threading.Thread(target=work) if len(starts) > 1 and cpus > 1 else None
-    if helper:
-        _tables()  # built first, so two threads never race to build it
-        helper.start()
-    work()
-    if helper:
-        helper.join()
-    if errors:
-        raise errors[0]
-    return results
+    helper = threading.Thread(target=help_out) if len(starts) > 1 and cpus > 1 else None
+    try:
+        if helper:
+            _tables()  # built first, so two threads never race to build it
+            helper.start()
+        for i in range(len(starts)):
+            while True:
+                with ready:
+                    if i in done:
+                        (result, error), yielded = done.pop(i), i + 1
+                        ready.notify_all()
+                        break
+                    j = take()
+                    if j is None:
+                        ready.wait()
+                        continue
+                run(j)
+            if error is not None:
+                raise error
+            yield from result
+            del result  # not held while the next block is awaited
+    finally:
+        with ready:
+            stopped = True
+            ready.notify_all()
+        if helper:
+            helper.join()
 
 
-def write_csv(matrix: np.ndarray) -> str:
+def csv_blocks(matrix: np.ndarray) -> Iterator[bytes | np.ndarray]:
     """Probability matrix as CSV: header ``state,t0,t1,...``, one row per
-    basis state, values as shortest round-trip decimals.
+    basis state, values as shortest round-trip decimals.  Yields the header
+    and then each block of rows' ASCII characters, as bytes or uint8 arrays.
 
     Each block of rows is copied in C order behind its state column and
-    formatted with numpy; the blocks' texts are joined once at the end."""
+    formatted with numpy."""
     n_rows, n_cols = matrix.shape
-    header = "state," + ",".join(f"t{t}" for t in range(n_cols)) + "\n"
+    yield ("state," + ",".join(f"t{t}" for t in range(n_cols)) + "\n").encode()
     if n_cols == 0:  # the state column's comma ends the row
-        return header + "".join(f"{r},\n" for r in range(n_rows))
+        yield "".join(f"{r},\n" for r in range(n_rows)).encode()
+        return
 
-    def block_text(start: int, block: np.ndarray) -> str:
+    def block_chars(start: int, block: np.ndarray) -> list[np.ndarray]:
         values = np.empty((len(block), n_cols + 1))
         values[:, 0] = np.arange(start, start + len(block))
         values[:, 1:] = block
-        texts = []
+        pieces = []
         for chars, _ in _formatted(values, 1):
             chars[:, :, -1] = ord(",")
             chars[:, -1, -1] = ord("\n")
-            texts.append(str(chars[chars != 0], "ascii"))
-        return "".join(texts)
+            pieces.append(chars[chars != 0])
+        return pieces
 
-    return "".join([header, *_map_blocks(block_text, matrix, n_cols + 1)])
+    yield from _map_blocks(block_chars, matrix, n_cols + 1)
+
+
+def write_csv(matrix: np.ndarray) -> str:
+    """`csv_blocks` as one text."""
+    return b"".join(csv_blocks(matrix)).decode("ascii")
 
 
 def read_csv(text: str) -> np.ndarray:
@@ -503,41 +561,51 @@ _PIXEL_TEXT = np.frombuffer(
 ).reshape(256, 4)
 
 
-def render_pgm(matrix: np.ndarray) -> bytes:
-    """Plain (P2) PGM render of a probability matrix.
+def pgm_blocks(matrix: np.ndarray) -> Iterator[bytes | np.ndarray]:
+    """Plain (P2) PGM render of a probability matrix: the header, then each
+    block of rows' ASCII characters, as bytes or uint8 arrays.
 
     Probability 1 maps to black (0) and probability 0 to white (255); pixel
     values round half away from zero.  State 0 is the top row, time runs
-    left to right.  A probability that is nan or infinite raises ValueError.
+    left to right.  A probability that is nan or infinite raises ValueError
+    when its block is formatted.
     """
     n_rows, n_cols = matrix.shape
-    header = f"P2\n{n_cols} {n_rows}\n255\n".encode("ascii")
+    yield f"P2\n{n_cols} {n_rows}\n255\n".encode("ascii")
     if n_cols == 0:
-        return header + b"\n" * n_rows
+        yield b"\n" * n_rows
+        return
 
-    def block_bytes(start: int, block: np.ndarray) -> bytes:
+    def block_chars(start: int, block: np.ndarray) -> list[np.ndarray]:
         if not np.isfinite(block).all():
             raise ValueError("probabilities must be finite")
         # 255*(1-p) is nonnegative, so floor(x + 0.5) is half-away-from-zero.
         pixels = np.floor(255.0 * (1.0 - np.clip(block, 0.0, 1.0)) + 0.5).astype(np.int64)
         chars = _PIXEL_TEXT[pixels]
         chars[:, -1, -1] = ord("\n")
-        return chars[chars != 0].tobytes()
+        return [chars[chars != 0]]
 
-    return b"".join([header, *_map_blocks(block_bytes, matrix, n_cols)])
+    yield from _map_blocks(block_chars, matrix, n_cols)
 
 
-def write_operator_csv(op: np.ndarray) -> str:
+def render_pgm(matrix: np.ndarray) -> bytes:
+    """`pgm_blocks` as one bytes object."""
+    return b"".join(pgm_blocks(matrix))
+
+
+def operator_blocks(op: np.ndarray) -> Iterator[np.ndarray]:
     """Dense operator as CSV of complex entries ``<re><sign><im>i``, one
-    matrix row per line.  The real and imaginary parts of a block of rows
-    are formatted together."""
+    matrix row per line, as each block of rows' ASCII characters in uint8
+    arrays.  The real and imaginary parts of a block of rows are formatted
+    together."""
     n_rows, n_cols = op.shape
     if n_cols == 0:
-        return "\n" * n_rows
+        yield np.full(n_rows, ord("\n"), np.uint8)
+        return
 
-    def block_text(start: int, block: np.ndarray) -> str:
+    def block_chars(start: int, block: np.ndarray) -> list[np.ndarray]:
         values = np.ascontiguousarray(block, dtype=np.complex128).view(np.float64)
-        texts = []
+        pieces = []
         for chars, sign in _formatted(values, 2):
             # Odd columns are imaginary parts, which always show their sign.
             width = chars.shape[2]
@@ -548,10 +616,15 @@ def write_operator_csv(op: np.ndarray) -> str:
             imag[:, :, -2] = ord("i")
             imag[:, :, -1] = ord(",")
             imag[:, -1, -1] = ord("\n")
-            texts.append(str(chars[chars != 0], "ascii"))
-        return "".join(texts)
+            pieces.append(chars[chars != 0])
+        return pieces
 
-    return "".join(_map_blocks(block_text, op, 2 * n_cols))
+    yield from _map_blocks(block_chars, op, 2 * n_cols)
+
+
+def write_operator_csv(op: np.ndarray) -> str:
+    """`operator_blocks` as one text."""
+    return b"".join(operator_blocks(op)).decode("ascii")
 
 
 def format_period_report(report) -> str:

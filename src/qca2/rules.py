@@ -224,13 +224,32 @@ def build_dense_rule(config: QcaConfig) -> np.ndarray:
     return op
 
 
+# The writers of `io_formats` stream a matrix a block of rows at a time:
+# BLOCK_VALUES values, or one row when a row holds more.  At most
+# BLOCKS_IN_FLIGHT blocks are alive at once, the one being written and those
+# formatted ahead of it, two of them in formatting.  A block in formatting
+# holds up to about 200 bytes a value (a wide row's `_layout` temporaries),
+# a formatted one about 25, so together they hold less than
+# BLOCK_BYTES_PER_VALUE bytes a value of each block in flight.
+BLOCK_VALUES, BLOCKS_IN_FLIGHT, BLOCK_BYTES_PER_VALUE = 1 << 16, 4, 150
+
+
+def writer_bytes(row_values: int) -> int:
+    """Bytes the writers hold at once while they stream a matrix whose rows
+    hold `row_values` values each: the blocks in flight."""
+    return BLOCKS_IN_FLIGHT * BLOCK_BYTES_PER_VALUE * max(BLOCK_VALUES, row_values)
+
+
 def run_bytes(n_qubits: int, n_columns: int, dtype) -> int:
-    """Bytes `evolve` or `run_gate_script` holds at its peak, at most: the
-    float64 probability matrix of `n_columns` columns, two states of `dtype`,
-    the run's `state_dtype` (8 bytes an amplitude when real, 16 when
-    complex), an int64 gather index, and the two float64 temporaries of
-    `probabilities`, ``|x|`` and its square."""
-    return (8 * n_columns + 2 * np.dtype(dtype).itemsize + 8 + 2 * 8) << n_qubits
+    """Bytes a `simulate` or `script` run holds at its peak, at most.
+    `evolve` or `run_gate_script` holds the float64 probability matrix of
+    `n_columns` columns, two states of `dtype`, the run's `state_dtype` (8
+    bytes an amplitude when real, 16 when complex), an int64 gather index,
+    and the two float64 temporaries of `probabilities`, ``|x|`` and its
+    square.  The CSV writer's blocks in flight, whose rows hold a state
+    index and `n_columns` values, are counted on top."""
+    evolving = (8 * n_columns + 2 * np.dtype(dtype).itemsize + 8 + 2 * 8) << n_qubits
+    return evolving + writer_bytes(n_columns + 1)
 
 
 def _physical_memory() -> int:

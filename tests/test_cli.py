@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 import qca2
 from qca2 import cli, io_formats, rules
 from qca2.cli import main
-from qca2.io_formats import parse_config, read_csv
+from qca2.io_formats import parse_config, parse_script, read_csv
 
 from helpers import doubled_identity, format_complex, random_unitary
 
@@ -68,13 +69,28 @@ class TestSimulateCommand:
     def test_missing_file_exits_two(self, capsys):
         assert main(["simulate", "/nonexistent/x.conf"]) == 2
 
-    def test_csv_is_written_in_slices(self, cyclic_conf, tmp_path, capsys, monkeypatch):
-        expected = io_formats.write_csv(rules.evolve(parse_config(cyclic_conf.read_text())))
-        monkeypatch.setattr(cli, "_WRITE_SLICE", 7)
+
+# Several blocks each, streamed to a file and to stdout, against the writers'
+# joins: 1024 rows of 202 columns for `simulate` and `script` (four CSV
+# blocks), and 1024 complex columns for `matrix` (32 blocks).
+@pytest.mark.parametrize("command", ["simulate", "script", "matrix"])
+def test_streamed_outputs_equal_the_joined_writers(command, tmp_path, capsys):
+    path = tmp_path / "run.in"
+    if command == "script":
+        path.write_text("cells=5\ninitial=3\n" + "step\nH s0\nCN s0 c4\nH c2\n" * 201)
+        expected = io_formats.write_csv(rules.run_gate_script(*parse_script(path.read_text())))
+    else:
+        path.write_text("cells=5\nrule=both\nboundary=cyclic\neval=h_s_then_cn\n"
+                        "steps=201\ninitial=5\n")
+        config = parse_config(path.read_text())
+        expected = (io_formats.write_operator_csv(rules.build_dense_rule(config))
+                    if command == "matrix" else io_formats.write_csv(rules.evolve(config)))
+    assert main([command, str(path)]) == 0
+    assert capsys.readouterr().out == expected
+    if command != "matrix":
         csv_path = tmp_path / "out.csv"
-        assert main(["simulate", str(cyclic_conf), "--out-csv", str(csv_path)]) == 0
-        assert main(["simulate", str(cyclic_conf)]) == 0
-        assert csv_path.read_text() == capsys.readouterr().out == expected
+        assert main([command, str(path), "--out-csv", str(csv_path)]) == 0
+        assert csv_path.read_bytes() == expected.encode()
 
 
 # Growth of a fresh interpreter's peak resident memory across one
@@ -98,14 +114,13 @@ print(peak() - before)
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs VmHWM")
-def test_csv_output_holds_about_two_copies_of_its_text(tmp_path):
+def test_streamed_csv_output_holds_less_than_its_text(tmp_path):
     # 6 cells, 128 columns of nearly all distinct values: a 4 MiB matrix and
-    # about 12 MB of CSV.  The blocks' texts and their join are alive
-    # together once, next to the formatting temporaries of the two blocks in
-    # flight (one per thread on two CPUs), and the file is written 1 MiB at
-    # a time: the growth peaks near 2.2 times the file size.  A third copy
-    # (the text with a final newline added, or an encoded copy for the file)
-    # would exceed 2.4 times the file size.
+    # about 12 MB of CSV.  The CSV goes to the file a block at a time, so
+    # besides the matrix the run holds only the blocks in flight (four of
+    # 65,536 values, two of them in formatting): the growth peaks 7-9 MB
+    # above the matrix, about 0.6-0.7 times the file size.  Holding the text
+    # whole even once would exceed the matrix plus the file size.
     entries = ",".join(map(format_complex, random_unitary(np.random.default_rng(3), 4).flat))
     conf, csv_path, warm_up = tmp_path / "run.conf", tmp_path / "run.csv", tmp_path / "1.conf"
     conf.write_text(f"cells=6\nrule=both\nboundary=cyclic\neval=custom:{entries}\n"
@@ -115,20 +130,20 @@ def test_csv_output_holds_about_two_copies_of_its_text(tmp_path):
     argv = [sys.executable, "-c", _PEAK_GROWTH, str(conf), str(csv_path), str(warm_up)]
     run = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
     matrix_bytes = 8 * 128 << 12
-    assert int(run.stdout) < matrix_bytes + 2.4 * csv_path.stat().st_size
+    assert int(run.stdout) < matrix_bytes + csv_path.stat().st_size
 
 
 # A fresh `import qca2.cli` is what every command pays first: the writers'
-# helper thread must not bring a thread pool (and its `logging`) with it,
-# nor start before a writer runs.
+# helper thread must not bring a thread pool (and its `logging`) or a queue
+# with it, nor start before a writer runs.
 def test_importing_the_cli_loads_no_pool_and_starts_no_thread():
     code = ("import sys, threading, qca2.cli\n"
             "print(threading.active_count(), *(m in sys.modules for m in "
-            "('concurrent.futures', 'logging')))")
+            "('concurrent.futures', 'logging', 'queue')))")
     env = {**os.environ, "PYTHONPATH": str(Path(qca2.__file__).parent.parent)}
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert run.stdout.split() == ["1", "False", "False"]
+    assert run.stdout.split() == ["1", "False", "False", "False"]
 
 
 class TestPeriodCommand:
@@ -298,11 +313,25 @@ def test_closed_stdout_ends_in_one_error_line(tmp_path):
     assert "Traceback" not in err
 
 
+# A write that fails mid-stream (a full disk) stops the stream and its
+# helper at once, while the error and its traceback are still alive.
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+def test_a_failed_write_stops_the_writers_helper(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    before = threading.active_count()
+    with pytest.raises(io_formats.ConfigError) as raised:
+        cli._write_blocks(io_formats.csv_blocks(np.full((4096, 127), 0.5)), "/dev/full")
+    assert threading.active_count() == before
+    assert str(raised.value).startswith("cannot write output: [Errno 28]")
+
+
 def test_memory_check_counts_states_at_the_state_dtype(tmp_path, capsys, monkeypatch):
     # 5 cells, two columns: 16 KiB of probabilities, 24 KiB of gather index
     # and probability temporaries, and two states of 8 KiB each when real or
-    # 16 KiB each when complex, against 56 KiB of memory.
+    # 16 KiB each when complex, against 56 KiB of memory.  The writers'
+    # blocks in flight, megabytes whatever the run, are left out here.
     monkeypatch.setattr(rules, "_physical_memory", lambda: 56 << 10)
+    monkeypatch.setattr(rules, "writer_bytes", lambda row_values: 0)
     conf, script = tmp_path / "run.conf", tmp_path / "run.qscript"
     conf.write_text("cells=5\nrule=right\neval=h_both\nsteps=1\ninitial=0\n")
     script.write_text("cells=5\ninitial=0\nstep\nH s0\nCN s0 c0\n")

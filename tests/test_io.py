@@ -3,13 +3,14 @@ import os
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qca2 import io_formats
+from qca2 import io_formats, rules
 from qca2.analysis import PeriodReport
 from qca2.gates import ControlledFlip, LocalUnitary
 from qca2.io_formats import (
@@ -398,16 +399,17 @@ def test_an_exception_in_the_helper_thread_is_raised_unchanged(two_cpus):
     def block(start, rows):
         if threading.current_thread() is threading.main_thread():
             assert helper_failed.wait(10)
-            return start
+            return [start]
         helper_failed.set()
         raise error
 
     with pytest.raises(MemoryError) as raised:  # four blocks of two rows
-        io_formats._map_blocks(block, np.zeros((8, 1)), io_formats._BLOCK_VALUES // 2)
+        list(io_formats._map_blocks(block, np.zeros((8, 1)), rules.BLOCK_VALUES // 2))
     assert raised.value is error
 
 
-# The thread that does not fail takes no block after the failure.
+# The stream stops at its failing first block: neither thread takes a
+# block past the window before it.
 def test_a_failing_block_stops_the_other_thread(two_cpus):
     taken = []
 
@@ -416,32 +418,88 @@ def test_a_failing_block_stops_the_other_thread(two_cpus):
         if start == 0:
             raise ValueError("block 0")
         time.sleep(0.01)  # lets the failing thread run
+        return []
 
     with pytest.raises(ValueError, match="^block 0$"):
-        io_formats._map_blocks(block, np.zeros((100, 1)), io_formats._BLOCK_VALUES)
-    assert len(taken) < 10
+        list(io_formats._map_blocks(block, np.zeros((100, 1)), rules.BLOCK_VALUES))
+    assert max(taken) < io_formats._AHEAD
 
 
 # Many one-row blocks and a short switch interval: each block is taken by
-# exactly one thread and its result lands in its own place.  Each thread's
-# first block waits for the other thread's, so both take part.
+# exactly one thread, at most the window past the blocks consumed, and
+# yielded in its own place.  Each thread's first block waits for the other
+# thread's, so both take part.
 def test_every_block_is_formatted_once_and_in_place(two_cpus):
     taken, interval, threads, both = [], sys.getswitchinterval(), set(), threading.Barrier(2)
+    results = []
 
     def block(start, rows):
         taken.append(start)
+        assert start <= len(results) + io_formats._AHEAD
         if threading.get_ident() not in threads:
             threads.add(threading.get_ident())
             both.wait(10)
-        return start, threading.get_ident()
+        return [(start, threading.get_ident())]
 
     sys.setswitchinterval(1e-6)
     try:
-        results = io_formats._map_blocks(block, np.zeros((5000, 1)), io_formats._BLOCK_VALUES)
+        for result in io_formats._map_blocks(block, np.zeros((5000, 1)), rules.BLOCK_VALUES):
+            results.append(result)
     finally:
         sys.setswitchinterval(interval)
     assert sorted(taken) == [start for start, _ in results] == list(range(5000))
     assert len({thread for _, thread in results}) == 2
+
+
+# A consumer that takes one block and stops (a failed write) stops the
+# helper: no thread outlives the stream, and no more than the window of
+# blocks is formatted past the one consumed, though the helper is fast.
+def test_closing_the_stream_stops_the_helper(two_cpus):
+    formatted = []
+
+    def block(start, rows):
+        formatted.append(start)
+        return [start]
+
+    before = threading.active_count()
+    stream = io_formats._map_blocks(block, np.zeros((100, 1)), rules.BLOCK_VALUES)
+    assert next(stream) == 0
+    deadline = time.monotonic() + 10
+    while len(formatted) < rules.BLOCKS_IN_FLIGHT and time.monotonic() < deadline:
+        time.sleep(0.001)
+    time.sleep(0.05)  # time to go past the window, were it not kept
+    assert threading.active_count() == before + 1
+    stream.close()
+    assert threading.active_count() == before
+    assert len(formatted) == 1 + io_formats._AHEAD == rules.BLOCKS_IN_FLIGHT
+
+
+# The traced peak of streaming a matrix on two threads stays within the
+# pre-flight's estimate of the blocks in flight: eight blocks of distinct
+# or of few values, and rows wider than a block, one row a block.
+_STREAMS = {
+    "csv": lambda m: (io_formats.csv_blocks(m), m.shape[1] + 1),
+    "pgm": lambda m: (io_formats.pgm_blocks(m), m.shape[1]),
+    "operator": lambda m: (io_formats.operator_blocks(m + 0.5j * m[::-1]), 2 * m.shape[1]),
+}
+
+
+@pytest.mark.parametrize("shape", [(4096, 127), (3, 100_000)], ids=["blocks", "wide-rows"])
+@pytest.mark.parametrize("pool", [[0.0, 0.25, 1 / 3, 1.0], None], ids=["few-patterns", "per-value"])
+@pytest.mark.parametrize("writer", _STREAMS)
+def test_the_blocks_in_flight_fit_the_estimate(two_cpus, rng, writer, shape, pool):
+    matrix = rng.random(shape) if pool is None else rng.choice(pool, size=shape)
+    stream, row_values = _STREAMS[writer](matrix)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in stream:
+            pass
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= rules.writer_bytes(row_values)
 
 
 # Without columns a CSV row is its state index and a comma, and an operator
