@@ -151,8 +151,10 @@ def search_period(config: QcaConfig, n_columns: int,
     passes only when column p is within `tol` of 1 there too.  A multiple
     of the return time compares copies and has deviation 0; any other lag
     runs `_twin` over every column pair, or over one return time of them.
-    The run is refused before it allocates when its `search_bytes` exceed
-    physical memory.
+    Every lag has a column pair within the first (n_columns - 1) // 2 + 1
+    columns, so when each lag misses the screen there, the rest of the
+    columns are never drawn.  The run is refused before it allocates when
+    its `search_bytes` exceed physical memory.
     """
     if n_columns < 1:
         raise ValueError("the search needs at least one column")
@@ -162,10 +164,14 @@ def search_period(config: QcaConfig, n_columns: int,
     dtype = state_dtype([config.evaluation])
     rules.check_fits(search_bytes(n_qubits, n_columns, dtype), "states and working vectors")
     evolution = _evolution(config, dtype)
-    # `map` keeps no column alive while the next one is computed, and the
-    # evolution's states are freed before any twin runs.
-    trace = np.fromiter(map(itemgetter(initial), islice(
-        evolution(per_update=config.per_update), n_columns)), np.float64)
+    # `map` keeps no column alive while the next one is computed.
+    values = map(itemgetter(initial), evolution(per_update=config.per_update))
+    half = (n_columns - 1) // 2 + 1
+    trace = np.fromiter(islice(values, half), np.float64)
+    if not any(_screen(trace, p, tol) for p in range(1, half)):  # a lag with no drawn pair passes
+        return PeriodReport(False, None, float("nan"), tol, n_columns)
+    trace = np.concatenate((trace, np.fromiter(islice(values, n_columns - half), np.float64)))
+    del values  # the evolution's states are freed before any twin runs
     # Timesteps to the exact return; a run that does not return within the
     # horizon counts as returning just past it.  Past the return, the trace
     # repeats its first `back` values.

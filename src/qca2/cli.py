@@ -8,7 +8,9 @@ Subcommands:
   script.
 * ``period <config> [--horizon N] [--tol X]`` -- search the first N
   probability columns for a period, without holding them, and report it as
-  key=value lines.
+  key=value lines.  When every lag misses in the first half of the
+  columns, the rest are never drawn, and a norm drift there is not
+  reported.
 * ``check <config>`` -- checks of the update ``simulate`` runs: a unitary
   cell matrix, an interaction gather that permutes and keeps s-bits, and
   translation covariance for cyclic boundaries.

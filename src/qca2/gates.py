@@ -8,13 +8,17 @@ Two gate placements cover everything the automaton needs:
   ascending bit positions map to ascending significance inside the small
   matrix, mirroring the register convention.
 
-``flip_source`` turns commuting flips into one index gather and ``contract``
-applies a small matrix to a block of bits; ``gate_kernels`` turns any gate
-list into them, one gather per run of consecutive commuting flips.
-``advance`` is the one loop that runs a state through them, for rules,
-scripts and ``apply_gate`` alike: on a float64 state when ``state_dtype``
-finds every gate matrix real, complex128 otherwise.  Dense operators (capped
-at 10 qubits) are built without them:
+``flip_source`` turns commuting flips into one index gather, a table over
+the control bits broadcast into every index, and ``contract`` applies a
+small matrix to a block of bits; ``gate_kernels`` turns any gate list into
+them, one gather per run of consecutive commuting flips.  ``advance`` is the
+one loop that runs a state through them, for rules, scripts and
+``apply_gate`` alike: on a float64 state when ``state_dtype`` finds every
+gate matrix real, complex128 otherwise.  From a basis state it moves the
+one index through the gathers and contracts only the bits reached so far,
+while the contractions tile the bits from bit 0 upward, as a rule's
+evaluation phase does.  Dense operators (capped at 10 qubits) are built
+without them:
 ``basis_images`` maps flips to the image of each basis index, one at a time,
 ``embed_gate`` places one gate densely, and ``compose_dense`` multiplies
 embedded gates as the tests' generic oracle.
@@ -23,6 +27,7 @@ embedded gates as the tests' generic oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
@@ -175,16 +180,16 @@ def _commute(flips: Sequence[ControlledFlip]) -> bool:
 def flip_source(flips: Sequence[ControlledFlip], n_qubits: int) -> np.ndarray:
     """Gather index that applies all `flips`: ``psi[flip_source(flips, n)]``.
 
-    No flip may target a bit another flip uses as a control.  Then the flips
-    commute and are involutions, so the image of every basis index is also
-    the index its new amplitude is gathered from.
-    """
+    No flip may target another's control, so the flips commute and are
+    involutions: the index is its own inverse, and the targets that fire
+    form a table over the control bits, XORed into every index at once."""
     if not _commute(flips):
         raise ValueError("a flip targets a bit that another flip uses as a control")
-    source = np.arange(1 << n_qubits)
-    for flip in flips:
-        mask = sum(1 << c for c in flip.controls)
-        source ^= ((source & mask) == mask) << flip.target
+    source, table = np.arange(1 << n_qubits), 0
+    for flip in flips:  # bit c of an index is np.arange(2) on axis -1 - c of the view
+        bits = (np.arange(2).reshape((2,) + (1,) * c) for c in flip.controls)
+        table = table ^ reduce(np.bitwise_and, bits, 1) << flip.target
+    source.reshape((2,) * n_qubits)[...] ^= table
     return source
 
 
@@ -208,17 +213,51 @@ def contract(u: np.ndarray, psi: np.ndarray, low: int, out: np.ndarray) -> np.nd
     return out
 
 
+def _place(psi: np.ndarray, placed: slice, block: np.ndarray, start: int) -> slice:
+    """Zero `psi[placed]` and write `block` into `psi` from `start`; returns
+    the slice it now fills."""
+    psi[placed] = 0
+    placed = slice(start, start + block.size)
+    psi[placed] = block
+    return placed
+
+
 def advance(psi: np.ndarray, kernels: Iterable[Kernel], spare: np.ndarray) -> tuple:
-    """Apply `kernels` in order, each reading one of `psi` and `spare` and
-    writing the other, the first writing `spare`; returns (result, the other
-    buffer).  A gather index goes through ``np.take``, a pair through `contract`."""
+    """Apply `kernels` in order to the state in `psi`; returns (result, the
+    other buffer), both overwritten.  A gather index goes through
+    ``np.take``, a pair through `contract`, each reading one buffer and
+    writing the other.
+
+    While the state is a basis state c|j>, a gather only moves j to
+    ``source[j]`` (`flip_source` is its own inverse), and contractions that
+    tile the bits from bit 0 upward run the same `contract` on the bits
+    reached so far alone, their block placed in a zeroed `psi`.  Any other
+    kernel, the top cell's included, first places the block at j's upper
+    bits.  Nonzero parts are the plain loop's bit for bit; a zero's sign
+    may differ."""
+    j = int(np.flatnonzero(psi)[0]) if np.count_nonzero(psi) == 1 else None
+    if j is not None:  # the block of bits [0, 0) is c alone, and `psi` is all zero
+        block, psi[j], placed = psi[j:j + 1].copy(), 0, slice(0)
     for kernel in kernels:
-        if isinstance(kernel, tuple):
-            contract(kernel[0], psi, kernel[1], spare)
-        else:  # a permutation: "clip" never clips, and unlike "raise" it buffers no copy
-            np.take(psi, kernel, out=spare, mode="clip")
-        psi, spare = spare, psi
+        if j is not None:
+            m, local = block.size.bit_length() - 1, isinstance(kernel, tuple)
+            if not local and m == 0:
+                j = int(kernel[j])
+            elif local and kernel[1] == m and (size := kernel[0].shape[0] << m) < psi.size:
+                placed = _place(psi, placed, block, j & (size - 1) & -block.size)
+                block = contract(kernel[0], psi[:size], m, spare[:size])
+            else:
+                _place(psi, placed, block, j & -block.size)
+                j = None
+        if j is None:
+            if isinstance(kernel, tuple):
+                contract(kernel[0], psi, kernel[1], spare)
+            else:  # a permutation: "clip" never clips, and unlike "raise" it buffers no copy
+                np.take(psi, kernel, out=spare, mode="clip")
+            psi, spare = spare, psi
         del kernel  # a script's next gather index is built only once this one is freed
+    if j is not None:
+        _place(psi, placed, block, j & -block.size)
     return psi, spare
 
 
@@ -257,12 +296,12 @@ def apply_gate(state: np.ndarray, gate: GateOp) -> np.ndarray:
 
     A flip is an exact amplitude gather; a local unitary is contracted
     against its block of bits.  The result keeps the state's dtype, and the
-    input is never mutated.
+    input is never mutated: `advance` runs on a copy.
     """
     n = int(state.size).bit_length() - 1
     if state.size != 1 << n:
         raise ValueError("state length is not a power of two")
-    return advance(state, gate_kernels([gate], n, state.dtype), np.empty_like(state))[0]
+    return advance(state.copy(), gate_kernels([gate], n, state.dtype), np.empty_like(state))[0]
 
 
 def compose_dense(gates: Sequence[GateOp], n_qubits: int) -> np.ndarray:

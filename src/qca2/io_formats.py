@@ -402,7 +402,8 @@ def _format_floats(values) -> list[str]:
     return [text[start:stop] for start, stop in zip([0, *ends], ends)]
 
 
-# Values per `_layout` call: its temporaries take about 200 bytes a value.
+# Values per `_layout` call: its temporaries take about 200 bytes a value,
+# so `_map_blocks` cuts a row of more values into blocks of about this many.
 # Smaller calls make the writers' two threads contend for the GIL.
 _LAYOUT_VALUES = 1 << 13
 # Blocks that may be formatted past the last one handed to the consumer.
@@ -442,16 +443,20 @@ def _formatted(values: np.ndarray, suffix: int) -> Iterator[tuple[np.ndarray, np
 
 
 def _map_blocks(block, matrix: np.ndarray, row_values: int) -> Iterator:
-    """The pieces of `block(start, rows)`, a list, for each block of
-    `matrix`'s rows, yielded in order: `BLOCK_VALUES` values a block,
-    counting `row_values` for each row.  A block's exception is raised in
-    its place, once the blocks before it are yielded.  On more than one
-    CPU, the caller and one helper thread take the blocks from a shared
-    counter, at most `_AHEAD` blocks past the last one yielded; the helper
-    stops at its first exception, and when the generator is closed or
-    raises."""
-    step = max(1, BLOCK_VALUES // row_values)
-    starts = range(0, len(matrix), step)
+    """The pieces of `block(start, col, values)`, a list, for each block
+    ``values = matrix[start:start + rows, col:col + cols]``, yielded in
+    order: whole rows, `BLOCK_VALUES` values a block counting `row_values`
+    for each row, or, when a row holds more than `_LAYOUT_VALUES` values,
+    one row cut into blocks of columns of about that many values.  A
+    block's exception is raised in its place, once the blocks before it are
+    yielded.  On more than one CPU, the caller and one helper thread take
+    the blocks from a shared counter, at most `_AHEAD` blocks past the last
+    one yielded; the helper stops at its first exception, and when the
+    generator is closed or raises."""
+    n_cols, wide = matrix.shape[1], row_values > _LAYOUT_VALUES
+    step = 1 if wide else BLOCK_VALUES // row_values
+    cols = max(1, n_cols * _LAYOUT_VALUES // row_values) if wide else n_cols
+    starts = [(r, c) for r in range(0, len(matrix), step) for c in range(0, n_cols, cols)]
     done, ready = {}, threading.Condition()
     taken = yielded = 0
     stopped = False
@@ -467,8 +472,9 @@ def _map_blocks(block, matrix: np.ndarray, row_values: int) -> Iterator:
 
     def run(i: int) -> bool:
         """Format block i; False when it raised."""
+        r, c = starts[i]
         try:
-            outcome = block(starts[i], matrix[starts[i]:starts[i] + step]), None
+            outcome = block(r, c, matrix[r:r + step, c:c + cols]), None
         except BaseException as exc:
             outcome = None, exc
         with ready:
@@ -518,25 +524,31 @@ def _map_blocks(block, matrix: np.ndarray, row_values: int) -> Iterator:
 
 def csv_blocks(matrix: np.ndarray) -> Iterator[bytes | np.ndarray]:
     """Probability matrix as CSV: header ``state,t0,t1,...``, one row per
-    basis state, values as shortest round-trip decimals.  Yields the header
-    and then each block of rows' ASCII characters, as bytes or uint8 arrays.
+    basis state, values as shortest round-trip decimals.  Yields the header,
+    a block of names at a time, and then each block's ASCII characters, as
+    bytes or uint8 arrays.
 
-    Each block of rows is copied in C order behind its state column and
-    formatted with numpy."""
+    Each block is copied in C order, behind its state column when it starts
+    its rows, and formatted with numpy."""
     n_rows, n_cols = matrix.shape
-    yield ("state," + ",".join(f"t{t}" for t in range(n_cols)) + "\n").encode()
+    yield b"state" if n_cols else b"state,"
+    for start in range(0, n_cols, BLOCK_VALUES):  # the header, a block of names at a time
+        yield "".join(f",t{t}" for t in range(start, min(start + BLOCK_VALUES, n_cols))).encode()
+    yield b"\n"
     if n_cols == 0:  # the state column's comma ends the row
         yield "".join(f"{r},\n" for r in range(n_rows)).encode()
         return
 
-    def block_chars(start: int, block: np.ndarray) -> list[np.ndarray]:
-        values = np.empty((len(block), n_cols + 1))
+    def block_chars(start: int, col: int, block: np.ndarray) -> list[np.ndarray]:
+        first = int(col == 0)  # the block starts its rows, with their state column
+        values = np.empty((len(block), first + block.shape[1]))
         values[:, 0] = np.arange(start, start + len(block))
-        values[:, 1:] = block
+        values[:, first:] = block
         pieces = []
         for chars, _ in _formatted(values, 1):
             chars[:, :, -1] = ord(",")
-            chars[:, -1, -1] = ord("\n")
+            if col + block.shape[1] == n_cols:
+                chars[:, -1, -1] = ord("\n")
             pieces.append(chars[chars != 0])
         return pieces
 
@@ -576,13 +588,14 @@ def pgm_blocks(matrix: np.ndarray) -> Iterator[bytes | np.ndarray]:
         yield b"\n" * n_rows
         return
 
-    def block_chars(start: int, block: np.ndarray) -> list[np.ndarray]:
+    def block_chars(start: int, col: int, block: np.ndarray) -> list[np.ndarray]:
         if not np.isfinite(block).all():
             raise ValueError("probabilities must be finite")
         # 255*(1-p) is nonnegative, so floor(x + 0.5) is half-away-from-zero.
         pixels = np.floor(255.0 * (1.0 - np.clip(block, 0.0, 1.0)) + 0.5).astype(np.int64)
         chars = _PIXEL_TEXT[pixels]
-        chars[:, -1, -1] = ord("\n")
+        if col + block.shape[1] == n_cols:
+            chars[:, -1, -1] = ord("\n")
         return [chars[chars != 0]]
 
     yield from _map_blocks(block_chars, matrix, n_cols)
@@ -603,7 +616,7 @@ def operator_blocks(op: np.ndarray) -> Iterator[np.ndarray]:
         yield np.full(n_rows, ord("\n"), np.uint8)
         return
 
-    def block_chars(start: int, block: np.ndarray) -> list[np.ndarray]:
+    def block_chars(start: int, col: int, block: np.ndarray) -> list[np.ndarray]:
         values = np.ascontiguousarray(block, dtype=np.complex128).view(np.float64)
         pieces = []
         for chars, sign in _formatted(values, 2):
@@ -615,7 +628,8 @@ def operator_blocks(op: np.ndarray) -> Iterator[np.ndarray]:
             imag = chars[:, 1::2]
             imag[:, :, -2] = ord("i")
             imag[:, :, -1] = ord(",")
-            imag[:, -1, -1] = ord("\n")
+            if col + block.shape[1] == n_cols:
+                imag[:, -1, -1] = ord("\n")
             pieces.append(chars[chars != 0])
         return pieces
 

@@ -18,14 +18,17 @@ of every basis index, mapped one at a time rather than by the gather.
 A run starts from a basis state, and P only moves amplitudes, so the state
 stays real when U is real, as it is for every preset.  A run's dtype is
 decided once from its matrices: float64 when every imaginary part is exactly
-zero, complex128 otherwise.  `probability_columns` is the one loop that
-advances a state through kernels for `gates.advance` and records its
-probability columns: `_record` gathers them into the matrix of `evolve` and
-`run_gate_script`, and `analysis.search_period` keeps each one's value at
-the initial index.  Every update of a config is the same floating-point
-map, so once its state is exactly the initial basis state again, the
-columns recorded so far repeat bit for bit: the loop stops, and `_record`
-copies them instead.
+zero, complex128 otherwise.  While the state is a basis state, at the start
+and wherever a run comes back to one, `gates.advance` gathers its one index
+and contracts cell k over the 4**(k+1) amplitudes of cells 0 to k, so only
+the top cell's contraction covers the whole state.  `probability_columns`
+is the one loop that advances a state through kernels for `gates.advance`
+and records its probability columns: `_record` gathers them into the
+matrix of `evolve` and `run_gate_script`, and `analysis.search_period`
+keeps each one's value at the initial index.  Every update of a config is
+the same floating-point map, so once its state is exactly the initial
+basis state again, the columns recorded so far repeat bit for bit: the
+loop stops, and `_record` copies them instead.
 """
 
 from __future__ import annotations
@@ -224,20 +227,18 @@ def build_dense_rule(config: QcaConfig) -> np.ndarray:
     return op
 
 
-# The writers of `io_formats` stream a matrix a block of rows at a time:
-# BLOCK_VALUES values, or one row when a row holds more.  At most
+# The writers of `io_formats` stream a matrix a block at a time: whole rows
+# of BLOCK_VALUES values, or a row of more than `io_formats._LAYOUT_VALUES`
+# (8,192) values cut into blocks of about that many.  At most
 # BLOCKS_IN_FLIGHT blocks are alive at once, the one being written and those
 # formatted ahead of it, two of them in formatting.  A block in formatting
-# holds up to about 200 bytes a value (a wide row's `_layout` temporaries),
-# a formatted one about 25, so together they hold less than
-# BLOCK_BYTES_PER_VALUE bytes a value of each block in flight.
+# holds up to about 75 bytes a value (a copy, a sort and a gather of its
+# values, or the `_layout` temporaries of 8,192 values at a time), a
+# formatted one about 25, so together they hold less than
+# BLOCK_BYTES_PER_VALUE bytes a value of each block in flight: WRITER_BYTES
+# in all, however wide the rows.
 BLOCK_VALUES, BLOCKS_IN_FLIGHT, BLOCK_BYTES_PER_VALUE = 1 << 16, 4, 150
-
-
-def writer_bytes(row_values: int) -> int:
-    """Bytes the writers hold at once while they stream a matrix whose rows
-    hold `row_values` values each: the blocks in flight."""
-    return BLOCKS_IN_FLIGHT * BLOCK_BYTES_PER_VALUE * max(BLOCK_VALUES, row_values)
+WRITER_BYTES = BLOCKS_IN_FLIGHT * BLOCK_BYTES_PER_VALUE * BLOCK_VALUES
 
 
 def run_bytes(n_qubits: int, n_columns: int, dtype) -> int:
@@ -246,10 +247,10 @@ def run_bytes(n_qubits: int, n_columns: int, dtype) -> int:
     `n_columns` columns, two states of `dtype`, the run's `state_dtype` (8
     bytes an amplitude when real, 16 when complex), an int64 gather index,
     and the two float64 temporaries of `probabilities`, ``|x|`` and its
-    square.  The CSV writer's blocks in flight, whose rows hold a state
-    index and `n_columns` values, are counted on top."""
+    square.  The writers' blocks in flight, WRITER_BYTES, are counted on
+    top."""
     evolving = (8 * n_columns + 2 * np.dtype(dtype).itemsize + 8 + 2 * 8) << n_qubits
-    return evolving + writer_bytes(n_columns + 1)
+    return evolving + WRITER_BYTES
 
 
 def _physical_memory() -> int:

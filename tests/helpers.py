@@ -1,13 +1,14 @@
-"""Random states and unitaries, a non-unitary cell matrix, a one-update step
-and a reference evolution, and config, float and complex formatting, shared
-by the test modules."""
+"""Random states and unitaries, a non-unitary cell matrix, a one-update step,
+the plain kernel loop and per-flip gather index kept as references, a
+reference evolution, and config, float and complex formatting, shared by
+the test modules."""
 
 from functools import lru_cache
 
 import numpy as np
 
 from qca2 import gates
-from qca2.gates import LocalUnitary, advance, gate_kernels, state_dtype
+from qca2.gates import LocalUnitary, advance, contract, gate_kernels, state_dtype
 from qca2.rules import (
     CELL_ZERO,
     CompiledRule,
@@ -53,8 +54,31 @@ def step(state: np.ndarray, rule: CompiledRule) -> np.ndarray:
         raise ValueError(
             f"state has {state.size} amplitudes, rule expects {1 << rule.n_qubits}"
         )
-    # `advance` writes its second kernel's output into its first buffer.
+    # `advance` may write either buffer.
     return advance(state.copy(), _rule_kernels(rule, state.dtype), np.empty_like(state))[0]
+
+
+def advance_reference(psi: np.ndarray, kernels, spare: np.ndarray) -> tuple:
+    """`gates.advance` without its basis-state shortcut: every kernel runs
+    over the whole state, a gather through ``np.take`` and a pair through
+    `contract`, each writing the buffer the one before did not."""
+    for kernel in kernels:
+        if isinstance(kernel, tuple):
+            contract(kernel[0], psi, kernel[1], spare)
+        else:
+            np.take(psi, kernel, out=spare, mode="clip")
+        psi, spare = spare, psi
+    return psi, spare
+
+
+def flip_source_reference(flips, n_qubits: int) -> np.ndarray:
+    """`gates.flip_source` one flip at a time: each flip tests its controls
+    on every index, in four passes over the whole index."""
+    source = np.arange(1 << n_qubits)
+    for flip in flips:
+        mask = sum(1 << c for c in flip.controls)
+        source ^= ((source & mask) == mask) << flip.target
+    return source
 
 
 @lru_cache(maxsize=8)
@@ -67,9 +91,10 @@ def _rule_kernels(rule: CompiledRule, dtype: np.dtype) -> list:
 
 def evolve_reference(config: QcaConfig) -> np.ndarray:
     """`evolve`'s probability matrix from a loop that never stops early: it
-    advances the state through every update of the run and records every
-    column, on the state dtype `evolve` chooses.  Its kernels are built one
-    phase at a time, and an interaction without flips has no gather."""
+    advances the state through every update of the run with
+    `advance_reference` and records every column, on the state dtype
+    `evolve` chooses.  Its kernels are built one phase at a time, and an
+    interaction without flips has no gather."""
     dtype = state_dtype([config.evaluation])
     rule = compile_rule(config)
     interaction, evaluation = (list(gate_kernels(gates, rule.n_qubits, dtype))
@@ -78,10 +103,10 @@ def evolve_reference(config: QcaConfig) -> np.ndarray:
     spare = np.empty_like(psi)
     columns = [probabilities(psi)]
     for _ in range(config.n_steps):
-        psi, spare = advance(psi, interaction, spare)
+        psi, spare = advance_reference(psi, interaction, spare)
         if config.record is RecordMode.PER_PHASE:
             columns.append(probabilities(psi))
-        psi, spare = advance(psi, evaluation, spare)
+        psi, spare = advance_reference(psi, evaluation, spare)
         columns.append(probabilities(psi))
     return np.column_stack(columns)
 

@@ -295,6 +295,24 @@ class TestSearchPeriod:
         if period:
             assert report.max_deviation == 0.0
 
+    # On the benchmark's `custom` searches every lag misses the screen within
+    # the first 1,024 of the 2,048 columns, and the rest are never drawn.
+    @pytest.mark.parametrize("initial", [37 * 5, 634, 139, 791],
+                             ids=["custom", "custom-634", "custom-139", "custom-791"])
+    def test_a_search_every_lag_misses_draws_half_the_columns(self, monkeypatch, initial):
+        cfg = QcaConfig(5, NeighborhoodRule.BOTH, BoundaryCondition.CYCLIC, COMPLEX_CUSTOM,
+                        initial)
+        expected, drawn, columns = _matrix_report(cfg, 2048, 1e-9), [], rules.probability_columns
+
+        def counting(*args):
+            for column in columns(*args):
+                drawn.append(None)
+                yield column
+
+        monkeypatch.setattr(rules, "probability_columns", counting)
+        assert repr(search_period(cfg, 2048)) == expected
+        assert len(drawn) <= 1024
+
     # Under record=phase a lag may be odd: here the interaction never moves
     # the all-zero state, and a rotation by 1e-6 on every c-qubit moves the
     # probabilities by less than 1e-10 a timestep, so lag 1 passes, and its

@@ -331,7 +331,7 @@ def test_memory_check_counts_states_at_the_state_dtype(tmp_path, capsys, monkeyp
     # 16 KiB each when complex, against 56 KiB of memory.  The writers'
     # blocks in flight, megabytes whatever the run, are left out here.
     monkeypatch.setattr(rules, "_physical_memory", lambda: 56 << 10)
-    monkeypatch.setattr(rules, "writer_bytes", lambda row_values: 0)
+    monkeypatch.setattr(rules, "WRITER_BYTES", 0)
     conf, script = tmp_path / "run.conf", tmp_path / "run.qscript"
     conf.write_text("cells=5\nrule=right\neval=h_both\nsteps=1\ninitial=0\n")
     script.write_text("cells=5\ninitial=0\nstep\nH s0\nCN s0 c0\n")

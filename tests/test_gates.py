@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qca2.gates import (
+    MAX_DENSE_QUBITS,
     UNITARY_TOL,
     ControlledFlip,
     LocalUnitary,
@@ -13,13 +14,20 @@ from qca2.gates import (
     contract,
     embed_gate,
     flip_source,
+    gate_kernels,
     standard_gate,
     state_dtype,
     unitary_deviation,
 )
 from qca2.rules import basis_state
 
-from helpers import random_orthogonal, random_state, random_unitary
+from helpers import (
+    advance_reference,
+    flip_source_reference,
+    random_orthogonal,
+    random_state,
+    random_unitary,
+)
 
 
 class TestStandardGates:
@@ -219,6 +227,22 @@ class TestApplyGate:
         with pytest.raises(TypeError):
             apply_gate(basis_state(2, 2, np.float64), s_gate)
 
+    # A basis state takes `advance`'s shortcut, which works in the buffer
+    # that holds the state: the input is left as it was, and the result is
+    # the plain loop's but for the signs of zeros.
+    def test_a_basis_state_is_left_unchanged(self, rng):
+        h = standard_gate("H")
+        for gate in [ControlledFlip({1}, 2), ControlledFlip((), 0), LocalUnitary((0,), h),
+                     LocalUnitary((0, 1), random_unitary(rng, 4)), LocalUnitary((2,), h),
+                     LocalUnitary((0, 1, 2), random_unitary(rng, 8))]:
+            state = basis_state(3, 6)
+            out = apply_gate(state, gate)
+            assert state.tobytes() == basis_state(3, 6).tobytes()
+            kernels = gate_kernels([gate], 3, state.dtype)
+            ref = advance_reference(state.copy(), kernels, np.empty_like(state))[0]
+            nonzero = (out.view(np.float64) != 0) | (ref.view(np.float64) != 0)
+            assert out.view(np.float64)[nonzero].tobytes() == ref.view(np.float64)[nonzero].tobytes()
+
     def test_works_beyond_dense_limit(self):
         # 12 qubits: no dense operator, gate path only.
         state = basis_state(12, 1 << 11)
@@ -256,6 +280,22 @@ class TestStateDtype:
 
 
 class TestFlipSource:
+    # The table over the control bits gives the per-flip loop's index, dtype
+    # included, and the images `basis_images` maps one index at a time, for
+    # random commuting flips, X among them.
+    @pytest.mark.parametrize("n_qubits", range(1, 13))
+    def test_equals_the_per_flip_loop_and_basis_images(self, rng, n_qubits):
+        for trial in range(10):
+            bits = rng.permutation(n_qubits)
+            split = int(rng.integers(1, n_qubits + 1))
+            controls = bits[split:] if trial else bits[:0]  # the first set is all X
+            flips = [ControlledFlip(rng.choice(controls, int(rng.integers(0, controls.size + 1)),
+                                               replace=False), target) for target in bits[:split]]
+            source, reference = flip_source(flips, n_qubits), flip_source_reference(flips, n_qubits)
+            assert source.dtype == reference.dtype and source.tobytes() == reference.tobytes()
+            if n_qubits <= MAX_DENSE_QUBITS:
+                assert source.tobytes() == basis_images(flips, n_qubits).tobytes()
+
     def test_rejects_a_flip_of_another_flips_control(self):
         # Flipping bit 1 before or after the flip it controls gives different
         # results, so no single gather can apply both.

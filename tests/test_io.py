@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import sys
@@ -396,15 +397,15 @@ def test_a_failing_block_stops_both_threads(two_cpus, row):
 def test_an_exception_in_the_helper_thread_is_raised_unchanged(two_cpus):
     error, helper_failed = MemoryError(), threading.Event()
 
-    def block(start, rows):
+    def block(start, col, rows):
         if threading.current_thread() is threading.main_thread():
             assert helper_failed.wait(10)
             return [start]
         helper_failed.set()
         raise error
 
-    with pytest.raises(MemoryError) as raised:  # four blocks of two rows
-        list(io_formats._map_blocks(block, np.zeros((8, 1)), rules.BLOCK_VALUES // 2))
+    with pytest.raises(MemoryError) as raised:  # four blocks of eight rows
+        list(io_formats._map_blocks(block, np.zeros((32, 1)), io_formats._LAYOUT_VALUES))
     assert raised.value is error
 
 
@@ -413,7 +414,7 @@ def test_an_exception_in_the_helper_thread_is_raised_unchanged(two_cpus):
 def test_a_failing_block_stops_the_other_thread(two_cpus):
     taken = []
 
-    def block(start, rows):
+    def block(start, col, rows):
         taken.append(start)
         if start == 0:
             raise ValueError("block 0")
@@ -433,7 +434,7 @@ def test_every_block_is_formatted_once_and_in_place(two_cpus):
     taken, interval, threads, both = [], sys.getswitchinterval(), set(), threading.Barrier(2)
     results = []
 
-    def block(start, rows):
+    def block(start, col, rows):
         taken.append(start)
         assert start <= len(results) + io_formats._AHEAD
         if threading.get_ident() not in threads:
@@ -457,7 +458,7 @@ def test_every_block_is_formatted_once_and_in_place(two_cpus):
 def test_closing_the_stream_stops_the_helper(two_cpus):
     formatted = []
 
-    def block(start, rows):
+    def block(start, col, rows):
         formatted.append(start)
         return [start]
 
@@ -475,31 +476,52 @@ def test_closing_the_stream_stops_the_helper(two_cpus):
 
 
 # The traced peak of streaming a matrix on two threads stays within the
-# pre-flight's estimate of the blocks in flight: eight blocks of distinct
-# or of few values, and rows wider than a block, one row a block.
+# pre-flight's estimate of the blocks in flight, whatever the width of the
+# rows: eight blocks of distinct or of few values, and rows wider than a
+# block, each cut into blocks of columns.  The CSV is the text of one
+# `_format_floats` call a row, as an uncut row was formatted.
 _STREAMS = {
-    "csv": lambda m: (io_formats.csv_blocks(m), m.shape[1] + 1),
-    "pgm": lambda m: (io_formats.pgm_blocks(m), m.shape[1]),
-    "operator": lambda m: (io_formats.operator_blocks(m + 0.5j * m[::-1]), 2 * m.shape[1]),
+    "csv": io_formats.csv_blocks,
+    "pgm": io_formats.pgm_blocks,
+    "operator": lambda m: io_formats.operator_blocks(m + 0.5j * m[::-1]),
 }
 
 
-@pytest.mark.parametrize("shape", [(4096, 127), (3, 100_000)], ids=["blocks", "wide-rows"])
+@pytest.mark.parametrize("shape", [(4096, 127), (3, 200_000)], ids=["blocks", "wide-rows"])
 @pytest.mark.parametrize("pool", [[0.0, 0.25, 1 / 3, 1.0], None], ids=["few-patterns", "per-value"])
 @pytest.mark.parametrize("writer", _STREAMS)
 def test_the_blocks_in_flight_fit_the_estimate(two_cpus, rng, writer, shape, pool):
     matrix = rng.random(shape) if pool is None else rng.choice(pool, size=shape)
-    stream, row_values = _STREAMS[writer](matrix)
+    stream, digest = _STREAMS[writer](matrix), hashlib.sha256()
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        for _ in stream:
-            pass
+        for block in stream:
+            digest.update(block)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak <= rules.writer_bytes(row_values)
+    assert peak <= rules.WRITER_BYTES
+    if writer == "csv":
+        rows = (f"{r}," + ",".join(_format_floats(row)) + "\n" for r, row in enumerate(matrix))
+        header = "state," + ",".join(f"t{t}" for t in range(shape[1])) + "\n"
+        assert digest.digest() == hashlib.sha256((header + "".join(rows)).encode()).digest()
+
+
+# A row of more than `_LAYOUT_VALUES` values is cut into blocks of columns,
+# so that no `_layout` call takes more, and only its last block ends the line.
+@pytest.mark.parametrize("pool", [[0.0, -0.0, 0.25, 1.0], None], ids=["few-patterns", "per-value"])
+def test_a_wide_row_is_cut_into_blocks(two_cpus, monkeypatch, rng, pool):
+    shape, layout, sizes = (3, io_formats._LAYOUT_VALUES + 1000), io_formats._layout, []
+    monkeypatch.setattr(io_formats, "_layout",
+                        lambda bits, suffix=0: sizes.append(bits.size) or layout(bits, suffix))
+    matrix = rng.random(shape) if pool is None else rng.choice(pool, size=shape)
+    op = matrix[:, :shape[1] // 2] + 1j * matrix[::-1, shape[1] // 2:]
+    assert write_csv(matrix) == _reference_csv(matrix)
+    assert render_pgm(matrix) == _reference_pgm(matrix)
+    assert write_operator_csv(op) == _reference_operator(op)
+    assert max(sizes) <= io_formats._LAYOUT_VALUES
 
 
 # Without columns a CSV row is its state index and a comma, and an operator

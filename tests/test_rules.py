@@ -1,5 +1,7 @@
 import tracemalloc
 from functools import reduce
+from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from qca2.gates import (
     flip_source,
     standard_gate,
 )
-from qca2.io_formats import parse_config
+from qca2.io_formats import parse_config, parse_script
 from qca2.rules import (
     BoundaryCondition,
     H_BOTH_EVAL,
@@ -24,6 +26,7 @@ from qca2.rules import (
     NeighborhoodRule,
     QcaConfig,
     RecordMode,
+    WRITER_BYTES,
     basis_state,
     build_dense_rule,
     compile_evaluation,
@@ -33,10 +36,10 @@ from qca2.rules import (
     probabilities,
     run_bytes,
     run_gate_script,
-    writer_bytes,
 )
 
 from helpers import (
+    advance_reference,
     evolve_reference,
     format_complex,
     random_orthogonal,
@@ -518,6 +521,96 @@ def test_evolve_equals_loops_that_never_stop_early(run_states, rule, boundary, e
     assert {dtype for dtype, _ in run_states} == {np.dtype(np.float64 if real else np.complex128)}
 
 
+def assert_equal_but_for_signs_of_zeros(fast, reference):
+    """Every nonzero real or imaginary part, and every probability, of the
+    two states is equal bit for bit."""
+    a, b = fast.view(np.float64), reference.view(np.float64)
+    assert ((a == 0) == (b == 0)).all()
+    assert a[a != 0].tobytes() == b[b != 0].tobytes()
+    assert (np.abs(fast) ** 2).tobytes() == (np.abs(reference) ** 2).tobytes()
+
+
+class TestBasisShortcut:
+    """`gates.advance` from a basis state c|j>: it gathers j alone and
+    contracts only the cells reached so far, against the plain loop of
+    `helpers.advance_reference`."""
+
+    # 24 updates, 12 at 7 and 8 cells, pass the returns to a basis state of
+    # the presets' runs; the complex custom state never returns, so two
+    # updates show it all.
+    @pytest.mark.parametrize("evaluation", [*PRESET_EVALS, LocalUnitary((0, 1), COMPLEX_CUSTOM)],
+                             ids=["identity", "h_both", "h_s_then_cn", "complex-custom"])
+    def test_equals_the_plain_loop(self, evaluation):
+        dtype = gates.state_dtype([evaluation])
+        for cells, rule, boundary, record in product(range(1, 9), ALL_RULES, ALL_BOUNDARIES,
+                                                     RecordMode):
+            updates = (24 if cells <= 6 else 12) if evaluation in PRESET_EVALS else 2
+            cfg = make_config(cells, rule, boundary, evaluation, 37 * cells % 4**cells,
+                              record=record)
+            psi, update = basis_state(cfg.n_qubits, cfg.initial_index, dtype), \
+                rules.update_kernels(cfg, dtype)
+            ref, spare, ref_spare = psi.copy(), np.empty_like(psi), np.empty_like(psi)
+            for _ in range(updates):
+                for kernels in update:
+                    psi, spare = gates.advance(psi, kernels, spare)
+                    ref, ref_spare = advance_reference(ref, kernels, ref_spare)
+                    assert_equal_but_for_signs_of_zeros(psi, ref)
+
+    # The amplitude c is carried as it is: -1, a phase, or off one by 1e-13.
+    @pytest.mark.parametrize("amplitude", [-1.0, np.exp(0.3j), 1 + 1e-13],
+                             ids=["minus-one", "phase", "one-plus"])
+    @pytest.mark.parametrize("evaluation", [H_BOTH_EVAL, H_S_THEN_CN_EVAL,
+                                            LocalUnitary((0, 1), COMPLEX_CUSTOM)],
+                             ids=["h_both", "h_s_then_cn", "complex-custom"])
+    def test_any_basis_amplitude(self, amplitude, evaluation):
+        complex_ = isinstance(amplitude, complex) or evaluation.matrix.imag.any()
+        dtype = np.complex128 if complex_ else np.float64
+        cfg = make_config(4, NeighborhoodRule.BOTH, BoundaryCondition.CYCLIC, evaluation, 77)
+        for kernels in rules.update_kernels(cfg, dtype):
+            psi = amplitude * basis_state(8, 77, dtype)
+            ref = advance_reference(psi.copy(), kernels, np.empty_like(psi))[0]
+            assert_equal_but_for_signs_of_zeros(gates.advance(psi, kernels, np.empty_like(psi))[0],
+                                                ref)
+
+    # fig2's H acts on s0, bit 1, so it does not tile the bits from bit 0:
+    # the state goes to the plain loop there.
+    def test_a_gate_above_the_reached_bits_falls_back(self):
+        script_path = Path(__file__).resolve().parent.parent / "scripts" / "fig2.qscript"
+        n_qubits, initial, script = parse_script(script_path.read_text())
+        psi = basis_state(n_qubits, initial, np.float64)
+        columns, spare = [probabilities(psi)], np.empty_like(psi)
+        for timestep in script:
+            psi, spare = advance_reference(psi, gates.gate_kernels(timestep, n_qubits, psi.dtype),
+                                           spare)
+            columns.append(probabilities(psi))
+        assert run_gate_script(n_qubits, initial, script).tobytes() == \
+            np.column_stack(columns).tobytes()
+
+    # One 10-cell update from a basis state contracts 4^(k+1) amplitudes
+    # for cell k, the whole state only for the top cell, and allocates
+    # less than a state.
+    def test_a_10_cell_update_contracts_only_the_reached_cells(self, monkeypatch):
+        cfg = make_config(10, NeighborhoodRule.RIGHT, BoundaryCondition.CYCLIC, initial=674508)
+        kernels, = rules.update_kernels(cfg, np.float64)
+        psi = basis_state(20, 674508, np.float64)
+        ref = advance_reference(psi.copy(), kernels, np.empty_like(psi))[0]
+        sizes, contract = [], gates.contract
+        monkeypatch.setattr(gates, "contract",
+                            lambda u, x, low, out: sizes.append(x.size) or contract(u, x, low, out))
+        spare = np.empty_like(psi)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            out = gates.advance(psi, kernels, spare)[0]
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert sizes == [4 ** (k + 1) for k in range(10)]
+        assert peak < psi.nbytes
+        assert_equal_but_for_signs_of_zeros(out, ref)
+
+
 class TestRecurrence:
     # Under `both`/`const0` index 0 has no s-bit set, so the interaction
     # flips nothing and the state is the initial one after the first half
@@ -630,7 +723,7 @@ class TestEvolveBytes:
                           initial=1, steps=steps, record=record)
         matrix, peak = _traced(evolve, cfg)
         ((state_dtype, state_bytes),) = run_states
-        need = run_bytes(16, cfg.n_columns, dtype) - writer_bytes(cfg.n_columns + 1)
+        need = run_bytes(16, cfg.n_columns, dtype) - WRITER_BYTES
         assert state_dtype == dtype
         assert need == matrix.nbytes + 2 * state_bytes + self.EXTRA
         assert peak <= need < peak + self.SLACK
@@ -649,7 +742,7 @@ class TestEvolveBytes:
         dtype = dtype if script else np.float64  # no gate needs a complex state
         matrix, peak = _traced(run_gate_script, 16, 1, script)
         ((state_dtype, state_bytes),) = run_states
-        need = run_bytes(16, 1 + len(script), dtype) - writer_bytes(2 + len(script))
+        need = run_bytes(16, 1 + len(script), dtype) - WRITER_BYTES
         assert state_dtype == dtype
         assert need == matrix.nbytes + 2 * state_bytes + self.EXTRA
         assert peak <= need < peak + self.SLACK
