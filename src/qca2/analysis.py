@@ -18,6 +18,7 @@ from .rules import BoundaryCondition, QcaConfig, build_dense_rule, evolve
 
 DEFAULT_PERIOD_TOL = 1e-9
 TRANSLATION_STEPS = 20
+SCREEN_VALUES = 1 << 12  # trace pairs `_screen` compares at once, at most
 
 
 @dataclass(frozen=True)
@@ -94,8 +95,15 @@ def _screen(trace: np.ndarray, lag: int, tol: float) -> bool:
     """False when the initial basis state's probability at some timestep t
     and at t + `lag` differ by more than `tol`.  Each such difference is one
     that `detect_period` takes on columns t and t + `lag`, so the lag misses
-    there too."""
-    return bool((np.abs(trace[:-lag] - trace[lag:]) <= tol).all())
+    there too.  t = 0, where most lags miss, goes first, then SCREEN_VALUES
+    pairs at a time up to the first chunk that misses."""
+    earlier, later = trace[:-lag], trace[lag:]
+    if earlier.size and not abs(later[0] - earlier[0]) <= tol:  # a nan misses too
+        return False
+    for t in range(1, earlier.size, SCREEN_VALUES):
+        if not np.abs(later[t:t + SCREEN_VALUES] - earlier[t:t + SCREEN_VALUES]).max() <= tol:
+            return False
+    return True
 
 
 def _twin(evolution, lag: int, n_pairs: int, tol: float) -> float | None:
@@ -131,10 +139,11 @@ def search_bytes(n_qubits: int, n_columns: int, dtype) -> int:
     """Bytes `search_period` holds at its peak, at most: two states of
     `dtype`, or four once there are 3 columns and so a lag a twin may check,
     an int64 gather index, three float64 columns (a column, and ``|x|`` and
-    its square for the next one), and one float64 a column."""
+    its square for the next one), one float64 a column, and three float64
+    chunks of SCREEN_VALUES: two in `_screen`, and one for Python objects."""
     n_states = 4 if n_columns >= 3 else 2
     vectors = n_states * np.dtype(dtype).itemsize + 8 + 3 * 8
-    return (vectors << n_qubits) + 8 * n_columns
+    return (vectors << n_qubits) + 8 * n_columns + 3 * 8 * SCREEN_VALUES
 
 
 def search_period(config: QcaConfig, n_columns: int,
@@ -164,20 +173,21 @@ def search_period(config: QcaConfig, n_columns: int,
     dtype = state_dtype([config.evaluation])
     rules.check_fits(search_bytes(n_qubits, n_columns, dtype), "states and working vectors")
     evolution = _evolution(config, dtype)
-    # `map` keeps no column alive while the next one is computed.
+    # The trace is filled in place; `map` keeps no column alive while the next is computed.
     values = map(itemgetter(initial), evolution(per_update=config.per_update))
-    half = (n_columns - 1) // 2 + 1
-    trace = np.fromiter(islice(values, half), np.float64)
-    if not any(_screen(trace, p, tol) for p in range(1, half)):  # a lag with no drawn pair passes
-        return PeriodReport(False, None, float("nan"), tol, n_columns)
-    trace = np.concatenate((trace, np.fromiter(islice(values, n_columns - half), np.float64)))
+    trace, drawn, half = np.empty(n_columns), 0, (n_columns - 1) // 2 + 1
+    for trace[drawn] in islice(values, n_columns):
+        drawn += 1
+        if drawn == half and not any(_screen(trace[:half], p, tol) for p in range(1, half)):
+            return PeriodReport(False, None, float("nan"), tol, n_columns)
     del values  # the evolution's states are freed before any twin runs
     # Timesteps to the exact return; a run that does not return within the
     # horizon counts as returning just past it.  Past the return, the trace
     # repeats its first `back` values.
-    back = trace.size - 1 if trace.size < n_columns else n_columns
-    trace = np.resize(trace[:back], n_columns)
-    for p in range(1, (n_columns - 1) // 2 + 1):
+    back = drawn - 1 if drawn < n_columns else n_columns
+    for t in range(drawn, n_columns):
+        trace[t] = trace[t - back]
+    for p in range(1, half):
         if not _screen(trace, p, tol):
             continue
         if p % back == 0:

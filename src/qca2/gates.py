@@ -1,4 +1,4 @@
-"""Gate algebra: standard matrices, two state-vector kernels, dense oracle.
+"""Gate algebra: the H matrix, two state-vector kernels, dense oracle.
 
 Two gate placements cover everything the automaton needs:
 
@@ -36,25 +36,8 @@ MAX_DENSE_QUBITS = 10
 
 UNITARY_TOL = 1e-12
 
-_SQRT2_INV = 1.0 / np.sqrt(2.0)
-
-_STANDARD = {
-    "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    "H": _SQRT2_INV * np.array([[1, 1], [1, -1]], dtype=np.complex128),
-    # Control is the more significant qubit: |10> -> |11>, |11> -> |10>.
-    "CN": np.array(
-        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
-        dtype=np.complex128,
-    ),
-}
-
-
-def standard_gate(name: str) -> np.ndarray:
-    """Return a copy of a named standard gate matrix (X, H, CN)."""
-    try:
-        return _STANDARD[name].copy()
-    except KeyError:
-        raise ValueError(f"unknown gate name {name!r}") from None
+H = np.array([[1, 1], [1, -1]]) / np.sqrt(2.0)
+H.setflags(write=False)
 
 
 def unitary_deviation(matrix: np.ndarray) -> float:

@@ -23,7 +23,7 @@ belong to it.  Gate lines name qubits by cell and role (``s0``, ``c1``)::
     CN s0 c0
 
 ``H``/``X`` take one qubit; ``CN`` takes control then target; ``CCN`` takes
-two controls then the target.
+two controls then the target.  ``H`` places `gates.H`; the others are flips.
 
 CSV values are the shortest positional decimals that round-trip each
 double, the digits of ``repr`` and of numpy's
@@ -33,7 +33,8 @@ with integer arithmetic, and each distinct value is laid out as a
 fixed-width row of bytes, NUL where it has no character.  PGM pixels take
 their rows from one table of the 256 pixel texts.  Every writer gathers a
 block's rows, writes separators and line ends into their last columns and
-drops the NULs.  Each writer is a stream: it yields its header and then
+drops the NULs.  A writer takes a matrix of at least one column, as every
+command's is.  Each writer is a stream: it yields its header and then
 each block's characters in order, so the caller can write a block while
 the next ones are formatted, and at most `BLOCKS_IN_FLIGHT` blocks are
 alive at once.  On more than one CPU the blocks are formatted on the
@@ -51,7 +52,7 @@ from typing import Container, Iterator
 
 import numpy as np
 
-from .gates import ControlledFlip, GateOp, LocalUnitary, standard_gate
+from .gates import H, ControlledFlip, GateOp, LocalUnitary
 from .rules import (
     CELL_ZERO,
     EVAL_PRESETS,
@@ -223,7 +224,7 @@ def parse_script(text: str) -> tuple[int, int, list[list[GateOp]]]:
         bits = [_parse_qubit(a, cells, line_no) for a in args]
         if len(set(bits)) != len(bits):
             raise ConfigSyntaxError(line_no, "gate qubits must be distinct")
-        script[-1].append(LocalUnitary((bits[0],), standard_gate("H")) if name == "H"
+        script[-1].append(LocalUnitary((bits[0],), H) if name == "H"
                           else ControlledFlip(bits[:-1], bits[-1]))
     return n_qubits, initial, script
 
@@ -530,14 +531,11 @@ def csv_blocks(matrix: np.ndarray) -> Iterator[bytes | np.ndarray]:
 
     Each block is copied in C order, behind its state column when it starts
     its rows, and formatted with numpy."""
-    n_rows, n_cols = matrix.shape
-    yield b"state" if n_cols else b"state,"
+    n_cols = matrix.shape[1]
+    yield b"state"
     for start in range(0, n_cols, BLOCK_VALUES):  # the header, a block of names at a time
         yield "".join(f",t{t}" for t in range(start, min(start + BLOCK_VALUES, n_cols))).encode()
     yield b"\n"
-    if n_cols == 0:  # the state column's comma ends the row
-        yield "".join(f"{r},\n" for r in range(n_rows)).encode()
-        return
 
     def block_chars(start: int, col: int, block: np.ndarray) -> list[np.ndarray]:
         first = int(col == 0)  # the block starts its rows, with their state column
@@ -584,9 +582,6 @@ def pgm_blocks(matrix: np.ndarray) -> Iterator[bytes | np.ndarray]:
     """
     n_rows, n_cols = matrix.shape
     yield f"P2\n{n_cols} {n_rows}\n255\n".encode("ascii")
-    if n_cols == 0:
-        yield b"\n" * n_rows
-        return
 
     def block_chars(start: int, col: int, block: np.ndarray) -> list[np.ndarray]:
         if not np.isfinite(block).all():
@@ -611,10 +606,7 @@ def operator_blocks(op: np.ndarray) -> Iterator[np.ndarray]:
     matrix row per line, as each block of rows' ASCII characters in uint8
     arrays.  The real and imaginary parts of a block of rows are formatted
     together."""
-    n_rows, n_cols = op.shape
-    if n_cols == 0:
-        yield np.full(n_rows, ord("\n"), np.uint8)
-        return
+    n_cols = op.shape[1]
 
     def block_chars(start: int, col: int, block: np.ndarray) -> list[np.ndarray]:
         values = np.ascontiguousarray(block, dtype=np.complex128).view(np.float64)

@@ -205,9 +205,7 @@ def compile_interaction(config: QcaConfig) -> list[GateOp]:
 
 
 def compile_evaluation(config: QcaConfig) -> list[GateOp]:
-    """One cell-unitary gate per cell in ascending cell order; none for identity."""
-    if config.evaluation == IDENTITY_EVAL:
-        return []
+    """One cell-unitary gate per cell in ascending cell order."""
     u = config.evaluation.matrix
     return [LocalUnitary((qubit(j, "c"), qubit(j, "s")), u) for j in range(config.n_cells)]
 

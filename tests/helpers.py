@@ -1,7 +1,7 @@
-"""Random states and unitaries, a non-unitary cell matrix, a one-update step,
-the plain kernel loop and per-flip gather index kept as references, a
-reference evolution, and config, float and complex formatting, shared by
-the test modules."""
+"""The X and CN matrices, random states and unitaries, a non-unitary cell
+matrix, a one-update step, the plain kernel loop and per-flip gather index
+kept as references, a reference evolution, and config, float and complex
+formatting, shared by the test modules."""
 
 from functools import lru_cache
 
@@ -19,6 +19,12 @@ from qca2.rules import (
     compile_rule,
     probabilities,
 )
+
+
+# X and CN as matrices, the flips a script's X and CN lines place: CN's
+# control is the more significant qubit, |10> -> |11> and |11> -> |10>.
+X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+CN = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=np.complex128)
 
 
 def random_state(rng: np.random.Generator, n_qubits: int) -> np.ndarray:

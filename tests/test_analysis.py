@@ -17,12 +17,12 @@ from qca2.analysis import (
     search_period,
 )
 from qca2.gates import (
+    H,
     UNITARY_TOL,
     ControlledFlip,
     LocalUnitary,
     embed_gate,
     flip_source,
-    standard_gate,
     unitary_deviation,
 )
 from qca2.rules import (
@@ -53,7 +53,7 @@ class TestCheckUnitary:
         assert report.details == "4x4 cell unitary, tolerance 1e-12"
 
     def test_dense_h_embedding(self):
-        op = embed_gate(LocalUnitary((2,), standard_gate("H")), 4)
+        op = embed_gate(LocalUnitary((2,), H), 4)
         assert unitary_deviation(op) <= UNITARY_TOL
 
     def test_compiled_rule(self):
@@ -313,6 +313,39 @@ class TestSearchPeriod:
         assert repr(search_period(cfg, 2048)) == expected
         assert len(drawn) <= 1024
 
+    # Most lags miss the screen at their first pair, so on a search that
+    # finds no period the pairs the screen compares grow with the horizon,
+    # not with its square.  Here every lag misses in the first half.
+    def test_the_screen_compares_pairs_linear_in_the_horizon(self, monkeypatch):
+        cfg = QcaConfig(1, NeighborhoodRule.RIGHT, BoundaryCondition.CONST_ONE, COMPLEX_CUSTOM, 1)
+        screen, compared = analysis._screen, []
+
+        class Trace(np.ndarray):
+            """Counts half a pair for each value read alone, and a pair for
+            each value of a difference of arrays."""
+
+            def __getitem__(self, key):
+                item = super().__getitem__(key)
+                if np.ndim(item) == 0:
+                    compared.append(0.5)
+                return item
+
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                plain = [x.view(np.ndarray) if isinstance(x, Trace) else x for x in inputs]
+                result = getattr(ufunc, method)(*plain, **kwargs)
+                if ufunc is np.subtract:
+                    compared.append(np.size(result))
+                return result
+
+        monkeypatch.setattr(analysis, "_screen",
+                            lambda trace, lag, tol: screen(trace.view(Trace), lag, tol))
+        pairs = {}
+        for n_columns in (2_000, 4_000, 8_000, 16_000):
+            compared.clear()
+            assert not search_period(cfg, n_columns).found
+            pairs[n_columns] = sum(compared)
+        assert all(n // 2 - 1 <= pairs[n] < n for n in pairs), pairs
+
     # Under record=phase a lag may be odd: here the interaction never moves
     # the all-zero state, and a rotation by 1e-6 on every c-qubit moves the
     # probabilities by less than 1e-10 a timestep, so lag 1 passes, and its
@@ -359,6 +392,19 @@ class TestSearchPeriod:
             if all(float(np.max(np.abs(matrix[:, t] - matrix[:, t + lag]))) <= tol
                    for t in range(n_cols - lag)):
                 assert analysis._screen(matrix[row], lag, tol), (lag, matrix)
+
+    # A chunk at a time, the screen decides as one comparison of the whole
+    # trace does, whatever the chunk size: misses and nans at any pair.
+    @settings(max_examples=200, deadline=None)
+    @given(trace=arrays(np.float64, st.integers(1, 20),
+                        elements=st.sampled_from([0.0, 1.0, 0.5, 0.5 + 2e-9, float("nan")])),
+           chunk=st.integers(1, 5))
+    def test_screen_is_one_comparison_of_the_whole_trace(self, trace, chunk):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(analysis, "SCREEN_VALUES", chunk)
+            for lag in range(1, trace.size + 1):
+                whole = bool((np.abs(trace[:-lag] - trace[lag:]) <= 1e-9).all())
+                assert analysis._screen(trace, lag, 1e-9) == whole, lag
 
     def test_rejects_no_columns_and_bad_tol(self):
         cfg = QcaConfig(1, NeighborhoodRule.RIGHT)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import qca2
-from qca2 import cli, io_formats, rules
+from qca2 import analysis, cli, io_formats, rules
 from qca2.cli import main
 from qca2.io_formats import parse_config, parse_script, read_csv
 
@@ -329,9 +329,11 @@ def test_memory_check_counts_states_at_the_state_dtype(tmp_path, capsys, monkeyp
     # 5 cells, two columns: 16 KiB of probabilities, 24 KiB of gather index
     # and probability temporaries, and two states of 8 KiB each when real or
     # 16 KiB each when complex, against 56 KiB of memory.  The writers'
-    # blocks in flight, megabytes whatever the run, are left out here.
+    # blocks in flight, megabytes whatever the run, and the period search's
+    # screen chunks, which a 2-column search never screens, are left out here.
     monkeypatch.setattr(rules, "_physical_memory", lambda: 56 << 10)
     monkeypatch.setattr(rules, "WRITER_BYTES", 0)
+    monkeypatch.setattr(analysis, "SCREEN_VALUES", 0)
     conf, script = tmp_path / "run.conf", tmp_path / "run.qscript"
     conf.write_text("cells=5\nrule=right\neval=h_both\nsteps=1\ninitial=0\n")
     script.write_text("cells=5\ninitial=0\nstep\nH s0\nCN s0 c0\n")

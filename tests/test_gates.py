@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qca2.gates import (
+    H,
     MAX_DENSE_QUBITS,
     UNITARY_TOL,
     ControlledFlip,
@@ -15,13 +16,14 @@ from qca2.gates import (
     embed_gate,
     flip_source,
     gate_kernels,
-    standard_gate,
     state_dtype,
     unitary_deviation,
 )
 from qca2.rules import basis_state
 
 from helpers import (
+    CN,
+    X,
     advance_reference,
     flip_source_reference,
     random_orthogonal,
@@ -32,13 +34,16 @@ from helpers import (
 
 class TestStandardGates:
     def test_h_is_involutive(self):
-        h = standard_gate("H")
-        assert np.allclose(h @ h, np.eye(2), atol=1e-15)
+        assert np.allclose(H @ H, np.eye(2), atol=1e-15)
+
+    # Every script's H gate copies this one matrix, so no caller may change it.
+    def test_h_is_read_only(self):
+        with pytest.raises(ValueError):
+            H[0, 0] = 0
 
     def test_cn_flips_target_under_control(self):
-        cn = standard_gate("CN")
-        assert np.array_equal(cn @ basis_state(2, 2), basis_state(2, 3))
-        assert np.array_equal(cn @ basis_state(2, 0), basis_state(2, 0))
+        assert np.array_equal(CN @ basis_state(2, 2), basis_state(2, 3))
+        assert np.array_equal(CN @ basis_state(2, 0), basis_state(2, 0))
 
     def test_ccn_needs_both_controls(self):
         # A script's CCN line: both controls more significant than the target.
@@ -47,17 +52,13 @@ class TestStandardGates:
         assert np.array_equal(ccn @ basis_state(3, 4), basis_state(3, 4))
 
     def test_all_standard_gates_unitary(self):
-        for name in ("X", "H", "CN"):
-            assert unitary_deviation(standard_gate(name)) <= UNITARY_TOL
-
-    def test_unknown_name(self):
-        with pytest.raises(ValueError):
-            standard_gate("T")
+        for matrix in (X, H, CN):
+            assert unitary_deviation(matrix) <= UNITARY_TOL
 
 
 class TestKron:
     def test_h_on_high_bit(self):
-        op = np.kron(standard_gate("H"), np.eye(2))
+        op = np.kron(H, np.eye(2))
         probs = np.abs(op @ basis_state(2, 2)) ** 2
         assert np.allclose(probs, [0.5, 0, 0.5, 0], atol=1e-15)
 
@@ -69,11 +70,11 @@ class TestGateOps:
 
     def test_local_unitary_requires_ascending_qubits(self):
         with pytest.raises(ValueError):
-            LocalUnitary((2, 1), standard_gate("CN"))
+            LocalUnitary((2, 1), CN)
 
     def test_local_unitary_requires_contiguous_qubits(self):
         with pytest.raises(ValueError):
-            LocalUnitary((0, 2), standard_gate("CN"))
+            LocalUnitary((0, 2), CN)
 
     def test_local_unitary_requires_unitary_matrix(self):
         with pytest.raises(ValueError):
@@ -81,10 +82,10 @@ class TestGateOps:
 
     def test_matrix_shape_must_match(self):
         with pytest.raises(ValueError):
-            LocalUnitary((0, 1), standard_gate("H"))
+            LocalUnitary((0, 1), H)
 
     def test_different_matrices_on_one_qubit_differ_and_hash_apart(self):
-        i, x = LocalUnitary((0,), np.eye(2)), LocalUnitary((0,), standard_gate("X"))
+        i, x = LocalUnitary((0,), np.eye(2)), LocalUnitary((0,), X)
         assert i != x and hash(i) != hash(x) and len({i, x}) == 2
 
     def test_equal_entries_on_equal_qubits_are_equal_and_hash_alike(self, rng):
@@ -94,17 +95,17 @@ class TestGateOps:
         assert a != LocalUnitary((1, 2), u)
 
     def test_the_callers_matrix_stays_writeable(self):
-        h = standard_gate("H")
+        h = H.copy()
         gate = LocalUnitary((0,), h)
         h[0, 0] = 0
-        assert gate.matrix[0, 0] == standard_gate("H")[0, 0]
+        assert gate.matrix[0, 0] == H[0, 0]
         assert not gate.matrix.flags.writeable
 
 
 class TestEmbedGate:
     def test_two_qubit_cn_convention(self):
         op = embed_gate(ControlledFlip({1}, 0), 2)
-        assert np.array_equal(op, standard_gate("CN"))
+        assert np.array_equal(op, CN)
 
     def test_split_controls_exchange_five_and_seven(self):
         # Enumerated oracle: flip bit 1 exactly when bits 0 and 2 are set.
@@ -114,12 +115,11 @@ class TestEmbedGate:
 
     def test_empty_controls_is_x(self):
         op = embed_gate(ControlledFlip((), 1), 2)
-        assert np.array_equal(op, np.kron(standard_gate("X"), np.eye(2)))
+        assert np.array_equal(op, np.kron(X, np.eye(2)))
 
     def test_local_unitary_placement_matches_kron(self):
-        h = standard_gate("H")
-        assert np.array_equal(embed_gate(LocalUnitary((1,), h), 2), np.kron(h, np.eye(2)))
-        assert np.array_equal(embed_gate(LocalUnitary((0,), h), 2), np.kron(np.eye(2), h))
+        assert np.array_equal(embed_gate(LocalUnitary((1,), H), 2), np.kron(H, np.eye(2)))
+        assert np.array_equal(embed_gate(LocalUnitary((0,), H), 2), np.kron(np.eye(2), H))
 
     def test_adjacent_pair_matches_kron(self, rng):
         u = random_unitary(rng, 4)
@@ -150,7 +150,7 @@ class TestEmbedGate:
             ControlledFlip({4}, 1),
             ControlledFlip({0, 3}, 5),
             LocalUnitary((4, 5), random_unitary(rng, 4)),
-            LocalUnitary((1,), standard_gate("H")),
+            LocalUnitary((1,), H),
         ]
         for gate in gates:
             op = embed_gate(gate, 6)
@@ -176,7 +176,7 @@ def gate_and_register(draw):
 
 class TestApplyGate:
     def test_h_at_bit_one_splits_initial(self):
-        out = apply_gate(basis_state(2, 2), LocalUnitary((1,), standard_gate("H")))
+        out = apply_gate(basis_state(2, 2), LocalUnitary((1,), H))
         assert np.allclose(np.abs(out) ** 2, [0.5, 0, 0.5, 0], atol=1e-15)
 
     def test_identity_is_bitwise_noop(self, rng):
@@ -194,7 +194,7 @@ class TestApplyGate:
         state = random_state(rng, 4)
         before = state.copy()
         apply_gate(state, ControlledFlip({1}, 2))
-        apply_gate(state, LocalUnitary((0,), standard_gate("H")))
+        apply_gate(state, LocalUnitary((0,), H))
         assert np.array_equal(state, before)
 
     @settings(max_examples=150, deadline=None)
@@ -231,9 +231,8 @@ class TestApplyGate:
     # that holds the state: the input is left as it was, and the result is
     # the plain loop's but for the signs of zeros.
     def test_a_basis_state_is_left_unchanged(self, rng):
-        h = standard_gate("H")
-        for gate in [ControlledFlip({1}, 2), ControlledFlip((), 0), LocalUnitary((0,), h),
-                     LocalUnitary((0, 1), random_unitary(rng, 4)), LocalUnitary((2,), h),
+        for gate in [ControlledFlip({1}, 2), ControlledFlip((), 0), LocalUnitary((0,), H),
+                     LocalUnitary((0, 1), random_unitary(rng, 4)), LocalUnitary((2,), H),
                      LocalUnitary((0, 1, 2), random_unitary(rng, 8))]:
             state = basis_state(3, 6)
             out = apply_gate(state, gate)
@@ -270,7 +269,7 @@ class TestContract:
 
 class TestStateDtype:
     def test_real_only_when_every_imaginary_part_is_exactly_zero(self):
-        h = LocalUnitary((0,), standard_gate("H"))
+        h = LocalUnitary((0,), H)
         flip = ControlledFlip({1}, 0)
         assert state_dtype([]) is np.float64
         assert state_dtype([h, flip]) is np.float64
@@ -340,7 +339,7 @@ class TestComposeDense:
         assert np.array_equal(compose_dense([], 3), np.eye(8))
 
     def test_fig2_amplitudes(self):
-        ops = [LocalUnitary((1,), standard_gate("H")), ControlledFlip({1}, 0)]
+        ops = [LocalUnitary((1,), H), ControlledFlip({1}, 0)]
         out = compose_dense(ops, 2) @ basis_state(2, 2)
         inv_sqrt2 = 1 / np.sqrt(2)
         assert np.allclose(out, [inv_sqrt2, 0, 0, -inv_sqrt2], atol=1e-15)
@@ -350,7 +349,7 @@ class TestComposeDense:
         ops = [
             ControlledFlip({3}, 1),
             LocalUnitary((1, 2), random_unitary(rng, 4)),
-            LocalUnitary((3,), standard_gate("H")),
+            LocalUnitary((3,), H),
             ControlledFlip({0, 1}, 2),
         ]
         op = compose_dense(ops, 4)
@@ -358,9 +357,9 @@ class TestComposeDense:
 
     def test_order_is_temporal(self):
         # X then H differs from H then X on the same qubit.
-        x = LocalUnitary((0,), standard_gate("X"))
-        h = LocalUnitary((0,), standard_gate("H"))
+        x = LocalUnitary((0,), X)
+        h = LocalUnitary((0,), H)
         assert not np.allclose(compose_dense([x, h], 1), compose_dense([h, x], 1))
         assert np.allclose(
-            compose_dense([x, h], 1), standard_gate("H") @ standard_gate("X")
+            compose_dense([x, h], 1), H @ X
         )

@@ -343,8 +343,7 @@ def test_writers_give_the_same_bytes_for_either_memory_order(rng, shape):
 
 # The writers format their blocks on one thread or, given two CPUs, on two.
 # 1250 x 127 is three CSV and three PGM blocks and five operator blocks.
-_THREAD_SHAPES = {"no-rows": (0, 5), "no-columns": (5, 0), "one-block": (10, 7),
-                  "odd-blocks": (1250, 127)}
+_THREAD_SHAPES = {"no-rows": (0, 5), "one-block": (10, 7), "odd-blocks": (1250, 127)}
 
 
 @pytest.fixture
@@ -522,16 +521,6 @@ def test_a_wide_row_is_cut_into_blocks(two_cpus, monkeypatch, rng, pool):
     assert render_pgm(matrix) == _reference_pgm(matrix)
     assert write_operator_csv(op) == _reference_operator(op)
     assert max(sizes) <= io_formats._LAYOUT_VALUES
-
-
-# Without columns a CSV row is its state index and a comma, and an operator
-# row and a PGM row are empty lines.
-def test_writers_of_a_matrix_without_columns():
-    matrix, op = np.zeros((2, 0)), np.zeros((2, 0), dtype=np.complex128)
-    assert write_csv(matrix) == _reference_csv(matrix) == "state,\n0,\n1,\n"
-    assert write_operator_csv(op) == _reference_operator(op) == "\n\n"
-    assert render_pgm(matrix) == _reference_pgm(matrix) == b"P2\n0 2\n255\n\n\n"
-    assert render_pgm(np.zeros((0, 0))) == _reference_pgm(np.zeros((0, 0))) == b"P2\n0 0\n255\n"
 
 
 class TestCsv:

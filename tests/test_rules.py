@@ -8,6 +8,7 @@ import pytest
 
 from qca2 import analysis, cli, gates, rules
 from qca2.gates import (
+    H,
     ControlledFlip,
     LocalUnitary,
     apply_gate,
@@ -15,7 +16,6 @@ from qca2.gates import (
     compose_dense,
     embed_gate,
     flip_source,
-    standard_gate,
 )
 from qca2.io_formats import parse_config, parse_script
 from qca2.rules import (
@@ -222,16 +222,16 @@ class TestCompileInteraction:
 
 
 class TestCompileEvaluation:
-    def test_identity_is_empty(self):
+    # The identity is contracted like any other cell unitary.
+    def test_identity_compiles_to_one_gate_per_cell(self):
         cfg = make_config(3, NeighborhoodRule.RIGHT, evaluation=IDENTITY_EVAL)
-        assert compile_evaluation(cfg) == []
+        assert compile_evaluation(cfg) == [LocalUnitary((2 * j, 2 * j + 1), np.eye(4))
+                                           for j in range(3)]
 
     def test_h_both_single_cell_equals_h_kron_h(self):
         cfg = make_config(1, NeighborhoodRule.RIGHT, evaluation=H_BOTH_EVAL)
         op = compose_dense(tuple(compile_evaluation(cfg)), 2)
-        from qca2.gates import standard_gate
-
-        assert np.allclose(op, np.kron(standard_gate("H"), standard_gate("H")), atol=1e-15)
+        assert np.allclose(op, np.kron(H, H), atol=1e-15)
 
     def test_h_s_then_cn_entangles_single_cell(self):
         cfg = make_config(1, NeighborhoodRule.RIGHT, evaluation=H_S_THEN_CN_EVAL)
@@ -625,7 +625,7 @@ class TestRecurrence:
     # X twice is the identity, so the script is back at its start after its
     # first timestep; its later timesteps differ, and it keeps evolving.
     def test_a_gate_script_back_at_the_start_keeps_evolving(self):
-        x, h = ControlledFlip((), 0), LocalUnitary((1,), standard_gate("H"))
+        x, h = ControlledFlip((), 0), LocalUnitary((1,), H)
         script = [[x, x], [h], [ControlledFlip({1}, 0)], [x], [h]]
         matrix = run_gate_script(2, 0, script)
         assert matrix[0, 1] == 1.0 and matrix[0, 2] != 1.0
@@ -734,7 +734,7 @@ class TestEvolveBytes:
     @pytest.mark.parametrize("timestep, dtype", [
         ([LocalUnitary((0, 1), H_BOTH_EVAL.matrix), ControlledFlip({1}, 2)], np.float64),
         ([LocalUnitary((0, 1), COMPLEX_CUSTOM), ControlledFlip({1}, 2)], np.complex128),
-        ([LocalUnitary((2 * j + 1,), standard_gate("H")) for j in range(8)]
+        ([LocalUnitary((2 * j + 1,), H) for j in range(8)]
          + [ControlledFlip({2 * j + 1}, 2 * j) for j in range(8)], np.float64),
     ], ids=["h_both", "complex-custom", "many-flips"])
     def test_is_what_a_gate_script_allocates(self, run_states, timestep, dtype, steps):
@@ -800,6 +800,20 @@ class TestSearchBytes:
         need = analysis.search_bytes(16, 40, dtype)
         assert peak <= need < peak + self.SLACK
 
+    # A long search on one cell holds one float a column, with a period (an
+    # exact return after 8 updates) and without one (every lag misses the
+    # screen, in the first half or over the whole trace).
+    @pytest.mark.parametrize("evaluation, dtype, period", [
+        (H_BOTH_EVAL, np.float64, 4),
+        (LocalUnitary((0, 1), COMPLEX_CUSTOM), np.complex128, None),
+    ], ids=["period", "no-period"])
+    def test_a_long_search_holds_one_float_a_column(self, evaluation, dtype, period):
+        cfg = make_config(1, NeighborhoodRule.RIGHT, BoundaryCondition.CONST_ONE, evaluation,
+                          initial=1)
+        report, peak = _traced(analysis.search_period, cfg, 200_000)
+        assert report.period == period
+        assert 8 * 200_000 < peak <= analysis.search_bytes(2, 200_000, dtype)
+
     # A refused search allocates nothing of its size first, not even the
     # gather index: its traced peak stays under one int64 vector.
     @pytest.mark.parametrize("record", list(RecordMode))
@@ -858,10 +872,8 @@ class TestCheckBytes:
 
 class TestRunGateScript:
     def test_fig2_walkthrough(self):
-        from qca2.gates import standard_gate
-
         script = [
-            [LocalUnitary((1,), standard_gate("H"))],
+            [LocalUnitary((1,), H)],
             [ControlledFlip({1}, 0)],
         ]
         matrix = run_gate_script(2, 2, script)
@@ -875,12 +887,12 @@ class TestRunGateScript:
         assert matrix.shape == (8, 1) and matrix[4, 0] == 1.0
 
     def test_matrix_is_column_contiguous(self):
-        script = [[LocalUnitary((1,), standard_gate("H"))], [ControlledFlip({1}, 0)]]
+        script = [[LocalUnitary((1,), H)], [ControlledFlip({1}, 0)]]
         matrix = run_gate_script(4, 2, script)
         assert matrix.shape == (16, 3) and matrix.T.flags.c_contiguous
 
     def test_state_is_real_for_h_x_cn_and_complex_otherwise(self, run_states):
-        h = [LocalUnitary((1,), standard_gate("H"))]
+        h = [LocalUnitary((1,), H)]
         flips = [ControlledFlip((), 0), ControlledFlip({1}, 0)]
         real = run_gate_script(2, 2, [h, flips])
         s_gate = [LocalUnitary((0,), np.diag([1, 1j]))]
@@ -892,13 +904,11 @@ class TestRunGateScript:
         assert real[:, 2].tobytes() == probabilities(state).tobytes()
 
     def test_matches_dense_composition(self, rng):
-        from qca2.gates import standard_gate
-
         script = []
         running = []
         for _ in range(4):
             gates = [
-                LocalUnitary((int(rng.integers(0, 3)),), standard_gate("H")),
+                LocalUnitary((int(rng.integers(0, 3)),), H),
                 ControlledFlip({2}, 0),
             ]
             script.append(gates)
@@ -917,7 +927,7 @@ class TestRunGateScript:
 @pytest.mark.parametrize("timestep, runs", [
     ([ControlledFlip({2 * j + 1}, 2 * j) for j in range(8)], [8]),
     ([ControlledFlip((), 1), ControlledFlip({1}, 2), ControlledFlip({3}, 4)], [1, 2]),
-    ([ControlledFlip({3}, 0), LocalUnitary((1,), standard_gate("H")), ControlledFlip({1}, 2),
+    ([ControlledFlip({3}, 0), LocalUnitary((1,), H), ControlledFlip({1}, 2),
       ControlledFlip({0, 2}, 3)], [1, 1, 1]),
 ], ids=["eight-commuting-cns", "x-then-its-control", "split-by-a-local-gate"])
 def test_commuting_script_flips_share_one_gather_index(monkeypatch, timestep, runs):
