@@ -1,0 +1,64 @@
+#!/usr/bin/env python3
+"""Print the least wall time of one update, from a dense state and from a
+basis state, at 8, 10 and 12 cells on float64 and complex128 states.
+
+The update is one `both`/`cyclic`/`h_s_then_cn` update, the interaction
+gather and every cell's contraction, with its kernels built beforehand as
+`rules.update_kernels` builds them once a run.  The dense state is random;
+the basis state is |1>.  Each time is the least of REPEATS runs of
+`gates.advance` on the same buffers.  A 12-cell complex state is 256 MiB,
+and the script holds three of them and the 128 MiB gather index.
+
+    PYTHONPATH=src python3 scripts/update_timing.py
+"""
+
+import time
+
+import numpy as np
+
+from qca2 import gates, rules
+from qca2.rules import H_S_THEN_CN_EVAL, BoundaryCondition, NeighborhoodRule, QcaConfig
+
+CELLS = (8, 10, 12)
+REPEATS = 5
+
+
+def _least(kernels, start: np.ndarray, psi: np.ndarray, spare: np.ndarray,
+           repeats: int) -> float:
+    """Least wall time of `repeats` runs of `kernels` on a copy of `start`
+    in `psi`, with `spare` as the other buffer."""
+    best = float("inf")
+    for _ in range(repeats):
+        np.copyto(psi, start)
+        began = time.perf_counter()
+        gates.advance(psi, kernels, spare)
+        best = min(best, time.perf_counter() - began)
+    return best
+
+
+def update_times(cells: int, dtype, repeats: int = REPEATS) -> tuple[float, float]:
+    """Least wall time, in seconds, of one update of a dense `cells`-cell
+    state of `dtype` and of one from the basis state |1>."""
+    config = QcaConfig(cells, NeighborhoodRule.BOTH, BoundaryCondition.CYCLIC, H_S_THEN_CN_EVAL)
+    kernels, = rules.update_kernels(config, dtype)
+    rng, n = np.random.default_rng(cells), config.n_qubits
+    dense = rng.normal(size=1 << n) if dtype == np.float64 else \
+        rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    dense /= np.linalg.norm(dense)
+    psi, spare = np.empty_like(dense), np.empty_like(dense)
+    dense_s = _least(kernels, dense, psi, spare, repeats)
+    del dense
+    return dense_s, _least(kernels, rules.basis_state(n, 1, dtype), psi, spare, repeats)
+
+
+def main() -> None:
+    print(f"{'cells':>5}  {'dtype':<10}  {'dense_s':>9}  {'basis_s':>9}")
+    for cells in CELLS:
+        for dtype in (np.float64, np.complex128):
+            dense, basis = update_times(cells, dtype)
+            print(f"{cells:>5}  {np.dtype(dtype).name:<10}  {dense:>9.4f}  {basis:>9.4f}",
+                  flush=True)
+
+
+if __name__ == "__main__":
+    main()

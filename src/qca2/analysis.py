@@ -12,7 +12,7 @@ from operator import itemgetter
 import numpy as np
 
 from . import rules
-from .gates import UNITARY_TOL, state_dtype, unitary_deviation
+from .gates import UNITARY_TOL, state_dtype, tile_bytes, unitary_deviation
 # perfbench/tracing.py wraps analysis.evolve and analysis.build_dense_rule by name.
 from .rules import BoundaryCondition, QcaConfig, build_dense_rule, evolve
 
@@ -52,7 +52,7 @@ def check_interaction(config: QcaConfig) -> CheckReport:
     dim = 1 << config.n_qubits
     kernels = chain.from_iterable(rules.update_kernels(config, state_dtype([config.evaluation])))
     source = reduce(lambda composed, gather: composed[gather],
-                    (k for k in kernels if not isinstance(k, tuple)), np.arange(dim))
+                    (k for k in kernels if isinstance(k, np.ndarray)), np.arange(dim))
     perm_dev = float(np.abs(np.bincount(source, minlength=dim) - 1).max())
     s_mask = sum(1 << rules.qubit(j, "s") for j in range(config.n_cells))
     violations = int(np.count_nonzero((source ^ np.arange(dim)) & s_mask))
@@ -139,11 +139,13 @@ def search_bytes(n_qubits: int, n_columns: int, dtype) -> int:
     """Bytes `search_period` holds at its peak, at most: two states of
     `dtype`, or four once there are 3 columns and so a lag a twin may check,
     an int64 gather index, three float64 columns (a column, and ``|x|`` and
-    its square for the next one), one float64 a column, and three float64
-    chunks of SCREEN_VALUES: two in `_screen`, and one for Python objects."""
+    its square for the next one), one float64 a column, the tile buffers of
+    `gates.contract_tiles` (`tile_bytes`), and three float64 chunks of
+    SCREEN_VALUES: two in `_screen`, and one for Python objects."""
     n_states = 4 if n_columns >= 3 else 2
     vectors = n_states * np.dtype(dtype).itemsize + 8 + 3 * 8
-    return (vectors << n_qubits) + 8 * n_columns + 3 * 8 * SCREEN_VALUES
+    return ((vectors << n_qubits) + 8 * n_columns + tile_bytes(n_qubits, dtype)
+            + 3 * 8 * SCREEN_VALUES)
 
 
 def search_period(config: QcaConfig, n_columns: int,
@@ -153,8 +155,8 @@ def search_period(config: QcaConfig, n_columns: int,
     and one float a column instead of the columns.
 
     One evolution from the initial basis state |i> records the trace, each
-    column's value at row i; it stops at an exact return to |i>, after
-    which the columns repeat bit for bit.  A lag that `detect_period`
+    column's value at row i; it stops at an exact return to |i> or -|i>,
+    after which the columns repeat bit for bit.  A lag that `detect_period`
     accepts passes the `_screen` of the trace, so only the lags that pass
     are checked, in ascending order.  Column 0 is 1 at row i, so a lag p
     passes only when column p is within `tol` of 1 there too.  A multiple
@@ -209,9 +211,11 @@ def cell_shift_permutation(n_cells: int) -> np.ndarray:
 def check_bytes(config: QcaConfig) -> int:
     """Bytes of the vectors `check_translation` holds at its peak, more than
     `check_interaction` holds: two state pairs of the run's `state_dtype`,
-    the int64 gather and cell-shift indices, and three float64 columns (a
-    column pair and a gathered copy, or a column and ``|x|`` and its square)."""
-    return (4 * np.dtype(state_dtype([config.evaluation])).itemsize + 5 * 8) << config.n_qubits
+    the int64 gather and cell-shift indices, three float64 columns (a
+    column pair and a gathered copy, or a column and ``|x|`` and its
+    square), and the tile buffers of `gates.contract_tiles` (`tile_bytes`)."""
+    dtype, n = state_dtype([config.evaluation]), config.n_qubits
+    return ((4 * np.dtype(dtype).itemsize + 5 * 8) << n) + tile_bytes(n, dtype)
 
 
 def check_translation(config: QcaConfig) -> CheckReport:

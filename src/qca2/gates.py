@@ -11,12 +11,13 @@ Two gate placements cover everything the automaton needs:
 ``flip_source`` turns commuting flips into one index gather, a table over
 the control bits broadcast into every index, and ``contract`` applies a
 small matrix to a block of bits; ``gate_kernels`` turns any gate list into
-them, one gather per run of consecutive commuting flips.  ``advance`` is the
-one loop that runs a state through them, for rules, scripts and
-``apply_gate`` alike: on a float64 state when ``state_dtype`` finds every
-gate matrix real, complex128 otherwise.  From a basis state it moves the
-one index through the gathers and contracts only the bits reached so far,
-while the contractions tile the bits from bit 0 upward, as a rule's
+them, one gather per run of consecutive commuting flips; ``contract_tiles``
+applies a run of them below bit 6 on cache-sized transposed tiles.
+``advance`` is the one loop that runs a state through them, for rules,
+scripts and ``apply_gate`` alike: on a float64 state when ``state_dtype``
+finds every gate matrix real, complex128 otherwise.  From a basis state it
+moves the one index through the gathers and contracts only the bits reached
+so far, while the contractions tile the bits from bit 0 upward, as a rule's
 evaluation phase does.  Dense operators (capped at 10 qubits) are built
 without them:
 ``basis_images`` maps flips to the image of each basis index, one at a time,
@@ -35,6 +36,10 @@ import numpy as np
 MAX_DENSE_QUBITS = 10
 
 UNITARY_TOL = 1e-12
+
+# A tile is TILE_VALUES amplitudes in rows of 2**TILE_BITS.  A state of fewer
+# than TILED_VALUES fits in cache whole, and a complex one loses by the copies.
+TILE_BITS, TILE_VALUES, TILED_VALUES = 6, 1 << 14, 1 << 12
 
 H = np.array([[1, 1], [1, -1]]) / np.sqrt(2.0)
 H.setflags(write=False)
@@ -107,7 +112,7 @@ class LocalUnitary:
 
 
 GateOp = Union[ControlledFlip, LocalUnitary]
-Kernel = Union[np.ndarray, tuple[np.ndarray, int]]  # a gather index, or (matrix, low)
+Kernel = Union[np.ndarray, tuple[np.ndarray, int], list]  # a gather, (matrix, low), or a run
 
 
 def _check_gate_fits(gate: GateOp, n_qubits: int) -> None:
@@ -196,6 +201,34 @@ def contract(u: np.ndarray, psi: np.ndarray, low: int, out: np.ndarray) -> np.nd
     return out
 
 
+def contract_tiles(run: list, psi: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """`contract` each (matrix, low) pair of `run` in turn, all below bit
+    TILE_BITS, from `psi` into `out`; returns `out`.  Below bit 6 its inner
+    loop would run over 1 to 16 amplitudes; here it runs over a transposed
+    tile's rows.  A real matrix of `gate_kernels` has strided rows, so
+    `contract` sums its products in column order even at bit 0, as here."""
+    width = 1 << TILE_BITS
+    x, y = psi.reshape(-1, width), out.reshape(-1, width)
+    rows = min(TILE_VALUES, psi.size) // width  # a power of two, so it divides x's rows
+    tiles = np.empty((2, rows * width), psi.dtype)
+    for r in range(0, x.shape[0], rows):
+        a, b = tiles
+        a.reshape(width, rows)[...] = x[r:r + rows].T
+        for u, low in run:
+            d = u.shape[0]
+            np.einsum("ij,ajb->aib", u, a.reshape(-1, d, rows << low),
+                      out=b.reshape(-1, d, rows << low))
+            a, b = b, a
+        y[r:r + rows] = a.reshape(width, rows).T
+    return out
+
+
+def tile_bytes(n_qubits: int, dtype) -> int:
+    """Bytes of the two buffers `contract_tiles` holds on an `n_qubits` state of `dtype`."""
+    values = 1 << n_qubits
+    return 2 * np.dtype(dtype).itemsize * min(values, TILE_VALUES) if values >= TILED_VALUES else 0
+
+
 def _place(psi: np.ndarray, placed: slice, block: np.ndarray, start: int) -> slice:
     """Zero `psi[placed]` and write `block` into `psi` from `start`; returns
     the slice it now fills."""
@@ -208,37 +241,40 @@ def _place(psi: np.ndarray, placed: slice, block: np.ndarray, start: int) -> sli
 def advance(psi: np.ndarray, kernels: Iterable[Kernel], spare: np.ndarray) -> tuple:
     """Apply `kernels` in order to the state in `psi`; returns (result, the
     other buffer), both overwritten.  A gather index goes through
-    ``np.take``, a pair through `contract`, each reading one buffer and
-    writing the other.
+    ``np.take``, a pair through `contract`, a run through `contract_tiles`,
+    each reading one buffer and writing the other.
 
     While the state is a basis state c|j>, a gather only moves j to
     ``source[j]`` (`flip_source` is its own inverse), and contractions that
-    tile the bits from bit 0 upward run the same `contract` on the bits
-    reached so far alone, their block placed in a zeroed `psi`.  Any other
-    kernel, the top cell's included, first places the block at j's upper
-    bits.  Nonzero parts are the plain loop's bit for bit; a zero's sign
-    may differ."""
-    j = int(np.flatnonzero(psi)[0]) if np.count_nonzero(psi) == 1 else None
+    tile the bits from bit 0 upward, a run's pairs one by one, run the same
+    `contract` on the bits reached so far alone, their block placed in a
+    zeroed `psi`.  Any other kernel, the top cell's included, first places
+    the block at j's upper bits.  Nonzero parts are the plain loop's bit for
+    bit; a zero's sign may differ."""
+    j = int(np.argmax(psi != 0)) if np.count_nonzero(psi) == 1 else None
     if j is not None:  # the block of bits [0, 0) is c alone, and `psi` is all zero
         block, psi[j], placed = psi[j:j + 1].copy(), 0, slice(0)
-    for kernel in kernels:
-        if j is not None:
-            m, local = block.size.bit_length() - 1, isinstance(kernel, tuple)
-            if not local and m == 0:
-                j = int(kernel[j])
-            elif local and kernel[1] == m and (size := kernel[0].shape[0] << m) < psi.size:
-                placed = _place(psi, placed, block, j & (size - 1) & -block.size)
-                block = contract(kernel[0], psi[:size], m, spare[:size])
-            else:
-                _place(psi, placed, block, j & -block.size)
-                j = None
-        if j is None:
-            if isinstance(kernel, tuple):
-                contract(kernel[0], psi, kernel[1], spare)
-            else:  # a permutation: "clip" never clips, and unlike "raise" it buffers no copy
-                np.take(psi, kernel, out=spare, mode="clip")
-            psi, spare = spare, psi
-        del kernel  # a script's next gather index is built only once this one is freed
+    for run in kernels:
+        for kernel in run if j is not None and isinstance(run, list) else [run]:
+            if j is not None:
+                m, local = block.size.bit_length() - 1, isinstance(kernel, tuple)
+                if not local and m == 0:
+                    j = int(kernel[j])
+                elif local and kernel[1] == m and (size := kernel[0].shape[0] << m) < psi.size:
+                    placed = _place(psi, placed, block, j & (size - 1) & -block.size)
+                    block = contract(kernel[0], psi[:size], m, spare[:size])
+                else:
+                    _place(psi, placed, block, j & -block.size)
+                    j = None
+            if j is None:
+                if isinstance(kernel, list):
+                    contract_tiles(kernel, psi, spare)
+                elif isinstance(kernel, tuple):
+                    contract(kernel[0], psi, kernel[1], spare)
+                else:  # a permutation: "clip" never clips, and unlike "raise" it buffers no copy
+                    np.take(psi, kernel, out=spare, mode="clip")
+                psi, spare = spare, psi
+        del run, kernel  # a script's next gather index is built only once this one is freed
     if j is not None:
         _place(psi, placed, block, j & -block.size)
     return psi, spare

@@ -21,14 +21,15 @@ decided once from its matrices: float64 when every imaginary part is exactly
 zero, complex128 otherwise.  While the state is a basis state, at the start
 and wherever a run comes back to one, `gates.advance` gathers its one index
 and contracts cell k over the 4**(k+1) amplitudes of cells 0 to k, so only
-the top cell's contraction covers the whole state.  `probability_columns`
+the top cell's contraction covers the whole state; a dense state of 6 cells
+or more contracts cells 0, 1 and 2 together, on tiles.  `probability_columns`
 is the one loop that advances a state through kernels for `gates.advance`
 and records its probability columns: `_record` gathers them into the
 matrix of `evolve` and `run_gate_script`, and `analysis.search_period`
 keeps each one's value at the initial index.  Every update of a config is
 the same floating-point map, so once its state is exactly the initial
-basis state again, the columns recorded so far repeat bit for bit: the
-loop stops, and `_record` copies them instead.
+basis state again, or its negative, the columns recorded so far repeat bit
+for bit: the loop stops, and `_record` copies them instead.
 """
 
 from __future__ import annotations
@@ -48,12 +49,14 @@ from .gates import (
     GateOp,
     Kernel,
     LocalUnitary,
+    TILED_VALUES,
     advance,
     apply_gate,
     basis_images,
     compose_dense,
     gate_kernels,
     state_dtype,
+    tile_bytes,
 )
 
 MAX_CELLS = 12
@@ -245,10 +248,10 @@ def run_bytes(n_qubits: int, n_columns: int, dtype) -> int:
     `n_columns` columns, two states of `dtype`, the run's `state_dtype` (8
     bytes an amplitude when real, 16 when complex), an int64 gather index,
     and the two float64 temporaries of `probabilities`, ``|x|`` and its
-    square.  The writers' blocks in flight, WRITER_BYTES, are counted on
-    top."""
+    square.  The tile buffers of `gates.contract_tiles` (`tile_bytes`) and
+    the writers' blocks in flight, WRITER_BYTES, are counted on top."""
     evolving = (8 * n_columns + 2 * np.dtype(dtype).itemsize + 8 + 2 * 8) << n_qubits
-    return evolving + WRITER_BYTES
+    return evolving + tile_bytes(n_qubits, dtype) + WRITER_BYTES
 
 
 def _physical_memory() -> int:
@@ -273,9 +276,10 @@ def probability_columns(n_qubits: int, initial_index: int, dtype, timesteps,
 
     When every `per_update` timesteps apply the same map, a state that is
     the initial basis state again after t timesteps, t a multiple of
-    `per_update`, ends the columns at column t: the columns after it would
-    repeat columns 1..t bit for bit.  The comparison treats -0 as 0, which
-    changes no later value.  `per_update` 0 never stops early."""
+    `per_update`, or its negative, ends the columns at column t: the columns
+    after it would repeat columns 1..t bit for bit (negation is exact).  The
+    comparison treats -0 as 0, which changes no later value.  `per_update` 0
+    never stops early."""
     psi = basis_state(n_qubits, initial_index, dtype)
     spare = np.empty_like(psi)
     yield probabilities(psi)
@@ -283,7 +287,7 @@ def probability_columns(n_qubits: int, initial_index: int, dtype, timesteps,
         psi, spare = advance(psi, kernels, spare)
         yield probabilities(psi)
         if (per_update and t % per_update == 0
-                and psi[initial_index] == 1 and np.count_nonzero(psi) == 1):
+                and psi[initial_index] in (1, -1) and np.count_nonzero(psi) == 1):
             return
 
 
@@ -308,11 +312,16 @@ def _record(n_qubits: int, initial_index: int, dtype, n_columns: int, timesteps,
 def update_kernels(config: QcaConfig, dtype) -> list[list[Kernel]]:
     """The kernel lists of one update's timesteps, built now by
     `gate_kernels`: the whole update under PER_STEP, the interaction and
-    then the evaluation under PER_PHASE."""
+    then the evaluation under PER_PHASE.  From TILED_VALUES amplitudes up,
+    cells 0, 1 and 2 are one run, a list of their kernels."""
     rule = compile_rule(config)
     phases = ([rule.interaction, rule.evaluation] if config.record is RecordMode.PER_PHASE
               else [rule.interaction + rule.evaluation])
-    return [list(gate_kernels(gates, rule.n_qubits, dtype)) for gates in phases]
+    update = [list(gate_kernels(gates, rule.n_qubits, dtype)) for gates in phases]
+    if 1 << rule.n_qubits >= TILED_VALUES:
+        low = len(update[-1]) - config.n_cells
+        update[-1][low:low + 3] = [update[-1][low:low + 3]]
+    return update
 
 
 def evolve(config: QcaConfig) -> np.ndarray:

@@ -1,9 +1,10 @@
 """The X and CN matrices, random states and unitaries, a non-unitary cell
 matrix, a one-update step, the plain kernel loop and per-flip gather index
-kept as references, a reference evolution, and config, float and complex
-formatting, shared by the test modules."""
+kept as references, a reference evolution, a bitwise state comparison, and
+config, float and complex formatting, shared by the test modules."""
 
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -65,16 +66,26 @@ def step(state: np.ndarray, rule: CompiledRule) -> np.ndarray:
 
 
 def advance_reference(psi: np.ndarray, kernels, spare: np.ndarray) -> tuple:
-    """`gates.advance` without its basis-state shortcut: every kernel runs
-    over the whole state, a gather through ``np.take`` and a pair through
-    `contract`, each writing the buffer the one before did not."""
-    for kernel in kernels:
+    """`gates.advance` without its basis-state shortcut or its tiles: every
+    kernel runs over the whole state, a gather through ``np.take`` and a
+    pair through `contract`, a run as its pairs one by one, each writing the
+    buffer the one before did not."""
+    for kernel in chain.from_iterable(k if isinstance(k, list) else [k] for k in kernels):
         if isinstance(kernel, tuple):
             contract(kernel[0], psi, kernel[1], spare)
         else:
             np.take(psi, kernel, out=spare, mode="clip")
         psi, spare = spare, psi
     return psi, spare
+
+
+def assert_equal_but_for_signs_of_zeros(fast, reference):
+    """Every nonzero real or imaginary part, and every probability, of the
+    two states is equal bit for bit."""
+    a, b = fast.view(np.float64), reference.view(np.float64)
+    assert ((a == 0) == (b == 0)).all()
+    assert a[a != 0].tobytes() == b[b != 0].tobytes()
+    assert (np.abs(fast) ** 2).tobytes() == (np.abs(reference) ** 2).tobytes()
 
 
 def flip_source_reference(flips, n_qubits: int) -> np.ndarray:

@@ -13,18 +13,20 @@ from qca2.gates import (
     basis_images,
     compose_dense,
     contract,
+    contract_tiles,
     embed_gate,
     flip_source,
     gate_kernels,
     state_dtype,
     unitary_deviation,
 )
-from qca2.rules import basis_state
+from qca2.rules import EVAL_PRESETS, basis_state
 
 from helpers import (
     CN,
     X,
     advance_reference,
+    assert_equal_but_for_signs_of_zeros,
     flip_source_reference,
     random_orthogonal,
     random_state,
@@ -265,6 +267,41 @@ class TestContract:
                       out=expected.reshape(-1, d, 1 << low))
             out = contract(u, psi, low, np.empty_like(psi))
             assert out.tobytes() == expected.tobytes(), low
+
+
+# A gate of a run below bit 6: a cell unitary on cell 0, 1 or 2 (a preset or
+# a random one), or H on one of bits 0 to 5.
+_RUN_GATES = st.one_of(
+    st.tuples(st.sampled_from([*EVAL_PRESETS, "random"]), st.integers(0, 2)),
+    st.tuples(st.just("H"), st.integers(0, 5)),
+)
+
+
+class TestContractTiles:
+    # 3 to 10 cells: one tile up to 64 of them.  A real state meets real
+    # matrices, as `gate_kernels` builds them; a random one has no zero
+    # entry, so the order of every sum shows in the bits.  The state has
+    # exact zeros of both signs.
+    @settings(max_examples=60, deadline=None)
+    @given(cells=st.integers(3, 10), complex_=st.booleans(), seed=st.integers(0, 2**32 - 1),
+           run=st.lists(_RUN_GATES, min_size=1, max_size=4), zeros=st.sampled_from([0, 0.3, 0.9]))
+    def test_equals_the_contract_chain_bitwise(self, cells, complex_, seed, run, zeros):
+        rng, n = np.random.default_rng(seed), 2 * cells
+        dtype = np.complex128 if complex_ else np.float64
+        gates = []
+        for kind, at in run:
+            if kind == "H":
+                gates.append(LocalUnitary((at,), H))
+            else:
+                u = EVAL_PRESETS[kind].matrix if kind != "random" else \
+                    (random_unitary if complex_ else random_orthogonal)(rng, 4)
+                gates.append(LocalUnitary((2 * at, 2 * at + 1), u))
+        pairs = list(gate_kernels(gates, n, dtype))
+        psi = random_state(rng, n) if complex_ else rng.normal(size=1 << n)
+        psi.view(np.float64)[rng.random(psi.size * (1 + complex_)) < zeros] = 0.0
+        psi.view(np.float64)[rng.random(psi.size * (1 + complex_)) < zeros / 3] = -0.0
+        ref = advance_reference(psi.copy(), pairs, np.empty_like(psi))[0]
+        assert_equal_but_for_signs_of_zeros(contract_tiles(pairs, psi, np.empty_like(psi)), ref)
 
 
 class TestStateDtype:

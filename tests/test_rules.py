@@ -9,6 +9,7 @@ import pytest
 from qca2 import analysis, cli, gates, rules
 from qca2.gates import (
     H,
+    TILE_VALUES,
     ControlledFlip,
     LocalUnitary,
     apply_gate,
@@ -17,7 +18,7 @@ from qca2.gates import (
     embed_gate,
     flip_source,
 )
-from qca2.io_formats import parse_config, parse_script
+from qca2.io_formats import format_period_report, parse_config, parse_script, write_csv
 from qca2.rules import (
     BoundaryCondition,
     H_BOTH_EVAL,
@@ -40,6 +41,7 @@ from qca2.rules import (
 
 from helpers import (
     advance_reference,
+    assert_equal_but_for_signs_of_zeros,
     evolve_reference,
     format_complex,
     random_orthogonal,
@@ -521,15 +523,6 @@ def test_evolve_equals_loops_that_never_stop_early(run_states, rule, boundary, e
     assert {dtype for dtype, _ in run_states} == {np.dtype(np.float64 if real else np.complex128)}
 
 
-def assert_equal_but_for_signs_of_zeros(fast, reference):
-    """Every nonzero real or imaginary part, and every probability, of the
-    two states is equal bit for bit."""
-    a, b = fast.view(np.float64), reference.view(np.float64)
-    assert ((a == 0) == (b == 0)).all()
-    assert a[a != 0].tobytes() == b[b != 0].tobytes()
-    assert (np.abs(fast) ** 2).tobytes() == (np.abs(reference) ** 2).tobytes()
-
-
 class TestBasisShortcut:
     """`gates.advance` from a basis state c|j>: it gathers j alone and
     contracts only the cells reached so far, against the plain loop of
@@ -611,6 +604,29 @@ class TestBasisShortcut:
         assert_equal_but_for_signs_of_zeros(out, ref)
 
 
+# From 6 cells up, cells 0, 1 and 2 are one run, in either record mode.
+@pytest.mark.parametrize("record", list(RecordMode))
+@pytest.mark.parametrize("cells", [5, 6])
+def test_cells_0_to_2_are_one_run_from_6_cells_up(cells, record):
+    update = rules.update_kernels(make_config(cells, NeighborhoodRule.RIGHT, record=record),
+                                  np.float64)
+    runs = [[low for _, low in k] for k in update[-1] if isinstance(k, list)]
+    assert runs == ([[0, 2, 4]] if cells == 6 else [])
+
+
+# One dense 10-cell update contracts cells 0 to 2 as one run on 64 tiles.
+# A random orthogonal cell matrix has no zero entry, so the order of every
+# sum shows in the bits.
+def test_a_dense_10_cell_update_equals_the_per_cell_loop(rng):
+    cfg = make_config(10, NeighborhoodRule.BOTH, BoundaryCondition.CYCLIC,
+                      LocalUnitary((0, 1), random_orthogonal(rng, 4)))
+    kernels, = rules.update_kernels(cfg, np.float64)
+    assert [type(k) for k in kernels] == [np.ndarray, list] + [tuple] * 7
+    psi = rng.normal(size=1 << 20)
+    ref = advance_reference(psi.copy(), kernels, np.empty_like(psi))[0]
+    assert_equal_but_for_signs_of_zeros(gates.advance(psi, kernels, np.empty_like(psi))[0], ref)
+
+
 class TestRecurrence:
     # Under `both`/`const0` index 0 has no s-bit set, so the interaction
     # flips nothing and the state is the initial one after the first half
@@ -634,6 +650,27 @@ class TestRecurrence:
             for gate in timestep:
                 state = apply_gate(state, gate)
             assert matrix[:, t].tobytes() == probabilities(state).tobytes(), t
+
+    # `right`/`const1`/`h_both` from index 3 is at -|3> after 12 updates and
+    # at |3> after 24.  The run stops at the first, and its CSV and period
+    # report are those of a run that never stops.
+    @pytest.mark.parametrize("cells", [3, 5, 7])
+    def test_a_return_to_minus_the_initial_state_stops_the_run(self, monkeypatch, cells):
+        calls = []
+
+        def counting(psi):
+            calls.append(psi[3])
+            return probabilities(psi)
+
+        monkeypatch.setattr(rules, "probabilities", counting)
+        cfg = make_config(cells, NeighborhoodRule.RIGHT, BoundaryCondition.CONST_ONE,
+                          H_BOTH_EVAL, initial=3, steps=40)
+        matrix = evolve(cfg)
+        assert calls[-1] == -1 and len(calls) == 1 + 12
+        reference = evolve_reference(cfg)
+        assert write_csv(matrix) == write_csv(reference)
+        assert format_period_report(analysis.search_period(cfg, 41)) == \
+            format_period_report(analysis.detect_period(reference))
 
     # A rotation by 1e-9 keeps the initial amplitude at exactly 1.0 for
     # many updates while the other one grows: a column that reads 1 at the
@@ -705,8 +742,9 @@ def _traced(run, *args):
 
 class TestEvolveBytes:
     # Beyond its probability matrix and two states, the estimate counts an
-    # int64 gather index and two float64 probability temporaries, and the
-    # CSV writer's blocks in flight, which the run itself does not hold.
+    # int64 gather index, two float64 probability temporaries and the two
+    # tile buffers, and the CSV writer's blocks in flight, which the run
+    # itself does not hold.
     # Without those blocks it bounds the traced peak from above, within six
     # float64 vectors at 16 qubits: a script without gates holds neither a
     # second state nor a gather index.
@@ -725,7 +763,8 @@ class TestEvolveBytes:
         ((state_dtype, state_bytes),) = run_states
         need = run_bytes(16, cfg.n_columns, dtype) - WRITER_BYTES
         assert state_dtype == dtype
-        assert need == matrix.nbytes + 2 * state_bytes + self.EXTRA
+        tiles = 2 * TILE_VALUES * np.dtype(dtype).itemsize
+        assert need == matrix.nbytes + 2 * state_bytes + self.EXTRA + tiles
         assert peak <= need < peak + self.SLACK
 
     # The last timestep is H on every s-qubit, then CN s_j -> c_j in every
@@ -744,7 +783,8 @@ class TestEvolveBytes:
         ((state_dtype, state_bytes),) = run_states
         need = run_bytes(16, 1 + len(script), dtype) - WRITER_BYTES
         assert state_dtype == dtype
-        assert need == matrix.nbytes + 2 * state_bytes + self.EXTRA
+        tiles = 2 * TILE_VALUES * np.dtype(dtype).itemsize
+        assert need == matrix.nbytes + 2 * state_bytes + self.EXTRA + tiles
         assert peak <= need < peak + self.SLACK
 
     # The CLI refuses a run whose estimate exceeds physical memory.  Tested
@@ -857,7 +897,8 @@ class TestCheckBytes:
         # Two evolutions in lockstep, each with a pair of states.
         assert run_states == [(dtype, np.dtype(dtype).itemsize << 16)] * 2
         need = analysis.check_bytes(cfg)
-        assert need == (4 * np.dtype(dtype).itemsize + 5 * 8) << 16
+        itemsize = np.dtype(dtype).itemsize
+        assert need == ((4 * itemsize + 5 * 8) << 16) + 2 * TILE_VALUES * itemsize
         assert need - (8 << 16) < peak <= need + (16 << 10)
 
     # A refused check allocates nothing of its size first.
@@ -868,6 +909,26 @@ class TestCheckBytes:
         code, peak = _traced(cli.main, ["check", str(conf)])
         assert code == 2 and peak < 8 << 16
         assert capsys.readouterr().err.startswith("error: out of memory: ")
+
+
+# At 6 cells, the fewest that get tiles, the two tile buffers are as large
+# as two states, and `evolve` and the checks hold more than their estimates
+# would count without them.  Each pre-flight bounds the traced peak.
+@pytest.mark.parametrize("evaluation, dtype", [
+    (H_S_THEN_CN_EVAL, np.float64), (LocalUnitary((0, 1), COMPLEX_CUSTOM), np.complex128),
+], ids=["h_s_then_cn", "complex-custom"])
+def test_the_pre_flights_hold_at_the_smallest_tiled_size(monkeypatch, evaluation, dtype):
+    tiled, contract_tiles = [], gates.contract_tiles
+    monkeypatch.setattr(gates, "contract_tiles",
+                        lambda *args: tiled.append(None) or contract_tiles(*args))
+    cfg = make_config(6, NeighborhoodRule.BOTH, BoundaryCondition.CYCLIC, evaluation,
+                      initial=1, steps=3)
+    peak = _traced(evolve, cfg)[1]
+    assert tiled and peak <= run_bytes(12, cfg.n_columns, dtype) - WRITER_BYTES
+    peak = _traced(analysis.search_period, cfg, 40)[1]
+    assert peak <= analysis.search_bytes(12, 40, dtype)
+    peak = _traced(lambda: [analysis.check_interaction(cfg), analysis.check_translation(cfg)])[1]
+    assert peak <= analysis.check_bytes(cfg)
 
 
 class TestRunGateScript:

@@ -4,7 +4,10 @@ import importlib.util
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -18,6 +21,17 @@ def test_run_figures_reproduces_the_goldens(tmp_path):
     assert run_figures.run(tmp_path) == 0
     for name in ("fig2.csv", "fig2.pgm", "fig3.csv", "fig3.pgm"):
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+def test_update_timing_times_both_updates_at_3_cells():
+    spec = importlib.util.spec_from_file_location("update_timing", SCRIPTS / "update_timing.py")
+    update_timing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(update_timing)
+    began = time.perf_counter()
+    for dtype in (np.float64, np.complex128):
+        dense, basis = update_timing.update_times(3, dtype)
+        assert 0 < dense < 1 and 0 < basis < 1
+    assert time.perf_counter() - began < 1
 
 
 # The period column of `period_sweep.py --max-cells 3 --horizon 64`, by rule

@@ -76,7 +76,7 @@ def _traffic(tmp_path: Path, monkeypatch) -> None:
     out = ["--out-csv", str(tmp_path / "run.csv"), "--out-pgm", str(tmp_path / "run.pgm")]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert cli.main(["simulate", str(conf), *out]) == 0
-        # Back at its state after 24 updates, with period 12: a twin checks lag 12.
+        # At minus its initial state after 12 updates, with period 12.
         conf.write_text("cells=2\nrule=right\nboundary=const1\neval=h_both\nsteps=0\ninitial=10\n")
         assert cli.main(["period", str(conf), "--horizon", "65"]) == 0
         assert cli.main(["period", str(conf), "--horizon", "two"]) == 2
