@@ -12,6 +12,12 @@ and so does the grid.  `script` runs the bundled fig2 script once.  A
 kind's digest covers the config, exit code, stdout and stderr of each of
 its runs in grid order, so one changed byte changes its line.
 
+The presets cannot tell two summation orders apart, and states below 6
+cells never reach `gates.contract_tiles`.  So the kind "tiled", whatever
+--max-cells, runs `simulate` to stdout at 6 to 8 cells, every rule,
+`cyclic`, for a fixed random real orthogonal matrix and the complex custom
+one, and one 6-cell script with H on every qubit.
+
     PYTHONPATH=src python scripts/output_digest.py [--max-cells N]
 """
 
@@ -23,12 +29,14 @@ import io
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from qca2.cli import main
 
 HERE = Path(__file__).resolve().parent
 
 KINDS = ("simulate.csv", "simulate.pgm", "simulate.stdout", "period", "check", "matrix",
-         "script")
+         "script", "tiled")
 RULES = ("right", "left", "both")
 BOUNDARIES = ("const0", "const1", "cyclic")
 
@@ -58,6 +66,33 @@ def grid(max_cells: int):
                     )
 
 
+def real_orthogonal_custom() -> str:
+    """The Q of a QR of a fixed random 4x4 matrix, written as a custom eval:
+    no entry is zero, so the order of every sum shows in the bits."""
+    q = np.linalg.qr(np.random.default_rng(1).normal(size=(4, 4)))[0]
+    return "custom:" + ",".join(repr(float(x)) for x in q.reshape(-1))
+
+
+def tiled_grid():
+    """(name, config text) of the configs of the kind "tiled"."""
+    evals = {"orthogonal": real_orthogonal_custom(), "complex": complex_custom()}
+    for cells in range(6, 9):
+        for rule in RULES:
+            for name, evaluation in evals.items():
+                yield f"{cells}-{rule}-cyclic-{name}", (
+                    f"cells={cells}\nrule={rule}\nboundary=cyclic\neval={evaluation}\n"
+                    f"steps=3\ninitial={7 * cells + 3}\n"
+                )
+
+
+# Four timesteps of H on every qubit, with CN flips across bits (2, 3) and
+# (5, 6).  Every other one starts from a dense state, and its H on bits 0
+# to 5 runs on tiles, split in two by the first flip.
+TILED_SCRIPT = "cells=6\ninitial=45\n" + (
+    "step\nH c0\nH s0\nH c1\nH s1\nCN c1 s1\nH c2\nH s2\nCN s2 c3\n"
+    + "".join(f"H c{j}\nH s{j}\n" for j in range(3, 6))) * 4
+
+
 def run(argv: list[str]) -> tuple[int, bytes]:
     """Exit code, and stdout and stderr, of one in-process CLI call."""
     out, err = io.StringIO(), io.StringIO()
@@ -85,6 +120,11 @@ def digests(max_cells: int) -> dict[str, str]:
             add("period", name, *run(["period", str(conf), "--horizon", "64"]))
             add("check", name, *run(["check", str(conf)]))
             add("matrix", name, *run(["matrix", str(conf)]))
+        for name, text in tiled_grid():
+            conf.write_text(text)
+            add("tiled", name, *run(["simulate", str(conf)]))
+        conf.write_text(TILED_SCRIPT)
+        add("tiled", "script", *run(["script", str(conf)]))
     add("script", "fig2", *run(["script", str(HERE / "fig2.qscript")]))
     return {kind: h.hexdigest() for kind, h in hashes.items()}
 

@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
 """Print the least wall time of one update, from a dense state and from a
-basis state, at 8, 10 and 12 cells on float64 and complex128 states.
+basis state, and of one script timestep from the dense state, at 8, 10 and
+12 cells on float64 and complex128 states.
 
 The update is one `both`/`cyclic`/`h_s_then_cn` update, the interaction
 gather and every cell's contraction, with its kernels built beforehand as
-`rules.update_kernels` builds them once a run.  The dense state is random;
-the basis state is |1>.  Each time is the least of REPEATS runs of
-`gates.advance` on the same buffers.  A 12-cell complex state is 256 MiB,
-and the script holds three of them and the 128 MiB gather index.
+`rules.update_kernels` builds them once a run.  The script timestep is H on
+every qubit, its kernels built by `gates.gate_kernels`: H on bits 0 to 5 is
+one run on tiles from 6 cells up.  The dense state is random; the basis
+state is |1>.  Each time is the least of REPEATS runs of `gates.advance` on
+the same buffers.  A 12-cell complex state is 256 MiB, and this program holds
+three of them and the 128 MiB gather index.
 
     PYTHONPATH=src python3 scripts/update_timing.py
 """
@@ -36,28 +39,32 @@ def _least(kernels, start: np.ndarray, psi: np.ndarray, spare: np.ndarray,
     return best
 
 
-def update_times(cells: int, dtype, repeats: int = REPEATS) -> tuple[float, float]:
+def update_times(cells: int, dtype, repeats: int = REPEATS) -> tuple[float, float, float]:
     """Least wall time, in seconds, of one update of a dense `cells`-cell
-    state of `dtype` and of one from the basis state |1>."""
+    state of `dtype`, of one from the basis state |1>, and of one script
+    timestep of H on every qubit of the dense state."""
     config = QcaConfig(cells, NeighborhoodRule.BOTH, BoundaryCondition.CYCLIC, H_S_THEN_CN_EVAL)
     kernels, = rules.update_kernels(config, dtype)
     rng, n = np.random.default_rng(cells), config.n_qubits
+    hadamards = [gates.LocalUnitary((q,), gates.H) for q in range(n)]
+    script = list(gates.gate_kernels(hadamards, n, dtype))
     dense = rng.normal(size=1 << n) if dtype == np.float64 else \
         rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     dense /= np.linalg.norm(dense)
     psi, spare = np.empty_like(dense), np.empty_like(dense)
     dense_s = _least(kernels, dense, psi, spare, repeats)
+    script_s = _least(script, dense, psi, spare, repeats)
     del dense
-    return dense_s, _least(kernels, rules.basis_state(n, 1, dtype), psi, spare, repeats)
+    return dense_s, _least(kernels, rules.basis_state(n, 1, dtype), psi, spare, repeats), script_s
 
 
 def main() -> None:
-    print(f"{'cells':>5}  {'dtype':<10}  {'dense_s':>9}  {'basis_s':>9}")
+    print(f"{'cells':>5}  {'dtype':<10}  {'dense_s':>9}  {'basis_s':>9}  {'script_s':>9}")
     for cells in CELLS:
         for dtype in (np.float64, np.complex128):
-            dense, basis = update_times(cells, dtype)
-            print(f"{cells:>5}  {np.dtype(dtype).name:<10}  {dense:>9.4f}  {basis:>9.4f}",
-                  flush=True)
+            dense, basis, script = update_times(cells, dtype)
+            print(f"{cells:>5}  {np.dtype(dtype).name:<10}  {dense:>9.4f}  {basis:>9.4f}"
+                  f"  {script:>9.4f}", flush=True)
 
 
 if __name__ == "__main__":

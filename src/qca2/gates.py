@@ -8,21 +8,19 @@ Two gate placements cover everything the automaton needs:
   ascending bit positions map to ascending significance inside the small
   matrix, mirroring the register convention.
 
-``flip_source`` turns commuting flips into one index gather, a table over
-the control bits broadcast into every index, and ``contract`` applies a
-small matrix to a block of bits; ``gate_kernels`` turns any gate list into
-them, one gather per run of consecutive commuting flips; ``contract_tiles``
-applies a run of them below bit 6 on cache-sized transposed tiles.
-``advance`` is the one loop that runs a state through them, for rules,
-scripts and ``apply_gate`` alike: on a float64 state when ``state_dtype``
-finds every gate matrix real, complex128 otherwise.  From a basis state it
-moves the one index through the gathers and contracts only the bits reached
-so far, while the contractions tile the bits from bit 0 upward, as a rule's
-evaluation phase does.  Dense operators (capped at 10 qubits) are built
-without them:
-``basis_images`` maps flips to the image of each basis index, one at a time,
-``embed_gate`` places one gate densely, and ``compose_dense`` multiplies
-embedded gates as the tests' generic oracle.
+``gate_kernels`` turns any gate list into kernels: a gather index
+(``flip_source``) per run of consecutive commuting flips, and a (matrix,
+low) pair per local gate, which ``contract`` applies in one ``einsum`` call.
+It alone forms runs: from TILED_VALUES amplitudes up, consecutive local
+gates below bit TILE_BITS are one list, which ``contract_tiles`` applies on
+cache-sized transposed tiles.  ``advance`` runs a state through them, for
+rules, scripts and ``apply_gate`` alike, on a float64 state when
+``state_dtype`` finds every matrix real, complex128 otherwise.  From a basis
+state it moves the one index through the gathers and contracts only the
+bits reached so far, while the contractions tile the bits from bit 0
+upward.  Dense operators (capped at 10 qubits) are built without them:
+``basis_images`` maps flips one basis index at a time, ``embed_gate`` places
+one gate densely, and ``compose_dense`` multiplies them as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -183,21 +181,11 @@ def flip_source(flips: Sequence[ControlledFlip], n_qubits: int) -> np.ndarray:
 
 def contract(u: np.ndarray, psi: np.ndarray, low: int, out: np.ndarray) -> np.ndarray:
     """Apply the small matrix `u` to the block of bits starting at bit `low`
-    of `psi`, writing into `out`; returns `out`.
-
-    When the bits below the block span only 2 or 4 amplitudes (`low` 1 or
-    2), einsum's innermost loop runs over those 2 or 4 and costs several
-    times a long-stride block, so each of them gets its own call.  The
-    split sums the same products in the same order, bit for bit.
-    """
-    d = u.shape[0]
-    # Axis 1 of the views is the block's index.
-    x, y = psi.reshape(-1, d, 1 << low), out.reshape(-1, d, 1 << low)
-    if low in (1, 2):
-        for b in range(1 << low):
-            np.einsum("ij,aj->ai", u, x[:, :, b], out=y[:, :, b])
-    else:
-        np.einsum("ij,ajb->aib", u, x, out=y)
+    of `psi`, writing into `out` in one `einsum` call; returns `out`.  Its
+    inner loop runs over the 2**low amplitudes below the block, so on a big
+    state `gate_kernels` sends blocks below bit TILE_BITS to the tiles."""
+    shape = (-1, u.shape[0], 1 << low)  # axis 1 is the block's index
+    np.einsum("ij,ajb->aib", u, psi.reshape(shape), out=out.reshape(shape))
     return out
 
 
@@ -294,20 +282,30 @@ def gate_kernels(gates: Iterable[GateOp], n_qubits: int, dtype) -> Iterator[Kern
     that `flip_source` accepts together is one gather index.  A local
     unitary is its matrix and lowest bit; the matrix is its real view for a
     real state when its imaginary part is exactly zero, and a complex one
-    makes `einsum` raise TypeError instead."""
-    flips: list[ControlledFlip] = []
+    makes `einsum` raise TypeError instead.  This is the one place runs are
+    formed: from TILED_VALUES amplitudes up, consecutive local unitaries
+    below bit TILE_BITS, a rule's cells 0 to 2 or a script's low gates, are
+    one list of their pairs for `contract_tiles`, even a single one."""
+    tiled, flips, run = 1 << n_qubits >= TILED_VALUES, [], []
     for gate in gates:
         _check_gate_fits(gate, n_qubits)
-        if flips and not (isinstance(gate, ControlledFlip) and _commute([*flips, gate])):
-            yield flip_source(flips, n_qubits)
-            flips = []
-        if isinstance(gate, ControlledFlip):
+        flip = isinstance(gate, ControlledFlip)
+        low = not flip and tiled and gate.qubits[-1] < TILE_BITS
+        # At most one of `flips` and `run` is open; a gate that cannot join it ends it.
+        if flips and not (flip and _commute([*flips, gate])) or run and not low:
+            yield flip_source(flips, n_qubits) if flips else run
+            flips, run = [], []
+        if flip:
             flips.append(gate)
+            continue
+        u = gate.matrix
+        pair = (u.real if dtype == np.float64 and not u.imag.any() else u), gate.qubits[0]
+        if low:
+            run.append(pair)
         else:
-            u = gate.matrix
-            yield (u.real if dtype == np.float64 and not u.imag.any() else u), gate.qubits[0]
-    if flips:
-        yield flip_source(flips, n_qubits)
+            yield pair
+    if flips or run:
+        yield flip_source(flips, n_qubits) if flips else run
 
 
 def apply_gate(state: np.ndarray, gate: GateOp) -> np.ndarray:

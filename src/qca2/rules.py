@@ -21,15 +21,16 @@ decided once from its matrices: float64 when every imaginary part is exactly
 zero, complex128 otherwise.  While the state is a basis state, at the start
 and wherever a run comes back to one, `gates.advance` gathers its one index
 and contracts cell k over the 4**(k+1) amplitudes of cells 0 to k, so only
-the top cell's contraction covers the whole state; a dense state of 6 cells
-or more contracts cells 0, 1 and 2 together, on tiles.  `probability_columns`
-is the one loop that advances a state through kernels for `gates.advance`
-and records its probability columns: `_record` gathers them into the
-matrix of `evolve` and `run_gate_script`, and `analysis.search_period`
-keeps each one's value at the initial index.  Every update of a config is
-the same floating-point map, so once its state is exactly the initial
-basis state again, or its negative, the columns recorded so far repeat bit
-for bit: the loop stops, and `_record` copies them instead.
+the top cell's contraction covers the whole state; from 6 cells up
+`gates.gate_kernels` makes cells 0 to 2 one run, for a dense state's tiles.
+`probability_columns` is the one loop that advances a state through kernels
+for `gates.advance` and records its probability columns: `_record` gathers
+them into the matrix of `evolve` and `run_gate_script`, and
+`analysis.search_period` keeps each one's value at the initial index.
+Every update of a config is the same floating-point map, so once its state
+is exactly the initial basis state again, or its negative, the columns
+recorded so far repeat bit for bit: the loop stops, and `_record` copies
+them instead.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from .gates import (
     GateOp,
     Kernel,
     LocalUnitary,
-    TILED_VALUES,
     advance,
     apply_gate,
     basis_images,
@@ -311,17 +311,12 @@ def _record(n_qubits: int, initial_index: int, dtype, n_columns: int, timesteps,
 
 def update_kernels(config: QcaConfig, dtype) -> list[list[Kernel]]:
     """The kernel lists of one update's timesteps, built now by
-    `gate_kernels`: the whole update under PER_STEP, the interaction and
-    then the evaluation under PER_PHASE.  From TILED_VALUES amplitudes up,
-    cells 0, 1 and 2 are one run, a list of their kernels."""
+    `gate_kernels`, runs included: the whole update under PER_STEP, the
+    interaction and then the evaluation under PER_PHASE."""
     rule = compile_rule(config)
     phases = ([rule.interaction, rule.evaluation] if config.record is RecordMode.PER_PHASE
               else [rule.interaction + rule.evaluation])
-    update = [list(gate_kernels(gates, rule.n_qubits, dtype)) for gates in phases]
-    if 1 << rule.n_qubits >= TILED_VALUES:
-        low = len(update[-1]) - config.n_cells
-        update[-1][low:low + 3] = [update[-1][low:low + 3]]
-    return update
+    return [list(gate_kernels(gates, rule.n_qubits, dtype)) for gates in phases]
 
 
 def evolve(config: QcaConfig) -> np.ndarray:

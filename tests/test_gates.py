@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from qca2.gates import (
     H,
     MAX_DENSE_QUBITS,
+    TILE_BITS,
+    TILED_VALUES,
     UNITARY_TOL,
     ControlledFlip,
     LocalUnitary,
@@ -252,8 +254,8 @@ class TestApplyGate:
 
 
 class TestContract:
-    # The blocks at low 1 and 2 are split into one einsum per low index;
-    # every block must still give the bits of the single einsum.
+    # `contract` is one einsum call at every low; its bits must be those of
+    # the plain call on the same views.
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
     @pytest.mark.parametrize("k", [1, 2], ids=["d2", "d4"])
     def test_equals_one_einsum_bitwise_at_every_low(self, rng, dtype, k):
@@ -296,12 +298,52 @@ class TestContractTiles:
                 u = EVAL_PRESETS[kind].matrix if kind != "random" else \
                     (random_unitary if complex_ else random_orthogonal)(rng, 4)
                 gates.append(LocalUnitary((2 * at, 2 * at + 1), u))
-        pairs = list(gate_kernels(gates, n, dtype))
+        # From 6 cells up `gate_kernels` yields the gates as one run: flatten it.
+        pairs = [pair for kernel in gate_kernels(gates, n, dtype)
+                 for pair in (kernel if isinstance(kernel, list) else [kernel])]
         psi = random_state(rng, n) if complex_ else rng.normal(size=1 << n)
         psi.view(np.float64)[rng.random(psi.size * (1 + complex_)) < zeros] = 0.0
         psi.view(np.float64)[rng.random(psi.size * (1 + complex_)) < zeros / 3] = -0.0
         ref = advance_reference(psi.copy(), pairs, np.empty_like(psi))[0]
         assert_equal_but_for_signs_of_zeros(contract_tiles(pairs, psi, np.empty_like(psi)), ref)
+
+
+class TestGateKernels:
+    """`gate_kernels` alone forms runs: on a state of TILED_VALUES amplitudes
+    or more, consecutive local gates below bit TILE_BITS are one list of
+    (matrix, low) pairs.  A gather shows as "gather", a pair as its low."""
+
+    @staticmethod
+    def _shapes(gates, n_qubits):
+        return [[low for _, low in kernel] if isinstance(kernel, list)
+                else kernel[1] if isinstance(kernel, tuple) else "gather"
+                for kernel in gate_kernels(gates, n_qubits, np.float64)]
+
+    def test_consecutive_low_gates_are_one_run_and_a_run_of_one_is_a_list(self):
+        n = TILED_VALUES.bit_length() - 1
+        cells = [LocalUnitary((2 * j, 2 * j + 1), EVAL_PRESETS["h_s_then_cn"].matrix)
+                 for j in range(3)]
+        assert self._shapes([LocalUnitary((b,), H) for b in range(TILE_BITS)], n) == \
+            [[0, 1, 2, 3, 4, 5]]
+        assert self._shapes(cells, n + 4) == [[0, 2, 4]]
+        assert self._shapes([LocalUnitary((3,), H)], n) == [[3]]
+        # Each pair of a run is the one `gate_kernels` gives below TILED_VALUES.
+        for (u, low), (v, low_) in zip(next(gate_kernels(cells, n, np.float64)),
+                                       gate_kernels(cells, n - 1, np.float64)):
+            assert low == low_ and u.dtype == np.float64 and u.tobytes() == v.tobytes()
+
+    def test_a_flip_or_a_gate_on_qubits_5_and_6_ends_a_run(self):
+        h = [LocalUnitary((b,), H) for b in range(8)]
+        gates = [h[0], h[1], ControlledFlip({1}, 2), h[2], h[3],
+                 LocalUnitary((5, 6), EVAL_PRESETS["h_both"].matrix), h[4], h[7], h[5]]
+        assert self._shapes(gates, 12) == [[0, 1], "gather", [2, 3], 5, [4], 7, [5]]
+
+    def test_below_tiled_values_there_is_no_run(self):
+        n = TILED_VALUES.bit_length() - 2
+        gates = [LocalUnitary((b,), H) for b in range(TILE_BITS)]
+        assert self._shapes(gates, n) == [0, 1, 2, 3, 4, 5]
+        assert self._shapes([*gates, ControlledFlip({0}, 9), *gates], n) == \
+            [0, 1, 2, 3, 4, 5, "gather", 0, 1, 2, 3, 4, 5]
 
 
 class TestStateDtype:

@@ -627,6 +627,29 @@ def test_a_dense_10_cell_update_equals_the_per_cell_loop(rng):
     assert_equal_but_for_signs_of_zeros(gates.advance(psi, kernels, np.empty_like(psi))[0], ref)
 
 
+# A 6-cell script timestep of H on bits 0 to 5 is one run.  A dense state
+# sends it to `contract_tiles` once; a script's first timestep starts from a
+# basis state and goes one bit at a time, its second starts dense.
+def test_a_6_cell_script_timestep_of_h_on_bits_0_to_5_runs_on_tiles(monkeypatch, rng):
+    timestep = [LocalUnitary((b,), H) for b in range(6)]
+    runs, contract_tiles = [], gates.contract_tiles
+    monkeypatch.setattr(gates, "contract_tiles",
+                        lambda run, x, out: runs.append(len(run)) or contract_tiles(run, x, out))
+    psi = rng.normal(size=1 << 12)
+    kernels = list(gates.gate_kernels(timestep, 12, np.float64))
+    ref = advance_reference(psi.copy(), kernels, np.empty_like(psi))[0]
+    assert_equal_but_for_signs_of_zeros(gates.advance(psi, kernels, np.empty_like(psi))[0], ref)
+    assert runs == [6]
+    matrix = run_gate_script(12, 5, [timestep] * 2)
+    assert runs == [6, 6]
+    psi = basis_state(12, 5, np.float64)
+    columns, spare = [probabilities(psi)], np.empty_like(psi)
+    for _ in range(2):
+        psi, spare = advance_reference(psi, kernels, spare)
+        columns.append(probabilities(psi))
+    assert matrix.tobytes() == np.column_stack(columns).tobytes()
+
+
 class TestRecurrence:
     # Under `both`/`const0` index 0 has no s-bit set, so the interaction
     # flips nothing and the state is the initial one after the first half
@@ -786,6 +809,20 @@ class TestEvolveBytes:
         tiles = 2 * TILE_VALUES * np.dtype(dtype).itemsize
         assert need == matrix.nbytes + 2 * state_bytes + self.EXTRA + tiles
         assert peak <= need < peak + self.SLACK
+
+    # A 6-cell script of H on bits 0 to 5 runs on tiles from its second
+    # timestep.  After a complex cell unitary on bits 0 and 1 the state is
+    # complex, and its tile buffers outweigh the probability temporaries the
+    # run holds at other times: without `tile_bytes` the estimate would fall
+    # below the peak.
+    @pytest.mark.parametrize("first", [[], [LocalUnitary((0, 1), COMPLEX_CUSTOM)]],
+                             ids=["real", "complex"])
+    def test_a_tiled_gate_script_stays_under_its_estimate(self, run_states, first):
+        script = [first + [LocalUnitary((b,), H) for b in range(6)]] * 3
+        dtype = gates.state_dtype(first)
+        _, peak = _traced(run_gate_script, 12, 5, script)
+        assert run_states == [(dtype, np.dtype(dtype).itemsize << 12)]
+        assert peak <= run_bytes(12, 1 + len(script), dtype) - WRITER_BYTES
 
     # The CLI refuses a run whose estimate exceeds physical memory.  Tested
     # on the estimate alone, so that a broken check never allocates.

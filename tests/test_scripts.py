@@ -29,8 +29,8 @@ def test_update_timing_times_both_updates_at_3_cells():
     spec.loader.exec_module(update_timing)
     began = time.perf_counter()
     for dtype in (np.float64, np.complex128):
-        dense, basis = update_timing.update_times(3, dtype)
-        assert 0 < dense < 1 and 0 < basis < 1
+        dense, basis, script = update_timing.update_times(3, dtype)
+        assert 0 < dense < 1 and 0 < basis < 1 and 0 < script < 1
     assert time.perf_counter() - began < 1
 
 
@@ -58,6 +58,7 @@ def test_period_sweep_runs():
 
 
 # `output_digest.py --max-cells 2`: any changed byte of any output changes one.
+# "tiled" runs 6 to 8 cells whatever --max-cells is.
 DIGESTS_2_CELLS = {
     "simulate.csv": "e27812662253e7194bbaa7ca3c7ecf6f26dbc35bc18f4b93421401ad2360b9f2",
     "simulate.pgm": "95284f092601ca4aa39deeea7def28145d51f828326140b447a1d7a21dc2befe",
@@ -66,6 +67,7 @@ DIGESTS_2_CELLS = {
     "check": "6242ce2d2da4fc6be6042c79520a0d7a8b52463ae9c6721af740ce1a22299da2",
     "matrix": "38f4976675e4213c163705d1cea76eeb62017437cf09c4c383e61bc25ad8e9ec",
     "script": "e3c06156fd92f58d660c95342ba9d2bc128f3fdce884dcfc69287dbd42399d88",
+    "tiled": "4c54ab41f9d8b6384a66994597876b3465f2271de8d54edb69ce5c103ac409f8",
 }
 
 
