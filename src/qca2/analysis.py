@@ -12,7 +12,7 @@ from operator import itemgetter
 import numpy as np
 
 from . import rules
-from .gates import UNITARY_TOL, state_dtype, tile_bytes, unitary_deviation
+from .gates import UNITARY_TOL, state_dtype, unitary_deviation
 # perfbench/tracing.py wraps analysis.evolve and analysis.build_dense_rule by name.
 from .rules import BoundaryCondition, QcaConfig, build_dense_rule, evolve
 
@@ -139,13 +139,11 @@ def search_bytes(n_qubits: int, n_columns: int, dtype) -> int:
     """Bytes `search_period` holds at its peak, at most: two states of
     `dtype`, or four once there are 3 columns and so a lag a twin may check,
     an int64 gather index, three float64 columns (a column, and ``|x|`` and
-    its square for the next one), one float64 a column, the tile buffers of
-    `gates.contract_tiles` (`tile_bytes`), and three float64 chunks of
-    SCREEN_VALUES: two in `_screen`, and one for Python objects."""
+    its square for the next one), one float64 a column, two float64 chunks
+    of SCREEN_VALUES in `_screen`, and `rules.OBJECT_BYTES`."""
     n_states = 4 if n_columns >= 3 else 2
     vectors = n_states * np.dtype(dtype).itemsize + 8 + 3 * 8
-    return ((vectors << n_qubits) + 8 * n_columns + tile_bytes(n_qubits, dtype)
-            + 3 * 8 * SCREEN_VALUES)
+    return (vectors << n_qubits) + 8 * n_columns + 2 * 8 * SCREEN_VALUES + rules.OBJECT_BYTES
 
 
 def search_period(config: QcaConfig, n_columns: int,
@@ -213,9 +211,9 @@ def check_bytes(config: QcaConfig) -> int:
     `check_interaction` holds: two state pairs of the run's `state_dtype`,
     the int64 gather and cell-shift indices, three float64 columns (a
     column pair and a gathered copy, or a column and ``|x|`` and its
-    square), and the tile buffers of `gates.contract_tiles` (`tile_bytes`)."""
-    dtype, n = state_dtype([config.evaluation]), config.n_qubits
-    return ((4 * np.dtype(dtype).itemsize + 5 * 8) << n) + tile_bytes(n, dtype)
+    square), and `rules.OBJECT_BYTES`."""
+    dtype = state_dtype([config.evaluation])
+    return ((4 * np.dtype(dtype).itemsize + 5 * 8) << config.n_qubits) + rules.OBJECT_BYTES
 
 
 def check_translation(config: QcaConfig) -> CheckReport:

@@ -13,14 +13,15 @@ Two gate placements cover everything the automaton needs:
 low) pair per local gate, which ``contract`` applies in one ``einsum`` call.
 It alone forms runs: from TILED_VALUES amplitudes up, consecutive local
 gates below bit TILE_BITS are one list, which ``contract_tiles`` applies on
-cache-sized transposed tiles.  ``advance`` runs a state through them, for
-rules, scripts and ``apply_gate`` alike, on a float64 state when
-``state_dtype`` finds every matrix real, complex128 otherwise.  From a basis
-state it moves the one index through the gathers and contracts only the
-bits reached so far, while the contractions tile the bits from bit 0
-upward.  Dense operators (capped at 10 qubits) are built without them:
-``basis_images`` maps flips one basis index at a time, ``embed_gate`` places
-one gate densely, and ``compose_dense`` multiplies them as the tests' oracle.
+cache-sized transposed tiles of the two state buffers.  ``advance`` runs a
+state through them, for rules, scripts and ``apply_gate`` alike, on a
+float64 state when ``state_dtype`` finds every matrix real, complex128
+otherwise.  From a basis state it moves the one index through the gathers
+and contracts only the bits reached so far, while the contractions tile
+the bits from bit 0 upward.  Dense operators (capped at 10 qubits) are
+built without them: ``basis_images`` maps flips one basis index at a time,
+``embed_gate`` places one gate densely, and ``compose_dense`` multiplies
+them as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -191,30 +192,23 @@ def contract(u: np.ndarray, psi: np.ndarray, low: int, out: np.ndarray) -> np.nd
 
 def contract_tiles(run: list, psi: np.ndarray, out: np.ndarray) -> np.ndarray:
     """`contract` each (matrix, low) pair of `run` in turn, all below bit
-    TILE_BITS, from `psi` into `out`; returns `out`.  Below bit 6 its inner
-    loop would run over 1 to 16 amplitudes; here it runs over a transposed
-    tile's rows.  A real matrix of `gate_kernels` has strided rows, so
-    `contract` sums its products in column order even at bit 0, as here."""
+    TILE_BITS, from `psi` into `out`; returns `out`, `psi` overwritten.
+    Below bit 6 its inner loop would run over 1 to 16 amplitudes; here it
+    runs over a transposed tile's rows, back and forth between the same
+    tile of `psi` and of `out`.  A real matrix of `gate_kernels` has strided
+    rows, so `contract` sums its products in column order even at bit 0."""
     width = 1 << TILE_BITS
-    x, y = psi.reshape(-1, width), out.reshape(-1, width)
-    rows = min(TILE_VALUES, psi.size) // width  # a power of two, so it divides x's rows
-    tiles = np.empty((2, rows * width), psi.dtype)
-    for r in range(0, x.shape[0], rows):
-        a, b = tiles
-        a.reshape(width, rows)[...] = x[r:r + rows].T
+    rows = min(TILE_VALUES, psi.size) // width  # a power of two, so it divides the state
+    shift = rows.bit_length() - 1
+    for x, y in zip(psi.reshape(-1, rows * width), out.reshape(-1, rows * width)):
+        y.reshape(width, rows)[...] = x.reshape(rows, width).T
+        a, b = y, x
         for u, low in run:
-            d = u.shape[0]
-            np.einsum("ij,ajb->aib", u, a.reshape(-1, d, rows << low),
-                      out=b.reshape(-1, d, rows << low))
-            a, b = b, a
-        y[r:r + rows] = a.reshape(width, rows).T
+            a, b = contract(u, a, low + shift, b), a
+        if a is y:  # an even run ends in `out`'s tile
+            x[...] = y
+        y.reshape(rows, width)[...] = x.reshape(width, rows).T
     return out
-
-
-def tile_bytes(n_qubits: int, dtype) -> int:
-    """Bytes of the two buffers `contract_tiles` holds on an `n_qubits` state of `dtype`."""
-    values = 1 << n_qubits
-    return 2 * np.dtype(dtype).itemsize * min(values, TILE_VALUES) if values >= TILED_VALUES else 0
 
 
 def _place(psi: np.ndarray, placed: slice, block: np.ndarray, start: int) -> slice:
@@ -230,7 +224,7 @@ def advance(psi: np.ndarray, kernels: Iterable[Kernel], spare: np.ndarray) -> tu
     """Apply `kernels` in order to the state in `psi`; returns (result, the
     other buffer), both overwritten.  A gather index goes through
     ``np.take``, a pair through `contract`, a run through `contract_tiles`,
-    each reading one buffer and writing the other.
+    each reading one buffer and leaving its result in the other.
 
     While the state is a basis state c|j>, a gather only moves j to
     ``source[j]`` (`flip_source` is its own inverse), and contractions that

@@ -56,7 +56,6 @@ from .gates import (
     compose_dense,
     gate_kernels,
     state_dtype,
-    tile_bytes,
 )
 
 MAX_CELLS = 12
@@ -240,6 +239,9 @@ def build_dense_rule(config: QcaConfig) -> np.ndarray:
 # in all, however wide the rows.
 BLOCK_VALUES, BLOCKS_IN_FLIGHT, BLOCK_BYTES_PER_VALUE = 1 << 16, 4, 150
 WRITER_BYTES = BLOCKS_IN_FLIGHT * BLOCK_BYTES_PER_VALUE * BLOCK_VALUES
+# The interpreter's small objects, traced at up to about 11 KB from 1 to 10
+# cells: every pre-flight counts OBJECT_BYTES for them once.
+OBJECT_BYTES = 32 << 10
 
 
 def run_bytes(n_qubits: int, n_columns: int, dtype) -> int:
@@ -248,10 +250,10 @@ def run_bytes(n_qubits: int, n_columns: int, dtype) -> int:
     `n_columns` columns, two states of `dtype`, the run's `state_dtype` (8
     bytes an amplitude when real, 16 when complex), an int64 gather index,
     and the two float64 temporaries of `probabilities`, ``|x|`` and its
-    square.  The tile buffers of `gates.contract_tiles` (`tile_bytes`) and
-    the writers' blocks in flight, WRITER_BYTES, are counted on top."""
+    square.  OBJECT_BYTES and the writers' blocks in flight, WRITER_BYTES,
+    are counted on top."""
     evolving = (8 * n_columns + 2 * np.dtype(dtype).itemsize + 8 + 2 * 8) << n_qubits
-    return evolving + tile_bytes(n_qubits, dtype) + WRITER_BYTES
+    return evolving + OBJECT_BYTES + WRITER_BYTES
 
 
 def _physical_memory() -> int:

@@ -329,10 +329,12 @@ def test_memory_check_counts_states_at_the_state_dtype(tmp_path, capsys, monkeyp
     # 5 cells, two columns: 16 KiB of probabilities, 24 KiB of gather index
     # and probability temporaries, and two states of 8 KiB each when real or
     # 16 KiB each when complex, against 56 KiB of memory.  The writers'
-    # blocks in flight, megabytes whatever the run, and the period search's
-    # screen chunks, which a 2-column search never screens, are left out here.
+    # blocks in flight, megabytes whatever the run, the period search's
+    # screen chunks, which a 2-column search never screens, and the
+    # interpreter's objects, the same at every dtype, are left out here.
     monkeypatch.setattr(rules, "_physical_memory", lambda: 56 << 10)
     monkeypatch.setattr(rules, "WRITER_BYTES", 0)
+    monkeypatch.setattr(rules, "OBJECT_BYTES", 0)
     monkeypatch.setattr(analysis, "SCREEN_VALUES", 0)
     conf, script = tmp_path / "run.conf", tmp_path / "run.qscript"
     conf.write_text("cells=5\nrule=right\neval=h_both\nsteps=1\ninitial=0\n")

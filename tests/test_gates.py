@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -305,7 +307,30 @@ class TestContractTiles:
         psi.view(np.float64)[rng.random(psi.size * (1 + complex_)) < zeros] = 0.0
         psi.view(np.float64)[rng.random(psi.size * (1 + complex_)) < zeros / 3] = -0.0
         ref = advance_reference(psi.copy(), pairs, np.empty_like(psi))[0]
-        assert_equal_but_for_signs_of_zeros(contract_tiles(pairs, psi, np.empty_like(psi)), ref)
+        out = contract_tiles(pairs, psi.copy(), np.empty_like(psi))  # it overwrites its input
+        assert_equal_but_for_signs_of_zeros(out, ref)
+
+    # Each tile is contracted back and forth between the same tiles of `psi`
+    # and `out`, so a call allocates no array: its traced peak is a few
+    # array views, on a rule's run of three pairs and a script's of six.
+    @pytest.mark.parametrize("cells", [6, 7, 8])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("gates", [
+        [LocalUnitary((2 * j, 2 * j + 1), EVAL_PRESETS["h_s_then_cn"].matrix) for j in range(3)],
+        [LocalUnitary((b,), H) for b in range(6)],
+    ], ids=["rule", "script"])
+    def test_holds_no_scratch(self, rng, cells, dtype, gates):
+        run, = gate_kernels(gates, 2 * cells, dtype)
+        psi = rng.normal(size=1 << 2 * cells).astype(dtype)
+        out = np.empty_like(psi)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            contract_tiles(run, psi, out)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 10
 
 
 class TestGateKernels:

@@ -9,7 +9,6 @@ import pytest
 from qca2 import analysis, cli, gates, rules
 from qca2.gates import (
     H,
-    TILE_VALUES,
     ControlledFlip,
     LocalUnitary,
     apply_gate,
@@ -25,6 +24,7 @@ from qca2.rules import (
     H_S_THEN_CN_EVAL,
     IDENTITY_EVAL,
     NeighborhoodRule,
+    OBJECT_BYTES,
     QcaConfig,
     RecordMode,
     WRITER_BYTES,
@@ -765,9 +765,9 @@ def _traced(run, *args):
 
 class TestEvolveBytes:
     # Beyond its probability matrix and two states, the estimate counts an
-    # int64 gather index, two float64 probability temporaries and the two
-    # tile buffers, and the CSV writer's blocks in flight, which the run
-    # itself does not hold.
+    # int64 gather index, two float64 probability temporaries and the
+    # interpreter's objects, and the CSV writer's blocks in flight, which the
+    # run itself does not hold.
     # Without those blocks it bounds the traced peak from above, within six
     # float64 vectors at 16 qubits: a script without gates holds neither a
     # second state nor a gather index.
@@ -786,8 +786,7 @@ class TestEvolveBytes:
         ((state_dtype, state_bytes),) = run_states
         need = run_bytes(16, cfg.n_columns, dtype) - WRITER_BYTES
         assert state_dtype == dtype
-        tiles = 2 * TILE_VALUES * np.dtype(dtype).itemsize
-        assert need == matrix.nbytes + 2 * state_bytes + self.EXTRA + tiles
+        assert need == matrix.nbytes + 2 * state_bytes + self.EXTRA + OBJECT_BYTES
         assert peak <= need < peak + self.SLACK
 
     # The last timestep is H on every s-qubit, then CN s_j -> c_j in every
@@ -806,15 +805,13 @@ class TestEvolveBytes:
         ((state_dtype, state_bytes),) = run_states
         need = run_bytes(16, 1 + len(script), dtype) - WRITER_BYTES
         assert state_dtype == dtype
-        tiles = 2 * TILE_VALUES * np.dtype(dtype).itemsize
-        assert need == matrix.nbytes + 2 * state_bytes + self.EXTRA + tiles
+        assert need == matrix.nbytes + 2 * state_bytes + self.EXTRA + OBJECT_BYTES
         assert peak <= need < peak + self.SLACK
 
     # A 6-cell script of H on bits 0 to 5 runs on tiles from its second
-    # timestep.  After a complex cell unitary on bits 0 and 1 the state is
-    # complex, and its tile buffers outweigh the probability temporaries the
-    # run holds at other times: without `tile_bytes` the estimate would fall
-    # below the peak.
+    # timestep, real or, after a complex cell unitary on bits 0 and 1,
+    # complex.  The tiles lie inside the two states, so the estimate holds
+    # with nothing counted for them.
     @pytest.mark.parametrize("first", [[], [LocalUnitary((0, 1), COMPLEX_CUSTOM)]],
                              ids=["real", "complex"])
     def test_a_tiled_gate_script_stays_under_its_estimate(self, run_states, first):
@@ -914,8 +911,8 @@ class TestSearchBytes:
 
 class TestCheckBytes:
     # The estimate counts the vectors of the checks' peak, which is the
-    # translation check's: the traced peak is within one float64 vector
-    # below it, or at most 16 KiB above it for the kernels and Python objects.
+    # translation check's, and the interpreter's objects: the traced peak is
+    # within one float64 vector below it.
     @pytest.mark.parametrize("record", list(RecordMode))
     @pytest.mark.parametrize("evaluation, dtype", [
         (H_S_THEN_CN_EVAL, np.float64), (LocalUnitary((0, 1), COMPLEX_CUSTOM), np.complex128),
@@ -935,8 +932,8 @@ class TestCheckBytes:
         assert run_states == [(dtype, np.dtype(dtype).itemsize << 16)] * 2
         need = analysis.check_bytes(cfg)
         itemsize = np.dtype(dtype).itemsize
-        assert need == ((4 * itemsize + 5 * 8) << 16) + 2 * TILE_VALUES * itemsize
-        assert need - (8 << 16) < peak <= need + (16 << 10)
+        assert need == ((4 * itemsize + 5 * 8) << 16) + OBJECT_BYTES
+        assert need - (8 << 16) < peak <= need
 
     # A refused check allocates nothing of its size first.
     def test_refused_check_allocates_nothing_first(self, monkeypatch, tmp_path, capsys):
@@ -948,22 +945,25 @@ class TestCheckBytes:
         assert capsys.readouterr().err.startswith("error: out of memory: ")
 
 
-# At 6 cells, the fewest that get tiles, the two tile buffers are as large
-# as two states, and `evolve` and the checks hold more than their estimates
-# would count without them.  Each pre-flight bounds the traced peak.
+# Each pre-flight bounds the traced peak at every size up to 6 cells, the
+# fewest that get tiles: below it the interpreter's objects outweigh the
+# smallest states, and from it the tiles add nothing.
+@pytest.mark.parametrize("cells", range(1, 7))
 @pytest.mark.parametrize("evaluation, dtype", [
     (H_S_THEN_CN_EVAL, np.float64), (LocalUnitary((0, 1), COMPLEX_CUSTOM), np.complex128),
 ], ids=["h_s_then_cn", "complex-custom"])
-def test_the_pre_flights_hold_at_the_smallest_tiled_size(monkeypatch, evaluation, dtype):
+def test_the_pre_flights_hold_at_every_size_up_to_the_smallest_tiled_one(
+        monkeypatch, evaluation, dtype, cells):
     tiled, contract_tiles = [], gates.contract_tiles
     monkeypatch.setattr(gates, "contract_tiles",
                         lambda *args: tiled.append(None) or contract_tiles(*args))
-    cfg = make_config(6, NeighborhoodRule.BOTH, BoundaryCondition.CYCLIC, evaluation,
+    cfg = make_config(cells, NeighborhoodRule.BOTH, BoundaryCondition.CYCLIC, evaluation,
                       initial=1, steps=3)
     peak = _traced(evolve, cfg)[1]
-    assert tiled and peak <= run_bytes(12, cfg.n_columns, dtype) - WRITER_BYTES
+    assert bool(tiled) == (cells == 6)
+    assert peak <= run_bytes(2 * cells, cfg.n_columns, dtype) - WRITER_BYTES
     peak = _traced(analysis.search_period, cfg, 40)[1]
-    assert peak <= analysis.search_bytes(12, 40, dtype)
+    assert peak <= analysis.search_bytes(2 * cells, 40, dtype)
     peak = _traced(lambda: [analysis.check_interaction(cfg), analysis.check_translation(cfg)])[1]
     assert peak <= analysis.check_bytes(cfg)
 
