@@ -12,11 +12,12 @@ and so does the grid.  `script` runs the bundled fig2 script once.  A
 kind's digest covers the config, exit code, stdout and stderr of each of
 its runs in grid order, so one changed byte changes its line.
 
-The presets cannot tell two summation orders apart, and states below 6
-cells never reach `gates.contract_tiles`.  So the kind "tiled", whatever
---max-cells, runs `simulate` to stdout at 6 to 8 cells, every rule,
-`cyclic`, for a fixed random real orthogonal matrix and the complex custom
-one, and one 6-cell script with H on every qubit.
+The presets cannot tell two summation orders apart, and the grid's states
+are each less than one tile of `gates.contract_tiles`.  So the kind
+"tiled", whatever --max-cells, runs `simulate` to stdout at 6 to 8 cells
+(up to four whole tiles), every rule, `cyclic`, for a fixed random real
+orthogonal matrix and the complex custom one, and one 6-cell script with H
+on every qubit.
 
     PYTHONPATH=src python scripts/output_digest.py [--max-cells N]
 """

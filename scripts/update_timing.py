@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
 """Print the least wall time of one update, from a dense state and from a
-basis state, and of one script timestep from the dense state, at 8, 10 and
-12 cells on float64 and complex128 states.
+basis state, and of one script timestep from the dense state, at 5, 8, 10
+and 12 cells on float64 and complex128 states.
 
 The update is one `both`/`cyclic`/`h_s_then_cn` update, the interaction
 gather and every cell's contraction, with its kernels built beforehand as
 `rules.update_kernels` builds them once a run.  The script timestep is H on
 every qubit, its kernels built by `gates.gate_kernels`: H on bits 0 to 5 is
-one run on tiles from 6 cells up.  The dense state is random; the basis
+one run on tiles at every size.  The dense state is random; the basis
 state is |1>.  Each time is the least of REPEATS runs of `gates.advance` on
 the same buffers.  A 12-cell complex state is 256 MiB, and this program holds
 three of them and the 128 MiB gather index.
@@ -22,7 +22,7 @@ import numpy as np
 from qca2 import gates, rules
 from qca2.rules import H_S_THEN_CN_EVAL, BoundaryCondition, NeighborhoodRule, QcaConfig
 
-CELLS = (8, 10, 12)
+CELLS = (5, 8, 10, 12)
 REPEATS = 5
 
 
@@ -63,8 +63,8 @@ def main() -> None:
     for cells in CELLS:
         for dtype in (np.float64, np.complex128):
             dense, basis, script = update_times(cells, dtype)
-            print(f"{cells:>5}  {np.dtype(dtype).name:<10}  {dense:>9.4f}  {basis:>9.4f}"
-                  f"  {script:>9.4f}", flush=True)
+            print(f"{cells:>5}  {np.dtype(dtype).name:<10}  {dense:>9.6f}  {basis:>9.6f}"
+                  f"  {script:>9.6f}", flush=True)
 
 
 if __name__ == "__main__":

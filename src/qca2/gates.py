@@ -11,14 +11,14 @@ Two gate placements cover everything the automaton needs:
 ``gate_kernels`` turns any gate list into kernels: a gather index
 (``flip_source``) per run of consecutive commuting flips, and a (matrix,
 low) pair per local gate, which ``contract`` applies in one ``einsum`` call.
-It alone forms runs: from TILED_VALUES amplitudes up, consecutive local
-gates below bit TILE_BITS are one list, which ``contract_tiles`` applies on
-cache-sized transposed tiles of the two state buffers.  ``advance`` runs a
-state through them, for rules, scripts and ``apply_gate`` alike, on a
-float64 state when ``state_dtype`` finds every matrix real, complex128
-otherwise.  From a basis state it moves the one index through the gathers
-and contracts only the bits reached so far, while the contractions tile
-the bits from bit 0 upward.  Dense operators (capped at 10 qubits) are
+It alone forms runs: at every size, consecutive local gates below bit
+TILE_BITS are one list, which ``contract_tiles`` applies on cache-sized
+transposed tiles of the two state buffers.  ``advance`` runs a state
+through them, for rules, scripts and ``apply_gate`` alike, on a float64
+state when ``state_dtype`` finds every matrix real, complex128 otherwise.
+From a basis state it moves the one amplitude through the gathers and
+contracts, in place, only the bits reached so far, while the contractions
+tile the bits from bit 0 upward.  Dense operators (capped at 10 qubits) are
 built without them: ``basis_images`` maps flips one basis index at a time,
 ``embed_gate`` places one gate densely, and ``compose_dense`` multiplies
 them as the tests' oracle.
@@ -36,9 +36,8 @@ MAX_DENSE_QUBITS = 10
 
 UNITARY_TOL = 1e-12
 
-# A tile is TILE_VALUES amplitudes in rows of 2**TILE_BITS.  A state of fewer
-# than TILED_VALUES fits in cache whole, and a complex one loses by the copies.
-TILE_BITS, TILE_VALUES, TILED_VALUES = 6, 1 << 14, 1 << 12
+# A tile is TILE_VALUES amplitudes in rows of 2**TILE_BITS, or a smaller state whole.
+TILE_BITS, TILE_VALUES = 6, 1 << 14
 
 H = np.array([[1, 1], [1, -1]]) / np.sqrt(2.0)
 H.setflags(write=False)
@@ -183,8 +182,8 @@ def flip_source(flips: Sequence[ControlledFlip], n_qubits: int) -> np.ndarray:
 def contract(u: np.ndarray, psi: np.ndarray, low: int, out: np.ndarray) -> np.ndarray:
     """Apply the small matrix `u` to the block of bits starting at bit `low`
     of `psi`, writing into `out` in one `einsum` call; returns `out`.  Its
-    inner loop runs over the 2**low amplitudes below the block, so on a big
-    state `gate_kernels` sends blocks below bit TILE_BITS to the tiles."""
+    inner loop runs over the 2**low amplitudes below the block, so
+    `gate_kernels` sends blocks below bit TILE_BITS to the tiles."""
     shape = (-1, u.shape[0], 1 << low)  # axis 1 is the block's index
     np.einsum("ij,ajb->aib", u, psi.reshape(shape), out=out.reshape(shape))
     return out
@@ -197,7 +196,7 @@ def contract_tiles(run: list, psi: np.ndarray, out: np.ndarray) -> np.ndarray:
     runs over a transposed tile's rows, back and forth between the same
     tile of `psi` and of `out`.  A real matrix of `gate_kernels` has strided
     rows, so `contract` sums its products in column order even at bit 0."""
-    width = 1 << TILE_BITS
+    width = min(1 << TILE_BITS, psi.size)
     rows = min(TILE_VALUES, psi.size) // width  # a power of two, so it divides the state
     shift = rows.bit_length() - 1
     for x, y in zip(psi.reshape(-1, rows * width), out.reshape(-1, rows * width)):
@@ -211,42 +210,33 @@ def contract_tiles(run: list, psi: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _place(psi: np.ndarray, placed: slice, block: np.ndarray, start: int) -> slice:
-    """Zero `psi[placed]` and write `block` into `psi` from `start`; returns
-    the slice it now fills."""
-    psi[placed] = 0
-    placed = slice(start, start + block.size)
-    psi[placed] = block
-    return placed
-
-
 def advance(psi: np.ndarray, kernels: Iterable[Kernel], spare: np.ndarray) -> tuple:
     """Apply `kernels` in order to the state in `psi`; returns (result, the
     other buffer), both overwritten.  A gather index goes through
     ``np.take``, a pair through `contract`, a run through `contract_tiles`,
     each reading one buffer and leaving its result in the other.
 
-    While the state is a basis state c|j>, a gather only moves j to
-    ``source[j]`` (`flip_source` is its own inverse), and contractions that
-    tile the bits from bit 0 upward, a run's pairs one by one, run the same
-    `contract` on the bits reached so far alone, their block placed in a
-    zeroed `psi`.  Any other kernel, the top cell's included, first places
-    the block at j's upper bits.  Nonzero parts are the plain loop's bit for
-    bit; a zero's sign may differ."""
-    j = int(np.argmax(psi != 0)) if np.count_nonzero(psi) == 1 else None
-    if j is not None:  # the block of bits [0, 0) is c alone, and `psi` is all zero
-        block, psi[j], placed = psi[j:j + 1].copy(), 0, slice(0)
+    While the state is a basis state c|j>, a gather only moves c from j to
+    ``source[j]`` (`flip_source` is its own inverse).  Contractions that tile
+    the bits from bit 0 upward, a run's pairs one by one, keep `psi` zero
+    outside the 2**m amplitudes from ``j & -2**m`` once m bits are reached,
+    so each runs the same `contract` on the slice of `psi` its block spans.
+    Any other kernel, the top cell's included, runs on the whole of `psi`.
+    Nonzero parts are the plain loop's bit for bit; a zero's sign may differ."""
+    j, m = int(np.argmax(psi != 0)) if np.count_nonzero(psi) == 1 else None, 0
     for run in kernels:
         for kernel in run if j is not None and isinstance(run, list) else [run]:
             if j is not None:
-                m, local = block.size.bit_length() - 1, isinstance(kernel, tuple)
+                local = isinstance(kernel, tuple)
                 if not local and m == 0:
+                    c, psi[j] = psi[j], 0
                     j = int(kernel[j])
+                    psi[j] = c
                 elif local and kernel[1] == m and (size := kernel[0].shape[0] << m) < psi.size:
-                    placed = _place(psi, placed, block, j & (size - 1) & -block.size)
-                    block = contract(kernel[0], psi[:size], m, spare[:size])
+                    reached = slice(j & -size, (j & -size) + size)
+                    psi[reached] = contract(kernel[0], psi[reached], m, spare[reached])
+                    m = size.bit_length() - 1
                 else:
-                    _place(psi, placed, block, j & -block.size)
                     j = None
             if j is None:
                 if isinstance(kernel, list):
@@ -257,8 +247,6 @@ def advance(psi: np.ndarray, kernels: Iterable[Kernel], spare: np.ndarray) -> tu
                     np.take(psi, kernel, out=spare, mode="clip")
                 psi, spare = spare, psi
         del run, kernel  # a script's next gather index is built only once this one is freed
-    if j is not None:
-        _place(psi, placed, block, j & -block.size)
     return psi, spare
 
 
@@ -277,14 +265,14 @@ def gate_kernels(gates: Iterable[GateOp], n_qubits: int, dtype) -> Iterator[Kern
     unitary is its matrix and lowest bit; the matrix is its real view for a
     real state when its imaginary part is exactly zero, and a complex one
     makes `einsum` raise TypeError instead.  This is the one place runs are
-    formed: from TILED_VALUES amplitudes up, consecutive local unitaries
-    below bit TILE_BITS, a rule's cells 0 to 2 or a script's low gates, are
-    one list of their pairs for `contract_tiles`, even a single one."""
-    tiled, flips, run = 1 << n_qubits >= TILED_VALUES, [], []
+    formed: at every size, consecutive local unitaries below bit TILE_BITS,
+    a rule's cells 0 to 2 or a script's low gates, are one list of their
+    pairs for `contract_tiles`, even a single one."""
+    flips, run = [], []
     for gate in gates:
         _check_gate_fits(gate, n_qubits)
         flip = isinstance(gate, ControlledFlip)
-        low = not flip and tiled and gate.qubits[-1] < TILE_BITS
+        low = not flip and gate.qubits[-1] < TILE_BITS
         # At most one of `flips` and `run` is open; a gate that cannot join it ends it.
         if flips and not (flip and _commute([*flips, gate])) or run and not low:
             yield flip_source(flips, n_qubits) if flips else run

@@ -19,9 +19,9 @@ A run starts from a basis state, and P only moves amplitudes, so the state
 stays real when U is real, as it is for every preset.  A run's dtype is
 decided once from its matrices: float64 when every imaginary part is exactly
 zero, complex128 otherwise.  While the state is a basis state, at the start
-and wherever a run comes back to one, `gates.advance` gathers its one index
+and wherever a run comes back to one, `gates.advance` moves its one amplitude
 and contracts cell k over the 4**(k+1) amplitudes of cells 0 to k, so only
-the top cell's contraction covers the whole state; from 6 cells up
+the top cell's contraction covers the whole state; at every size
 `gates.gate_kernels` makes cells 0 to 2 one run, for a dense state's tiles.
 `probability_columns` is the one loop that advances a state through kernels
 for `gates.advance` and records its probability columns: `_record` gathers

@@ -9,7 +9,6 @@ from qca2.gates import (
     H,
     MAX_DENSE_QUBITS,
     TILE_BITS,
-    TILED_VALUES,
     UNITARY_TOL,
     ControlledFlip,
     LocalUnitary,
@@ -282,12 +281,14 @@ _RUN_GATES = st.one_of(
 
 
 class TestContractTiles:
-    # 3 to 10 cells: one tile up to 64 of them.  A real state meets real
-    # matrices, as `gate_kernels` builds them; a random one has no zero
-    # entry, so the order of every sum shows in the bits.  The state has
-    # exact zeros of both signs.
+    # 1 to 10 cells: one tile up to 64 of them.  Below 7 cells the one tile
+    # has fewer than 256 rows, and below 3 cells it is one row narrower than
+    # 64.  A gate's position wraps round a smaller state.  A real state
+    # meets real matrices, as `gate_kernels` builds them; a random one has no
+    # zero entry, so the order of every sum shows in the bits.  The state
+    # has exact zeros of both signs.
     @settings(max_examples=60, deadline=None)
-    @given(cells=st.integers(3, 10), complex_=st.booleans(), seed=st.integers(0, 2**32 - 1),
+    @given(cells=st.integers(1, 10), complex_=st.booleans(), seed=st.integers(0, 2**32 - 1),
            run=st.lists(_RUN_GATES, min_size=1, max_size=4), zeros=st.sampled_from([0, 0.3, 0.9]))
     def test_equals_the_contract_chain_bitwise(self, cells, complex_, seed, run, zeros):
         rng, n = np.random.default_rng(seed), 2 * cells
@@ -295,14 +296,12 @@ class TestContractTiles:
         gates = []
         for kind, at in run:
             if kind == "H":
-                gates.append(LocalUnitary((at,), H))
+                gates.append(LocalUnitary((at % n,), H))
             else:
                 u = EVAL_PRESETS[kind].matrix if kind != "random" else \
                     (random_unitary if complex_ else random_orthogonal)(rng, 4)
-                gates.append(LocalUnitary((2 * at, 2 * at + 1), u))
-        # From 6 cells up `gate_kernels` yields the gates as one run: flatten it.
-        pairs = [pair for kernel in gate_kernels(gates, n, dtype)
-                 for pair in (kernel if isinstance(kernel, list) else [kernel])]
+                gates.append(LocalUnitary((2 * (at % cells), 2 * (at % cells) + 1), u))
+        pairs, = gate_kernels(gates, n, dtype)  # one run at every size
         psi = random_state(rng, n) if complex_ else rng.normal(size=1 << n)
         psi.view(np.float64)[rng.random(psi.size * (1 + complex_)) < zeros] = 0.0
         psi.view(np.float64)[rng.random(psi.size * (1 + complex_)) < zeros / 3] = -0.0
@@ -334,9 +333,9 @@ class TestContractTiles:
 
 
 class TestGateKernels:
-    """`gate_kernels` alone forms runs: on a state of TILED_VALUES amplitudes
-    or more, consecutive local gates below bit TILE_BITS are one list of
-    (matrix, low) pairs.  A gather shows as "gather", a pair as its low."""
+    """`gate_kernels` alone forms runs: on a state of any size, consecutive
+    local gates below bit TILE_BITS are one list of (matrix, low) pairs.  A
+    gather shows as "gather", a pair as its low."""
 
     @staticmethod
     def _shapes(gates, n_qubits):
@@ -345,17 +344,18 @@ class TestGateKernels:
                 for kernel in gate_kernels(gates, n_qubits, np.float64)]
 
     def test_consecutive_low_gates_are_one_run_and_a_run_of_one_is_a_list(self):
-        n = TILED_VALUES.bit_length() - 1
         cells = [LocalUnitary((2 * j, 2 * j + 1), EVAL_PRESETS["h_s_then_cn"].matrix)
                  for j in range(3)]
-        assert self._shapes([LocalUnitary((b,), H) for b in range(TILE_BITS)], n) == \
-            [[0, 1, 2, 3, 4, 5]]
-        assert self._shapes(cells, n + 4) == [[0, 2, 4]]
-        assert self._shapes([LocalUnitary((3,), H)], n) == [[3]]
-        # Each pair of a run is the one `gate_kernels` gives below TILED_VALUES.
-        for (u, low), (v, low_) in zip(next(gate_kernels(cells, n, np.float64)),
-                                       gate_kernels(cells, n - 1, np.float64)):
-            assert low == low_ and u.dtype == np.float64 and u.tobytes() == v.tobytes()
+        for n in range(1, 13):
+            low = range(min(n, TILE_BITS))
+            assert self._shapes([LocalUnitary((b,), H) for b in low], n) == [[*low]]
+            assert self._shapes(cells[:n // 2], n) == ([[0, 2, 4][:n // 2]] if n > 1 else [])
+            assert self._shapes([LocalUnitary((min(n - 1, 3),), H)], n) == [[min(n - 1, 3)]]
+            # Each pair of a run is its gate's real matrix and lowest bit.
+            for (u, low), gate in zip(next(gate_kernels(cells[:n // 2], n, np.float64), []),
+                                      cells):
+                assert low == gate.qubits[0] and u.dtype == np.float64
+                assert u.tobytes() == gate.matrix.real.tobytes()
 
     def test_a_flip_or_a_gate_on_qubits_5_and_6_ends_a_run(self):
         h = [LocalUnitary((b,), H) for b in range(8)]
@@ -363,12 +363,14 @@ class TestGateKernels:
                  LocalUnitary((5, 6), EVAL_PRESETS["h_both"].matrix), h[4], h[7], h[5]]
         assert self._shapes(gates, 12) == [[0, 1], "gather", [2, 3], 5, [4], 7, [5]]
 
-    def test_below_tiled_values_there_is_no_run(self):
-        n = TILED_VALUES.bit_length() - 2
+    def test_small_states_form_runs_too(self):
+        n = TILE_BITS + 4
         gates = [LocalUnitary((b,), H) for b in range(TILE_BITS)]
-        assert self._shapes(gates, n) == [0, 1, 2, 3, 4, 5]
+        assert self._shapes(gates, n) == [[0, 1, 2, 3, 4, 5]]
         assert self._shapes([*gates, ControlledFlip({0}, 9), *gates], n) == \
-            [0, 1, 2, 3, 4, 5, "gather", 0, 1, 2, 3, 4, 5]
+            [[0, 1, 2, 3, 4, 5], "gather", [0, 1, 2, 3, 4, 5]]
+        assert self._shapes([gates[0], ControlledFlip({0}, 1), gates[1]], 2) == \
+            [[0], "gather", [1]]
 
 
 class TestStateDtype:

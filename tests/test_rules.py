@@ -530,24 +530,34 @@ class TestBasisShortcut:
 
     # 24 updates, 12 at 7 and 8 cells, pass the returns to a basis state of
     # the presets' runs; the complex custom state never returns, so two
-    # updates show it all.
+    # updates show it all.  From index 0 and from 4**cells - 1 the reached
+    # slice starts at the low and ends at the high end of the buffer.  The
+    # plain loop runs once, a phase at a time: a PER_STEP update's kernels
+    # are its two phases' in turn.
     @pytest.mark.parametrize("evaluation", [*PRESET_EVALS, LocalUnitary((0, 1), COMPLEX_CUSTOM)],
                              ids=["identity", "h_both", "h_s_then_cn", "complex-custom"])
     def test_equals_the_plain_loop(self, evaluation):
         dtype = gates.state_dtype([evaluation])
-        for cells, rule, boundary, record in product(range(1, 9), ALL_RULES, ALL_BOUNDARIES,
-                                                     RecordMode):
+        for cells, rule, boundary in product(range(1, 9), ALL_RULES, ALL_BOUNDARIES):
             updates = (24 if cells <= 6 else 12) if evaluation in PRESET_EVALS else 2
-            cfg = make_config(cells, rule, boundary, evaluation, 37 * cells % 4**cells,
-                              record=record)
-            psi, update = basis_state(cfg.n_qubits, cfg.initial_index, dtype), \
-                rules.update_kernels(cfg, dtype)
-            ref, spare, ref_spare = psi.copy(), np.empty_like(psi), np.empty_like(psi)
-            for _ in range(updates):
-                for kernels in update:
-                    psi, spare = gates.advance(psi, kernels, spare)
-                    ref, ref_spare = advance_reference(ref, kernels, ref_spare)
-                    assert_equal_but_for_signs_of_zeros(psi, ref)
+            per_phase, per_step = (
+                rules.update_kernels(make_config(cells, rule, boundary, evaluation,
+                                                 record=record), dtype)
+                for record in (RecordMode.PER_PHASE, RecordMode.PER_STEP))
+            for initial in {0, 37 * cells % 4**cells, 4**cells - 1}:
+                ref = basis_state(2 * cells, initial, dtype)
+                ref_spare, phases = np.empty_like(ref), []
+                for _ in range(updates):
+                    for kernels in per_phase:
+                        ref, ref_spare = advance_reference(ref, kernels, ref_spare)
+                        phases.append(ref.copy())
+                for update, expected in ((per_phase, phases), (per_step, phases[1::2])):
+                    psi = basis_state(2 * cells, initial, dtype)
+                    spare, expected = np.empty_like(psi), iter(expected)
+                    for _ in range(updates):
+                        for kernels in update:
+                            psi, spare = gates.advance(psi, kernels, spare)
+                            assert_equal_but_for_signs_of_zeros(psi, next(expected))
 
     # The amplitude c is carried as it is: -1, a phase, or off one by 1e-13.
     @pytest.mark.parametrize("amplitude", [-1.0, np.exp(0.3j), 1 + 1e-13],
@@ -604,14 +614,15 @@ class TestBasisShortcut:
         assert_equal_but_for_signs_of_zeros(out, ref)
 
 
-# From 6 cells up, cells 0, 1 and 2 are one run, in either record mode.
+# At every size, cells 0, 1 and 2, or as many as there are, are one run, in
+# either record mode.
 @pytest.mark.parametrize("record", list(RecordMode))
-@pytest.mark.parametrize("cells", [5, 6])
-def test_cells_0_to_2_are_one_run_from_6_cells_up(cells, record):
+@pytest.mark.parametrize("cells", range(1, 7))
+def test_cells_0_to_2_are_one_run_at_every_size(cells, record):
     update = rules.update_kernels(make_config(cells, NeighborhoodRule.RIGHT, record=record),
                                   np.float64)
     runs = [[low for _, low in k] for k in update[-1] if isinstance(k, list)]
-    assert runs == ([[0, 2, 4]] if cells == 6 else [])
+    assert runs == [[0, 2, 4][:cells]]
 
 
 # One dense 10-cell update contracts cells 0 to 2 as one run on 64 tiles.
@@ -945,14 +956,14 @@ class TestCheckBytes:
         assert capsys.readouterr().err.startswith("error: out of memory: ")
 
 
-# Each pre-flight bounds the traced peak at every size up to 6 cells, the
-# fewest that get tiles: below it the interpreter's objects outweigh the
-# smallest states, and from it the tiles add nothing.
+# Each pre-flight bounds the traced peak, tiles included, at every size up
+# to 6 cells: there the interpreter's objects outweigh the smallest states,
+# and the tiles add nothing.
 @pytest.mark.parametrize("cells", range(1, 7))
 @pytest.mark.parametrize("evaluation, dtype", [
     (H_S_THEN_CN_EVAL, np.float64), (LocalUnitary((0, 1), COMPLEX_CUSTOM), np.complex128),
 ], ids=["h_s_then_cn", "complex-custom"])
-def test_the_pre_flights_hold_at_every_size_up_to_the_smallest_tiled_one(
+def test_the_pre_flights_hold_at_every_size_up_to_6_cells(
         monkeypatch, evaluation, dtype, cells):
     tiled, contract_tiles = [], gates.contract_tiles
     monkeypatch.setattr(gates, "contract_tiles",
@@ -960,7 +971,7 @@ def test_the_pre_flights_hold_at_every_size_up_to_the_smallest_tiled_one(
     cfg = make_config(cells, NeighborhoodRule.BOTH, BoundaryCondition.CYCLIC, evaluation,
                       initial=1, steps=3)
     peak = _traced(evolve, cfg)[1]
-    assert bool(tiled) == (cells == 6)
+    assert tiled
     assert peak <= run_bytes(2 * cells, cfg.n_columns, dtype) - WRITER_BYTES
     peak = _traced(analysis.search_period, cfg, 40)[1]
     assert peak <= analysis.search_bytes(2 * cells, 40, dtype)

@@ -1,6 +1,7 @@
 """Smoke tests of the helper scripts in scripts/."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -80,3 +82,66 @@ def test_output_digest_prints_one_digest_per_kind():
     assert result.returncode == 0, result.stderr
     lines = [tuple(line.split()) for line in result.stdout.splitlines()]
     assert lines == [*DIGESTS_2_CELLS.items()]
+
+
+def _bench_output(**workloads) -> str:
+    """Canned `perfbench/run.py` output: per workload, a block that ends in
+    its fail ratio line and its JSON line."""
+    lines = ["seed 1 nproc 2 numpy 2.4.6 blas_threads 2 trace 0"]
+    for name, (commands_s, peak_rss_mb, setup_s, failed) in workloads.items():
+        metrics = {"commands_s": {"value": commands_s, "unit": "s"},
+                   "peak_rss_mb": {"value": peak_rss_mb, "unit": "MB"},
+                   "setup_s": {"value": setup_s, "unit": "s"}}
+        lines += [f"{name} commands_s {commands_s:.6f} s",
+                  f"{name} fail_ratio {failed / 10:g} ratio ({failed} of 10 calls)",
+                  json.dumps({"correct": not failed, "attempted": 10, "failed": failed,
+                              "metrics": metrics})]
+    return "\n".join(lines) + "\n"
+
+
+# Four canned pairs of two workloads: the statistics of `ab.py`, each side's
+# quartiles, the ratio of the medians, the pairs the change is lower in and
+# the bound, without running the benchmark.
+def test_ab_statistics_on_canned_result_lines():
+    spec = importlib.util.spec_from_file_location("ab", SCRIPTS / "ab.py")
+    ab = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ab)
+    parent_wide, change_wide = [0.10, 0.12, 0.14, 0.20], [0.13, 0.15, 0.16, 0.19]
+    pairs = [(ab.parse_run(_bench_output(presets=(0.2, 70.0, 0.15, 0), wide=(p, 80.0, 0.15, 0))),
+              ab.parse_run(_bench_output(presets=(0.2, 77.5, 0.12, 1), wide=(c, 80.0, 0.16, 0))))
+             for p, c in zip(parent_wide, change_wide)]
+    assert pairs[0][0]["wide"] == {"failed": 0, "attempted": 10, "metrics": {
+        "commands_s": 0.10, "peak_rss_mb": 80.0, "setup_s": 0.15}}
+    end_to_end = [{"name": "commands_s", "unit": "s", "better": "lower", "bound": 0.25},
+                  {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1},
+                  {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25}]
+    rows = {(row["workload"], row["metric"]): row for row in ab.compare(pairs, end_to_end)}
+    assert len(rows) == 6
+    wide = rows["wide", "commands_s"]
+    assert wide["parent"] == parent_wide and wide["change"] == change_wide
+    assert wide["parent_quartiles"] == pytest.approx((0.115, 0.13, 0.155))
+    assert wide["change_quartiles"] == pytest.approx((0.145, 0.155, 0.1675))
+    assert wide["ratio"] == pytest.approx(0.155 / 0.13)
+    assert wide["lower"] == 1 and not wide["past_bound"]
+    # +10.7% against a 10% bound; equal values are not lower.
+    rss = rows["presets", "peak_rss_mb"]
+    assert rss["ratio"] == pytest.approx(77.5 / 70) and rss["past_bound"]
+    assert rss["lower"] == 0 and rss["failed"] == (0, 4)
+    assert rows["presets", "setup_s"]["lower"] == 4
+    assert rows["wide", "setup_s"]["lower"] == 0
+    assert "YES" in ab.format_rows([rss]) and "4/4" in ab.format_rows(
+        [rows["presets", "setup_s"]])
+    assert ab.quartiles([3.0]) == (3.0, 3.0, 3.0)
+
+
+# `--record` runs every workload, so a `--workload` beside it is refused
+# rather than ignored; so is a PARENT.
+@pytest.mark.parametrize("argv", [["--record", "31", "--workload", "wide"],
+                                  ["HEAD", "--record", "31"], []])
+def test_ab_refuses_options_that_do_not_go_together(argv, capsys):
+    spec = importlib.util.spec_from_file_location("ab", SCRIPTS / "ab.py")
+    ab = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ab)
+    with pytest.raises(SystemExit) as exit_:
+        ab.main(argv)
+    assert exit_.value.code == 2 and "error:" in capsys.readouterr().err
