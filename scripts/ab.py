@@ -3,6 +3,7 @@
 end-to-end metrics, or record one tree's metrics in BENCH_<N>.json.
 
     python3 scripts/ab.py PARENT [--pairs N] [--workload W] [--seconds S]
+    python3 scripts/ab.py PARENT --setup [--pairs N]
     python3 scripts/ab.py --record N [--pairs K] [--seconds S]
 
 PARENT is a git revision.  Its tree is extracted with `git archive` into a
@@ -19,6 +20,12 @@ each side's median and quartiles, the ratio of the medians, the number of
 pairs in which the change is lower, and whether the change's median is past
 the metric's bound from the parent's.  A/A, the tree against itself, is
 `PARENT=$(git stash create)` on a modified tree or `HEAD` on a clean one.
+
+`--setup` runs ``python -X importtime -c "import qca2.cli"`` in each tree in
+the same alternation instead, and compares qca2's own self time, the sum of
+the self times of qca2's modules: the part of `setup_s` that a change to
+`src/` can move.  Its bound is setup_s's, and numpy's import, which it
+leaves out, is most of setup_s.
 
 `--record N` runs a copy of this tree alone K times, at seeds 1 to K, over
 every workload and writes BENCH_<N>.json at the repository root: the medians
@@ -114,6 +121,30 @@ def format_rows(rows: list[dict]) -> str:
     return "\n".join(lines)
 
 
+def parse_importtime(stderr: str) -> float:
+    """Seconds of qca2's own self time in the stderr of ``python -X
+    importtime``: its lines read ``import time: <self us> | <cumulative us>
+    | <indent><module>``."""
+    total = 0
+    for line in stderr.splitlines():
+        fields = line.split("|")
+        if (line.startswith("import time:") and len(fields) == 3
+                and fields[2].strip().partition(".")[0] == "qca2"):
+            total += int(fields[0].removeprefix("import time:"))
+    return total / 1e6
+
+
+def run_setup(tree: Path) -> dict:
+    """qca2's self time when `tree`'s qca2.cli is imported in a fresh
+    interpreter, as `parse_run` gives a workload's metrics."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-c", "import qca2.cli"],
+                          cwd=tree, env={**env, "PYTHONPATH": str(tree / "src")},
+                          capture_output=True, text=True, check=True)
+    return {"import": {"failed": 0, "attempted": 1,
+                       "metrics": {"qca2_self_s": parse_importtime(proc.stderr)}}}
+
+
 def run_bench(tree: Path, workload: str, seed: int, seconds: int | None) -> dict:
     """Run `tree`'s own benchmark once and parse its output."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
@@ -152,7 +183,9 @@ def tree_id(names: list[str]) -> str:
                               text=True, check=True).stdout.strip()
 
 
-def ab(parent: str, pairs: int, workload: str, seconds: int | None) -> list[dict]:
+def ab(parent: str, pairs: int, run) -> list[tuple[dict, dict]]:
+    """(parent, change) results of `run(tree, seed)` for each pair, the
+    parent's tree run first on odd pairs."""
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         archive = Path(tmp) / "parent.tar"
         subprocess.run(["git", "archive", "-o", str(archive), parent], cwd=ROOT, check=True)
@@ -163,10 +196,10 @@ def ab(parent: str, pairs: int, workload: str, seconds: int | None) -> list[dict
         results = []
         for seed in range(1, pairs + 1):
             order = ("parent", "change") if seed % 2 else ("change", "parent")
-            run = {side: run_bench(trees[side], workload, seed, seconds) for side in order}
-            results.append((run["parent"], run["change"]))
+            result = {side: run(trees[side], seed) for side in order}
+            results.append((result["parent"], result["change"]))
             print(f"pair {seed} done ({order[0]} first)", file=sys.stderr, flush=True)
-    return compare(results, json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"])
+    return results
 
 
 def record(number: int, runs: int, seconds: int | None) -> Path:
@@ -200,15 +233,28 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seconds", type=int,
                         help="passed on to perfbench/run.py, whose own default holds otherwise")
     parser.add_argument("--record", type=int, metavar="N", help="write BENCH_N.json")
+    parser.add_argument("--setup", action="store_true",
+                        help="compare qca2's self time in `python -X importtime`")
     args = parser.parse_args(argv)
     if (args.parent is None) == (args.record is None):
         parser.error("give either PARENT or --record N")
-    if args.record is not None:
+    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    if args.setup:
+        if args.record is not None or args.workload is not None or args.seconds is not None:
+            parser.error("--setup runs no workload; only PARENT and --pairs go with it")
+        bound = next(m["bound"] for m in end_to_end if m["name"] == "setup_s")
+        results = ab(args.parent, args.pairs, lambda tree, seed: run_setup(tree))
+        print(format_rows(compare(results, [
+            {"name": "qca2_self_s", "unit": "s", "better": "lower", "bound": bound}])))
+    elif args.record is not None:
         if args.workload is not None:
             parser.error("--record runs every workload; --workload does not go with it")
         print(record(args.record, args.pairs, args.seconds))
     else:
-        print(format_rows(ab(args.parent, args.pairs, args.workload or "all", args.seconds)))
+        workload = args.workload or "all"
+        results = ab(args.parent, args.pairs,
+                     lambda tree, seed: run_bench(tree, workload, seed, args.seconds))
+        print(format_rows(compare(results, end_to_end)))
     return 0
 
 

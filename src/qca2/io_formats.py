@@ -28,12 +28,12 @@ two controls then the target.  ``H`` places `gates.H`; the others are flips.
 CSV values are the shortest positional decimals that round-trip each
 double, the digits of ``repr`` and of numpy's
 ``format_float_positional(unique=True, trim="-")``.  They are computed with
-numpy, a block of values at a time: Schubfach finds each value's digits
-with integer arithmetic, and each distinct value is laid out as a
-fixed-width row of bytes, NUL where it has no character.  PGM pixels take
-their rows from one table of the 256 pixel texts.  Every writer gathers a
-block's rows, writes separators and line ends into their last columns and
-drops the NULs.  A writer takes a matrix of at least one column, as every
+numpy, a block of values at a time: Dragonbox finds each value's digits
+with one 64×128-bit integer product in all but a few cases, and each
+distinct value is laid out as a fixed-width row of bytes, NUL where it has
+no character.  PGM pixels take their rows from one table of the 256 pixel
+texts.  Every writer gathers a block's rows, writes separators and line
+ends into their last columns and drops the NULs.  A writer takes a matrix of at least one column, as every
 command's is.  Each writer is a stream: it yields its header and then
 each block's characters in order, so the caller can write a block while
 the next ones are formatted, and at most `BLOCKS_IN_FLIGHT` blocks are
@@ -231,101 +231,133 @@ def parse_script(text: str) -> tuple[int, int, list[list[GateOp]]]:
 
 # --- shortest round-trip decimals ------------------------------------------
 #
-# Schubfach (R. Giulietti, "The Schubfach way to render doubles", 2020), run
-# on a whole array of bit patterns with numpy uint64 arithmetic.  A finite
-# double v = c·2^q rounds back from any decimal in its rounding interval
-# R_v, whose ends lie halfway to its neighbours (a quarter of the way down
-# when c = 2^52, the irregular spacing) and belong to R_v when c is even.
-# With 10^k the largest power of ten not above the width of R_v, R_v holds
-# a multiple of 10^k.  The shortest decimal in R_v is one of the two
-# multiples of 10^(k+1) around v if exactly one of them lies in R_v, and
-# otherwise the multiple of 10^k in R_v nearest to v, ties to even.  The
-# ends and v are scaled by 4·10^-k as rop(g, cp): g·cp / 2^127 rounded to
-# odd, with g a 126-bit upper approximation of 10^-k.
+# Dragonbox (J. Jeon, "Dragonbox: A New Floating-Point Binary-to-Decimal
+# Conversion Algorithm", 2020), run on a whole array of bit patterns with
+# numpy uint64 arithmetic.  A finite double v = c·2^q rounds back from any
+# decimal in its rounding interval, whose ends (2c±1)·2^(q-1) lie halfway to
+# its neighbours and belong to it when c is even.  With k = floor(log10 2^q)
+# - 2, the interval scaled by 10^-k is δ ≈ 2^q·10^-k wide, 100 <= δ < 1000.
+# With β = q + floor(log2 10^-k), 6 to 9, one product of (2c+1)·2^β by φ,
+# 10^-k·2^(127 - floor(log2 10^-k)) rounded up to 128 bits, gives z, the
+# integer part of the scaled upper end; δ is φ's top bits.  With
+# r = z mod 1000, the interval holds the last multiple of 10^(k+3) up to the
+# upper end when r < δ (unless r = 0 and that end is an excluded integer),
+# and when r = δ and the lower end, (2c-1)·2^β·φ, is not above it.
+# Otherwise the result is the multiple of 10^(k+2) nearest to v, found from
+# dist = r - δ/2 + 50 and, when 100 divides dist, from the parity of 2c·2^β·φ
+# and whether v·10^-k is an integer (a tie, broken to even).  These two
+# extra products are made only for the few values that need them.  When
+# c = 2^52, the lower neighbour is a quarter of the way down (the irregular
+# spacing), and the result depends on q alone, so it is tabled.
 
-_K_MIN, _K_MAX = -324, 292  # the k of 2^-1074 and of the largest doubles
-_M32, _M63 = (1 << 32) - 1, (1 << 63) - 1
+_K_MIN, _K_MAX = -292, 326  # the 10^-k of 3/4·2^971 and of 2^-1074
+_M32, _M52 = (1 << 32) - 1, (1 << 52) - 1
 
 
 @functools.cache
-def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The high and low 63 bits of g = floor(10^-k·2^-r) + 1, 2^125 <= g <
-    2^126, for every k, computed exactly with Python ints; and the four
-    ASCII digits of every number below 10^4 as one uint32 each."""
-    g = []
-    for k in range(_K_MIN, _K_MAX + 1):
-        p = 10 ** abs(k)
-        if k <= 0:
-            r = p.bit_length() - 126
-            g.append((p >> r if r >= 0 else p << -r) + 1)
-        else:
-            g.append((1 << p.bit_length() + 125) // p + 1)
-    g1, g0 = np.array([(x >> 63, x & _M63) for x in g], dtype=np.uint64).T
+def _tables() -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Dragonbox's constants for each 11-bit exponent field of a double, and
+    the four ASCII digits of every number below 10^4 as one uint32 each.
+
+    For the field's q and k: the four 32-bit limbs of φ, low first, exact
+    from Python ints; β + 1; (2^53 + 1)·2^β, or 2^β for a subnormal, so that
+    (2c+1)·2^β is m·2^(β+1) plus it for the 52 stored bits m; δ; k + 2; and
+    the (d, k) of the irregular spacing, c = 2^52, as Dragonbox finds them.
+    """
+    phi = []
+    for k in range(_K_MIN, _K_MAX + 1):  # the 10^k of φ_k
+        shift = 127 - (k * 1741647 >> 19)  # 127 - floor(log2 10^k)
+        num, den = 10 ** max(k, 0) << max(shift, 0), 10 ** max(-k, 0) << max(-shift, 0)
+        phi.append([-(-num // den) >> s & _M32 for s in (0, 32, 64, 96)])
+    phi = np.array(phi, dtype=np.uint64)
+    e = np.arange(2048)
+    q = np.maximum(e, 1) - 1075
+    k = (q * 315653 >> 20) - 2  # floor(log10 2^q) - 2
+    beta = (q + (-k * 1741647 >> 19)).astype(np.uint64)
+    limbs = tuple(np.ascontiguousarray(phi[-k - _K_MIN].T))
+    delta = limbs[3] >> 31 - beta
+    hidden = ((e != 0).astype(np.uint64) << 53 | 1) << beta
+    # The irregular spacing: Dragonbox's shorter-interval case.  Its ends are
+    # integers only for q of 2 and 3, and its only tie is at q = -77.
+    k_irr = (q * 631305 - 261663) >> 21  # floor(log10(3/4·2^q))
+    top = phi[-k_irr - _K_MIN, 3] << 32 | phi[-k_irr - _K_MIN, 2]
+    b = 11 - (q + (-k_irr * 1741647 >> 19)).astype(np.uint64)
+    lower = ((top - (top >> 54)) >> b) + ((q < 2) | (q > 3))
+    upper = (top + (top >> 53)) >> b
+    y = ((top >> b - 1) + 1) // 2
+    y = np.where((y & 1 == 1) & (q == -77), y - 1, y + (y < lower))
+    d_irr = np.where(upper // 10 * 10 >= lower, upper // 10 * 10, y)
     i = np.arange(10**4, dtype=np.uint16)  # uint16: first built while a run's matrix is alive
     digits = np.stack([i // 1000, i // 100 % 10, i // 10 % 10, i % 10], axis=1).astype(np.uint8)
-    return g1.copy(), g0.copy(), (digits + ord("0")).view(np.uint32)[:, 0]
+    return ((limbs, beta + 1, hidden, delta, k + 2, d_irr, k_irr),
+            (digits + ord("0")).view(np.uint32)[:, 0])
 
 
-def _mul_hi(x0, x1, y0, y1):
-    """floor(x·y / 2^64) of uint64 arrays x and y, from their 32-bit halves."""
-    p01, p10 = x0 * y1, x1 * y0
-    mid = (x0 * y0 >> 32) + (p01 & _M32) + (p10 & _M32)
-    return x1 * y1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+def _mul(x0, x1, y0, y1):
+    """x·y as its high and low uint64 words, from the 32-bit halves of uint64
+    arrays x < 2^63 and y."""
+    p00, p01, p10 = x0 * y0, x0 * y1, x1 * y0
+    mid = (p00 >> 32) + (p01 & _M32) + p10
+    return x1 * y1 + (p01 >> 32) + (mid >> 32), p00 + (p01 + p10 << 32)
 
 
-def _rop(g1, g0, cp):
-    """g·cp / 2^127 rounded to odd, for g = g1·2^63 + g0 and cp < 2^59:
-    the high product of g1 plus the carry of the one of g0, and a set low
-    bit when any of the next 63 bits is set (Giulietti's rop)."""
-    c0, c1 = cp & _M32, cp >> 32
-    z = (g1 * cp >> 1) + _mul_hi(g0 & _M32, g0 >> 32, c0, c1)
-    return (_mul_hi(g1 & _M32, g1 >> 32, c0, c1) + (z >> 63)) | (z & _M63 != 0)
-
-
-def _scaled_interval(bits: np.ndarray) -> tuple[np.ndarray, ...]:
-    """k and the lower end, value and upper end of each rounding interval
-    R_v, scaled by 4·10^-k and rounded to odd; an end left out of R_v moves
-    one unit inwards."""
-    g1_table, g0_table, _ = _tables()
-    e = (bits >> 52).astype(np.int64) & 0x7FF
-    m = bits & ((1 << 52) - 1)
-    irregular = (m == 0) & (e > 1)
-    cb = (m | (e != 0).astype(np.uint64) << 52) << 2
-    q = np.maximum(e, 1) - 1075
-    # floor(log10(2^q)), or floor(log10(3/4·2^q)) for the irregular spacing
-    k = (q * 661971961083 - irregular * 274743187321) >> 41
-    h = (q + (-k * 217706 >> 16) + 2).astype(np.uint64)  # cp = cb·2^h
-    g1, g0 = g1_table[k - _K_MIN], g0_table[k - _K_MIN]
-    odd = cb >> 2 & 1  # an odd c leaves the ends out of R_v
-    return (k, _rop(g1, g0, cb - 2 + irregular << h) + odd, _rop(g1, g0, cb << h),
-            _rop(g1, g0, cb + 2 << h) - odd)
+def _product(x, phi):
+    """x·φ as three uint64 words, high first, for x < 2^63 and φ's four
+    32-bit limbs, low first."""
+    x0, x1 = x & _M32, x >> 32
+    hh, hl = _mul(x0, x1, phi[2], phi[3])
+    lh, ll = _mul(x0, x1, phi[0], phi[1])
+    mid = hl + lh
+    return hh + (mid < lh), mid, ll
 
 
 def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(d, k) of each finite nonzero double's bit pattern: d·10^k is the
-    shortest decimal that rounds back to it, d < 10^17.  Zeros, infinities
-    and nans give meaningless pairs."""
-    k, vbl, vb, vbr = _scaled_interval(bits)
-    s = vb >> 2
-    t = s + 1
-    u_in, w_in = vbl <= s << 2, t << 2 <= vbr
-    d = np.where((vb > (s << 2) + 2) | ((vb == (s << 2) + 2) & (s & 1 == 1)), t, s)
-    d = np.where(u_in != w_in, np.where(u_in, s, t), d)
-    # The multiples of 10^(k+1) around v, sp and sp + 10, are a digit
-    # shorter than s unless s has one digit already.
-    sp = s // 10 * 10
-    up_in, wp_in = vbl <= sp << 2, (sp + 10) << 2 <= vbr
-    d = np.where((s >= 10) & (up_in != wp_in), np.where(up_in, sp, sp + 10), d)
+    shortest decimal that rounds back to it, d < 10^17, with trailing zeros
+    at times.  Zeros, infinities and nans give meaningless pairs."""
+    (limbs, shift, hidden, delta, k, d_irr, k_irr), _ = _tables()
+    e = bits.view(np.int64) >> 52  # the exponent field, less 2048 when negative
+    m = bits & _M52
+    phi, delta, shift = [limb[e] for limb in limbs], delta[e], shift[e]
+    u = (m << shift) + hidden[e]  # (2c+1)·2^β
+    z, frac, _ = _product(u, phi)
+    d = z // 1000
+    r = z - d * 1000
+    small = r > delta
+    dist = r - (delta >> 1) + 50
+    hundreds = dist // 100
+    divisible = dist == hundreds * 100
+    d = d * 10 + hundreds * small  # in units of 10^(k+2)
+    k = k[e]
+    j = np.flatnonzero((r == delta) | (r == 0) | divisible | (m == 0))
+    if j.size:
+        phi, beta, rj = [limb[j] for limb in phi], shift[j] - 1, r[j]
+        two_c = (u[j] >> beta) - 1
+        odd = (two_c & 2).astype(bool)
+        parity, integer = [], []
+        for x in (two_c - 1, two_c):  # 2^β·φ times the lower end and v, over 2^(q-1)
+            _, hi, lo = _product(x, phi)
+            parity.append((hi >> 64 - beta & 1).astype(bool))
+            integer.append((hi << beta | lo >> 64 - beta) == 0)
+        small = np.where(rj == delta[j], ~(parity[0] | integer[0] & ~odd),
+                         small[j] | (rj == 0) & (frac[j] == 0) & odd)
+        dist = z[j] - (delta[j] >> 1) + 50  # r - δ/2 + 50, and 1000 more when r = 0
+        dj = dist // 100
+        dj -= (dist == dj * 100) & ((parity[1] != (dist & 1 == 1)) | (dj & 1 == 1) & integer[1])
+        irregular = m[j] == 0
+        d[j] = np.where(irregular, d_irr[e[j]], np.where(small, dj, d[j]))
+        k[j] = np.where(irregular, k_irr[e[j]], k[j])
     return d, k
 
 
 def _digits(d: np.ndarray) -> np.ndarray:
     """The 20 ASCII digits of each d < 10^20, zero-padded, as uint8 rows."""
-    hi8, lo8 = np.divmod(d, 10**8)
-    top, mid = np.divmod(hi8, 10**4)
-    quads, quad_table = np.empty((d.size, 5), np.uint32), _tables()[2]
-    for j, group in enumerate((top // 10**4, top % 10**4, mid, *np.divmod(lo8, 10**4))):
-        quads[:, j] = quad_table[group]
+    quads, quad_table = np.empty((d.size, 5), np.uint32), _tables()[1]
+    for j in range(4, 0, -1):  # // and -: numpy's % and divmod of uint64 are slower
+        rest = d // 10**4
+        quads[:, j] = quad_table[d - rest * 10**4]
+        d = rest
+    quads[:, 0] = quad_table[d]
     return quads.view(np.uint8)
 
 

@@ -220,10 +220,15 @@ def compile_rule(config: QcaConfig) -> CompiledRule:
 def build_dense_rule(config: QcaConfig) -> np.ndarray:
     """Dense full-update operator (U⊗…⊗U)·P, the interaction permutation and
     then every cell's unitary: column k is column ``images[k]`` of U⊗…⊗U,
-    the image of k under the flips, mapped one index at a time."""
+    the image of k under the flips, mapped one index at a time.  The columns
+    move in place, 64 rows at a time, so no second operator is made."""
     images = basis_images(compile_interaction(config), config.n_qubits)  # size-checked first
-    op = reduce(np.kron, [config.evaluation.matrix] * config.n_cells)[:, images]
-    op += 0.0  # -0 entries become +0, as in the product with P: `matrix` prints them
+    u = config.evaluation.matrix
+    op = reduce(np.kron, [u] * (config.n_cells - 1), u.copy())  # one cell: not U's own entries
+    for start in range(0, len(op), 64):
+        rows = op[start:start + 64]
+        # -0 entries become +0, as in the product with P: `matrix` prints them
+        np.add(rows[:, images], 0.0, out=rows)
     return op
 
 

@@ -245,6 +245,62 @@ def test_formatter_edge_cases_match_dragon4(values):
     assert _format_floats(values) == [format_probability(v) for v in values]
 
 
+def _without_trailing_zeros(d: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    d, k = d.copy(), k.astype(np.int64)
+    while (tens := np.flatnonzero((d % 10 == 0) & (d != 0))).size:
+        d[tens] //= 10
+        k[tens] += 1
+    return d, k
+
+
+def _repr_decimals(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(d, k), d·10^k the decimal that ``repr`` writes for each finite
+    nonzero double and d without trailing zeros, read from the texts with
+    numpy's string functions: the digits before any ``e`` make d, and the
+    exponent after it, less the count of digits after the point, makes k."""
+    texts = np.array(list(map(repr, np.abs(values).tolist())))
+    mantissa, _, exponent = np.char.partition(texts, "e").T
+    whole, _, fraction = np.char.partition(mantissa, ".").T
+    d = np.char.add(whole, fraction).astype(np.uint64)
+    k = np.where(exponent == "", "0", exponent).astype(np.int64) - np.char.str_len(fraction)
+    return _without_trailing_zeros(d, k)
+
+
+def _assert_shortest_matches_repr(values: np.ndarray) -> None:
+    bits = np.asarray(values, dtype=np.float64).view(np.uint64)
+    d, k = _without_trailing_zeros(*io_formats._shortest(bits))
+    expected_d, expected_k = _repr_decimals(bits.view(np.float64))
+    wrong = np.flatnonzero((d != expected_d) | (k != expected_k))
+    assert not wrong.size, [(repr(v), int(d[i]), int(k[i]))
+                            for i, v in zip(wrong[:5], bits.view(np.float64)[wrong[:5]])]
+
+
+# One value for each rare branch of `_shortest`, with z the scaled upper end
+# of its rounding interval, r = z mod 1000 and δ the interval's width there.
+@pytest.mark.parametrize("value", [
+    3.5897437094701564e-58, 6.3751706191939294e+56,  # r == δ, the lower end outside
+    2.271635170108695e-48, 5.71461449128775e+16,  # r == δ, the lower end inside
+    2.3747223110337605e+263, 9.872975320494477e+216,  # 100 divides dist: the parity of v
+    1081781241735787.2, 208404089252590.12,  # 100 divides dist: a tie, to even
+    2.0**-25, 2.0**54, 2.0**55, 0.5,  # the shorter interval: its tie, its integer ends
+    2.3356668447119388e+16, 1.2759675509969499e+17,  # r == 0, z an excluded integer
+], ids=["eq-lower-out", "eq-lower-out-big", "eq-lower-in", "eq-lower-in-big", "divisible",
+        "divisible-big", "divisible-tie", "divisible-tie-small", "shorter-tie", "shorter-end-2",
+        "shorter-end-3", "shorter", "excluded-end", "excluded-end-big"])
+def test_each_branch_of_the_shortest_digits(value):
+    _assert_shortest_matches_repr([value, -value])
+    assert _format_floats([value]) == [format_probability(value)]
+
+
+# 10**6 random bit patterns, one in a hundred made subnormal, against the
+# digits and exponent of ``repr``, which is C and fast enough for so many.
+def test_shortest_digits_match_repr_on_random_bit_patterns():
+    bits = np.random.default_rng(20201029).integers(0, 2**64, size=10**6, dtype=np.uint64)
+    bits[::100] &= np.uint64(1 << 63 | (1 << 52) - 1)
+    bits = bits[(bits << 1 != 0) & (bits >> 52 & 0x7FF != 0x7FF)]
+    _assert_shortest_matches_repr(bits.view(np.float64))
+
+
 # One CSV block mixing the widest field, 5e-324 (326 characters), with
 # ordinary probabilities, and an operator whose parts are that wide.
 def test_widest_field_in_one_block_with_ordinary_values():

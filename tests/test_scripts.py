@@ -134,10 +134,33 @@ def test_ab_statistics_on_canned_result_lines():
     assert ab.quartiles([3.0]) == (3.0, 3.0, 3.0)
 
 
+# Canned `python -X importtime` lines: qca2's own self time is the sum over
+# qca2 and its modules, at any depth, and nothing else: not numpy's, not a
+# module whose name merely starts with "qca2", not the header.
+def test_ab_setup_sums_qca2_self_time_from_importtime_lines():
+    spec = importlib.util.spec_from_file_location("ab", SCRIPTS / "ab.py")
+    ab = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ab)
+    stderr = "\n".join([
+        "import time: self [us] | cumulative | imported package",
+        "import time:      1200 |       1200 |     numpy.core",
+        "import time:       219 |        219 |   qca2",
+        "import time:      9340 |       9340 |       qca2.gates",
+        "import time:       500 |        500 |   qca2x",
+        "import time:      6802 |      16142 |     qca2.rules",
+        "a warning | with | bars",
+        "import time:      2582 |     169172 | qca2.cli",
+    ])
+    assert ab.parse_importtime(stderr) == pytest.approx((219 + 9340 + 6802 + 2582) / 1e6)
+    assert ab.parse_importtime("") == 0
+
+
 # `--record` runs every workload, so a `--workload` beside it is refused
-# rather than ignored; so is a PARENT.
+# rather than ignored; so is a PARENT.  `--setup` runs no workload.
 @pytest.mark.parametrize("argv", [["--record", "31", "--workload", "wide"],
-                                  ["HEAD", "--record", "31"], []])
+                                  ["HEAD", "--record", "31"], [],
+                                  ["HEAD", "--setup", "--workload", "wide"],
+                                  ["HEAD", "--setup", "--seconds", "1"]])
 def test_ab_refuses_options_that_do_not_go_together(argv, capsys):
     spec = importlib.util.spec_from_file_location("ab", SCRIPTS / "ab.py")
     ab = importlib.util.module_from_spec(spec)
