@@ -258,11 +258,11 @@ def _repr_decimals(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     nonzero double and d without trailing zeros, read from the texts with
     numpy's string functions: the digits before any ``e`` make d, and the
     exponent after it, less the count of digits after the point, makes k."""
-    texts = np.array(list(map(repr, np.abs(values).tolist())))
-    mantissa, _, exponent = np.char.partition(texts, "e").T
-    whole, _, fraction = np.char.partition(mantissa, ".").T
+    texts = np.array(list(map(repr, np.abs(values).tolist())), dtype="S")  # bytes: faster
+    mantissa, _, exponent = np.char.partition(texts, b"e").T
+    whole, _, fraction = np.char.partition(mantissa, b".").T
     d = np.char.add(whole, fraction).astype(np.uint64)
-    k = np.where(exponent == "", "0", exponent).astype(np.int64) - np.char.str_len(fraction)
+    k = np.where(exponent == b"", b"0", exponent).astype(np.int64) - np.char.str_len(fraction)
     return _without_trailing_zeros(d, k)
 
 
