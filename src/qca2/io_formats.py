@@ -33,7 +33,11 @@ with one 64×128-bit integer product in all but a few cases, and each
 distinct value is laid out as a fixed-width row of bytes, NUL where it has
 no character.  PGM pixels take their rows from one table of the 256 pixel
 texts.  Every writer gathers a block's rows, writes separators and line
-ends into their last columns and drops the NULs.  A writer takes a matrix of at least one column, as every
+ends into their last columns and drops the NULs.  A CSV or PGM block in
+which at most a quarter of the rows are distinct, bit for bit, formats and
+compacts each distinct row once and copies its text: a QCA's probabilities
+are periodic, and whole rows repeat (2 distinct rows of 65,536 in an 8-cell
+`h_both` run).  A writer takes a matrix of at least one column, as every
 command's is.  Each writer is a stream: it yields its header and then
 each block's characters in order, so the caller can write a block while
 the next ones are formatted, and at most `BLOCKS_IN_FLIGHT` blocks are
@@ -255,9 +259,10 @@ _M32, _M52 = (1 << 32) - 1, (1 << 52) - 1
 
 
 @functools.cache
-def _tables() -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+def _tables() -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
     """Dragonbox's constants for each 11-bit exponent field of a double, and
-    the four ASCII digits of every number below 10^4 as one uint32 each.
+    the four ASCII digits of every number below 10^4 as one uint32 each and
+    the zeros that end them.
 
     For the field's q and k: the four 32-bit limbs of φ, low first, exact
     from Python ints; β + 1; (2^53 + 1)·2^β, or 2^β for a subnormal, so that
@@ -290,7 +295,7 @@ def _tables() -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     i = np.arange(10**4, dtype=np.uint16)  # uint16: first built while a run's matrix is alive
     digits = np.stack([i // 1000, i // 100 % 10, i // 10 % 10, i % 10], axis=1).astype(np.uint8)
     return ((limbs, beta + 1, hidden, delta, k + 2, d_irr, k_irr),
-            (digits + ord("0")).view(np.uint32)[:, 0])
+            (digits + ord("0")).view(np.uint32)[:, 0], (digits[:, ::-1].cumsum(1) == 0).sum(1))
 
 
 def _mul(x0, x1, y0, y1):
@@ -315,7 +320,7 @@ def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(d, k) of each finite nonzero double's bit pattern: d·10^k is the
     shortest decimal that rounds back to it, d < 10^17, with trailing zeros
     at times.  Zeros, infinities and nans give meaningless pairs."""
-    (limbs, shift, hidden, delta, k, d_irr, k_irr), _ = _tables()
+    (limbs, shift, hidden, delta, k, d_irr, k_irr), *_ = _tables()
     e = bits.view(np.int64) >> 52  # the exponent field, less 2048 when negative
     m = bits & _M52
     phi, delta, shift = [limb[e] for limb in limbs], delta[e], shift[e]
@@ -350,15 +355,19 @@ def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return d, k
 
 
-def _digits(d: np.ndarray) -> np.ndarray:
-    """The 20 ASCII digits of each d < 10^20, zero-padded, as uint8 rows."""
-    quads, quad_table = np.empty((d.size, 5), np.uint32), _tables()[1]
+def _digits(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 20 ASCII digits of each d < 10^20, zero-padded, as uint8 rows,
+    and the zeros that end each d (20 for 0)."""
+    groups, (_, quad_table, zeros_table) = np.empty((d.size, 5), np.uint32), _tables()
     for j in range(4, 0, -1):  # // and -: numpy's % and divmod of uint64 are slower
         rest = d // 10**4
-        quads[:, j] = quad_table[d - rest * 10**4]
-        d = rest
-    quads[:, 0] = quad_table[d]
-    return quads.view(np.uint8)
+        groups[:, j], d = d - rest * 10**4, rest
+    groups[:, 0] = d
+    zeros, i = zeros_table[groups[:, 4]], np.flatnonzero(groups[:, 4] == 0)
+    for j in range(3, -1, -1):  # the d whose groups below j are all 0
+        zeros[i] += zeros_table[groups[i, j]]
+        i = i[groups[i, j] == 0]
+    return quad_table[groups].view(np.uint8), zeros
 
 
 _POW10 = np.array([10**i for i in range(20)], dtype=np.uint64)
@@ -381,9 +390,8 @@ def _layout(bits: np.ndarray, suffix: int = 0) -> tuple[np.ndarray, np.ndarray]:
     special = (bits & 0x7FF << 52) == 0x7FF << 52
     blank = special | (bits << 1 == 0)
     d[blank], k[blank] = 0, 0
-    digits = _digits(d)  # d in 20 columns, units at column 19
+    digits, n_zeros = _digits(d)  # d in 20 columns, units at column 19
     n_digits = np.searchsorted(_POW10, d, side="right")
-    n_zeros = np.argmax(digits[:, ::-1] != _ZERO, axis=1)  # trailing zeros of d
     # Each text spans the columns [lo, hi) of `digits`, widened with zeros.
     fraction = k + n_zeros < 0
     below_one = fraction & (n_digits + k <= 0)
@@ -426,13 +434,18 @@ def _layout(bits: np.ndarray, suffix: int = 0) -> tuple[np.ndarray, np.ndarray]:
     return rows, sign
 
 
+def _row_texts(chars: np.ndarray) -> list[bytes]:
+    """The characters of each row of `chars`, its NULs dropped."""
+    keep = chars != 0
+    text, ends = chars[keep].tobytes(), np.cumsum(keep.reshape(len(chars), -1).sum(1)).tolist()
+    return [text[start:stop] for start, stop in zip([0, *ends], ends)]
+
+
 def _format_floats(values) -> list[str]:
     """Each value as the shortest positional decimal that round-trips it
     exactly (``0.5``, ``1``, ``-0``, ``0.000000001``, ``nan``, ``-inf``)."""
     rows, _ = _layout(np.asarray(values, dtype=np.float64).reshape(-1).view(np.uint64))
-    keep = rows != 0
-    text, ends = str(rows[keep], "ascii"), np.cumsum(keep.sum(axis=1)).tolist()
-    return [text[start:stop] for start, stop in zip([0, *ends], ends)]
+    return [str(text, "ascii") for text in _row_texts(rows)]
 
 
 # Values per `_layout` call: its temporaries take about 200 bytes a value,
@@ -449,6 +462,27 @@ def _few_patterns(bits: np.ndarray) -> np.ndarray | None:
     ordered = np.sort(bits, axis=None)
     patterns = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
     return patterns if 4 * patterns.size <= bits.size else None
+
+
+@functools.cache
+def _weights() -> np.ndarray:
+    """Odd uint64 weights for the values of a row: a Weyl sequence, mixed."""
+    z = np.arange(1, _LAYOUT_VALUES + 1, dtype=np.uint64) * 0x9E3779B97F4A7C15
+    return (z ^ z >> 30) * 0xBF58476D1CE4E5B9 | 1
+
+
+def _repeated_rows(words: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """A row of each distinct row of a 2-D uint64 array and each row's
+    place among those, if at most a quarter of the rows are distinct; None
+    otherwise, or when two rows of one hash differ.  A row's hash is the
+    wrapping dot product of `_weights` with its words, high halves xored
+    into low ones so that dyadic doubles, low bits 0, spread."""
+    hashes = (words ^ words >> 32) @ _weights()[:words.shape[1]]
+    if (patterns := _few_patterns(hashes)) is None:
+        return None
+    inverse, rows = np.searchsorted(patterns, hashes), np.empty(patterns.size, np.intp)
+    rows[inverse] = np.arange(len(words))  # one row of each hash, whichever
+    return (rows, inverse) if np.array_equal(words[rows[inverse]], words) else None
 
 
 def _formatted(values: np.ndarray, suffix: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -529,7 +563,7 @@ def _map_blocks(block, matrix: np.ndarray, row_values: int) -> Iterator:
     helper = threading.Thread(target=help_out) if len(starts) > 1 and cpus > 1 else None
     try:
         if helper:
-            _tables()  # built first, so two threads never race to build it
+            _tables(), _weights()  # built first, so two threads never race to build them
             helper.start()
         for i in range(len(starts)):
             while True:
@@ -569,18 +603,26 @@ def csv_blocks(matrix: np.ndarray) -> Iterator[bytes | np.ndarray]:
         yield "".join(f",t{t}" for t in range(start, min(start + BLOCK_VALUES, n_cols))).encode()
     yield b"\n"
 
-    def block_chars(start: int, col: int, block: np.ndarray) -> list[np.ndarray]:
+    def block_chars(start: int, col: int, block: np.ndarray) -> list[bytes | np.ndarray]:
         first = int(col == 0)  # the block starts its rows, with their state column
         values = np.empty((len(block), first + block.shape[1]))
         values[:, 0] = np.arange(start, start + len(block))
         values[:, first:] = block
+        rows, inverse = _repeated_rows(values[:, first:].view(np.uint64)) or (slice(None), None)
         pieces = []
-        for chars, _ in _formatted(values, 1):
+        for chars, _ in _formatted(values[rows], 1):
             chars[:, :, -1] = ord(",")
             if col + block.shape[1] == n_cols:
                 chars[:, -1, -1] = ord("\n")
-            pieces.append(chars[chars != 0])
-        return pieces
+            pieces += [chars[chars != 0]] if inverse is None else _row_texts(chars)
+        if inverse is None:
+            return pieces
+        # Each distinct row's text less its state; ``%d`` prints a state < 2^53 as `_layout` does.
+        texts = [text.partition(b",")[2] for text in pieces]
+        labelled = [None] * (2 * len(inverse))
+        labelled[::2] = range(start, start + len(inverse))
+        labelled[1::2] = map(texts.__getitem__, inverse.tolist())
+        return [(b"%d,%b" * len(inverse)) % tuple(labelled)]
 
     yield from _map_blocks(block_chars, matrix, n_cols + 1)
 
@@ -597,10 +639,9 @@ def read_csv(text: str) -> np.ndarray:
     return np.array(rows, dtype=np.float64)
 
 
-# Each pixel value's text as a row: its digits, NUL padding and a space.
+# Each pixel value's text as one uint32: its digits, NUL padding and a space.
 _PIXEL_TEXT = np.frombuffer(
-    b"".join(str(v).encode().ljust(3, b"\0") + b" " for v in range(256)), np.uint8
-).reshape(256, 4)
+    b"".join(str(v).encode().ljust(3, b"\0") + b" " for v in range(256)), np.uint32)
 
 
 def pgm_blocks(matrix: np.ndarray) -> Iterator[bytes | np.ndarray]:
@@ -615,15 +656,18 @@ def pgm_blocks(matrix: np.ndarray) -> Iterator[bytes | np.ndarray]:
     n_rows, n_cols = matrix.shape
     yield f"P2\n{n_cols} {n_rows}\n255\n".encode("ascii")
 
-    def block_chars(start: int, col: int, block: np.ndarray) -> list[np.ndarray]:
+    def block_chars(start: int, col: int, block: np.ndarray) -> list[bytes | np.ndarray]:
         if not np.isfinite(block).all():
             raise ValueError("probabilities must be finite")
         # 255*(1-p) is nonnegative, so floor(x + 0.5) is half-away-from-zero.
         pixels = np.floor(255.0 * (1.0 - np.clip(block, 0.0, 1.0)) + 0.5).astype(np.int64)
-        chars = _PIXEL_TEXT[pixels]
+        rows, inverse = _repeated_rows(pixels.view(np.uint64)) or (slice(None), None)
+        chars = np.take(_PIXEL_TEXT, pixels[rows]).view(np.uint8).reshape(-1, block.shape[1], 4)
         if col + block.shape[1] == n_cols:
             chars[:, -1, -1] = ord("\n")
-        return [chars[chars != 0]]
+        if inverse is None:
+            return [chars[chars != 0]]
+        return [b"".join(map(_row_texts(chars).__getitem__, inverse.tolist()))]
 
     yield from _map_blocks(block_chars, matrix, n_cols)
 

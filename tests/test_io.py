@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from qca2 import io_formats, rules
 from qca2.analysis import PeriodReport
+from qca2.cli import main
 from qca2.gates import ControlledFlip, LocalUnitary
 from qca2.io_formats import (
     ConfigError,
@@ -542,11 +543,20 @@ _STREAMS = {
 }
 
 
+def _matrix(rng, shape, pool):
+    """Random values, values from `pool`, or, for pool "rows", rows repeated
+    from eight rows of random values."""
+    if pool == "rows":
+        return rng.random((8, shape[1]))[rng.integers(0, 8, size=shape[0])]
+    return rng.random(shape) if pool is None else rng.choice(pool, size=shape)
+
+
 @pytest.mark.parametrize("shape", [(4096, 127), (3, 200_000)], ids=["blocks", "wide-rows"])
-@pytest.mark.parametrize("pool", [[0.0, 0.25, 1 / 3, 1.0], None], ids=["few-patterns", "per-value"])
+@pytest.mark.parametrize("pool", [[0.0, 0.25, 1 / 3, 1.0], None, "rows"],
+                         ids=["few-patterns", "per-value", "repeated-rows"])
 @pytest.mark.parametrize("writer", _STREAMS)
 def test_the_blocks_in_flight_fit_the_estimate(two_cpus, rng, writer, shape, pool):
-    matrix = rng.random(shape) if pool is None else rng.choice(pool, size=shape)
+    matrix = _matrix(rng, shape, pool)
     stream, digest = _STREAMS[writer](matrix), hashlib.sha256()
     tracemalloc.start()
     try:
@@ -577,6 +587,83 @@ def test_a_wide_row_is_cut_into_blocks(two_cpus, monkeypatch, rng, pool):
     assert render_pgm(matrix) == _reference_pgm(matrix)
     assert write_operator_csv(op) == _reference_operator(op)
     assert max(sizes) <= io_formats._LAYOUT_VALUES
+
+
+# Matrices whose rows repeat a few rows: two rows of zeros that differ only
+# in the sign of one zero, and, in the CSV, rows of nan and of ±inf.  Widths
+# from 1 to 200 values put 32,768 to 326 rows in a CSV block, so the larger
+# shapes span several blocks, with few distinct rows or many.
+_ROW_VALUES = [0.0, 0.25, 1 / 3, 1.0, 1e-300, 5e-324]
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 1200), st.integers(1, 200)),
+    n_pool=st.integers(1, 12),
+    special=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(shape=(1200, 200), n_pool=3, special=True, seed=0)
+@example(shape=(1200, 60), n_pool=12, special=False, seed=1)
+def test_writers_match_per_value_formatting_on_repeated_rows(shape, n_pool, special, seed):
+    rng = np.random.default_rng(seed)
+    pool = rng.choice(_ROW_VALUES, size=(n_pool, shape[1]))
+    pool[:2] = 0.0
+    pool[1 % n_pool, 0] = -0.0  # row 1 is row 0 but for the sign of its first zero
+    matrix = pool[rng.integers(0, n_pool, size=shape[0])]
+    csv_matrix = matrix.copy()
+    if special:
+        csv_matrix[1::5] = np.nan
+        csv_matrix[2::5] = np.resize([np.inf, -np.inf], shape[1])
+    outputs = []
+    for cpus in ({0}, {0, 1}):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            outputs.append((write_csv(csv_matrix), render_pgm(matrix)))
+    assert outputs[0] == outputs[1] == (_reference_csv(csv_matrix), _reference_pgm(matrix))
+
+
+# When every row hashes alike, the rows that differ send the block back to
+# formatting every value: the bytes are the same.
+@pytest.mark.parametrize("pool", [[0.0, -0.0, 0.25, 1.0], None, "rows"],
+                         ids=["few-patterns", "per-value", "repeated-rows"])
+def test_a_hash_collision_falls_back_to_formatting_every_row(monkeypatch, rng, pool):
+    matrix = _matrix(rng, (2000, 40), pool)
+    monkeypatch.setattr(io_formats, "_weights", lambda: np.zeros(io_formats._LAYOUT_VALUES,
+                                                                 dtype=np.uint64))
+    words = np.ascontiguousarray(matrix[:100]).view(np.uint64)
+    assert io_formats._repeated_rows(words) is None
+    assert io_formats._repeated_rows(np.zeros((100, 40), np.uint64)) is not None
+    assert write_csv(matrix) == _reference_csv(matrix)
+    assert render_pgm(matrix) == _reference_pgm(matrix)
+
+
+# A block of repeated rows labels each row with ``%d``; the other blocks
+# format the state as a double.  The two agree up to the last state of
+# `rules.MAX_CELLS` cells and beyond.
+def test_a_state_label_prints_as_its_double_does():
+    states = [0, 9, 10, 4**rules.MAX_CELLS - 1, 2**53 - 1]
+    assert _format_floats(states) == ["%d" % s for s in states]
+
+
+# The 6-cell both/cyclic/h_both run from state 5 has 25 distinct rows of
+# 4,096, over three CSV blocks: `simulate` formats each block's distinct
+# rows alone, so the writer's fast path cannot drop off unseen.
+def test_simulate_formats_only_the_distinct_rows(monkeypatch, tmp_path):
+    text = "cells=6\nrule=both\nboundary=cyclic\neval=h_both\nsteps=40\ninitial=5\n"
+    config, csv_path = tmp_path / "run.conf", tmp_path / "run.csv"
+    config.write_text(text)
+    formatted, formatted_values = [], io_formats._formatted
+    monkeypatch.setattr(io_formats, "_formatted", lambda values, suffix: (
+        formatted.append(len(values)) or formatted_values(values, suffix)))
+    assert main(["simulate", str(config), "--out-csv", str(csv_path)]) == 0
+    matrix = evolve(parse_config(text))
+    step = rules.BLOCK_VALUES // (matrix.shape[1] + 1)
+    distinct = [len(np.unique(matrix[r:r + step].view(np.uint64), axis=0))
+                for r in range(0, len(matrix), step)]
+    assert len(distinct) == 3 and len(np.unique(matrix.view(np.uint64), axis=0)) == 25
+    assert sorted(formatted) == sorted(distinct)
+    assert csv_path.read_text() == _reference_csv(matrix)
 
 
 class TestCsv:
