@@ -9,16 +9,17 @@ end-to-end metrics, or record one tree's metrics in BENCH_<N>.json.
 PARENT is a git revision.  Its tree is extracted with `git archive` into a
 temporary directory, and the change, the files of this checkout's working
 tree that git tracks or would track, is copied into a sibling one, so that
-the two sides differ in their files alone.  Pair i
-runs each tree's own `perfbench/run.py --workload W --seed i`, with
-`--seconds S` only when S is given, so the run length is the benchmark's own
-unless asked otherwise.  The parent runs first on odd pairs and the change
-first on even ones, so a drift
-of the machine's speed falls on both sides alike.  For every workload and
-end-to-end metric of BENCHMARK.json it prints each pair's two values, then
-each side's median and quartiles, the ratio of the medians, the number of
-pairs in which the change is lower, and whether the change's median is past
-the metric's bound from the parent's.  A/A, the tree against itself, is
+the two sides differ in their files alone.  Pair i runs each tree's own
+`perfbench/run.py --workload W --seed i`, with `--seconds S` only when S is
+given, so the run length is the benchmark's own unless asked otherwise.
+The parent runs first on odd pairs and the change first on even ones, so a
+drift of the machine's speed falls on both sides alike.  It prints each
+pair's two median wall times of every command of every workload
+(`matrix_s` and the like).  For every workload and end-to-end metric of
+BENCHMARK.json it prints each pair's two values, then each side's median
+and quartiles, the ratio of the medians, the number of pairs in which the
+change is lower, and whether the change's median is past the metric's bound
+from the parent's.  A/A, the tree against itself, is
 `PARENT=$(git stash create)` on a modified tree or `HEAD` on a clean one.
 
 `--setup` runs ``python -X importtime -c "import qca2.cli"`` in each tree in
@@ -29,11 +30,13 @@ leaves out, is most of setup_s.
 
 `--record N` runs a copy of this tree alone K times, at seeds 1 to K, over
 every workload and writes BENCH_<N>.json at the repository root: the medians
-and quartiles of every end-to-end metric, the seeds, the `--seconds` given
-(null for the benchmark's own), nproc, numpy and Python versions, the commit the working tree stands on, and `tree`, the git tree id
-of the files measured.  BENCH_<N>.json itself is left out of the copy and of
-`tree`, so on a commit that adds nothing else `tree` equals the tree id of
-that commit with BENCH_<N>.json removed from it.
+and quartiles of every end-to-end metric and of every command's median wall
+time, the seeds, the `--seconds` given (null for the benchmark's own),
+nproc, numpy and Python versions, the commit the working tree stands on,
+and `tree`, the git tree id of the files measured.  BENCH_<N>.json itself
+is left out of the copy and of `tree`, so on a commit that adds nothing
+else `tree` equals the tree id of that commit with BENCH_<N>.json removed
+from it.
 """
 
 from __future__ import annotations
@@ -58,14 +61,20 @@ ROOT = Path(__file__).resolve().parent.parent
 def parse_run(stdout: str) -> dict:
     """{workload: {"failed": n, "attempted": n, "metrics": {name: value}}} from
     the output of `perfbench/run.py`: each workload's block ends in a JSON line,
-    and the line before it starts with the workload's name."""
-    results, previous = {}, ""
+    and the line before it starts with the workload's name.  The metrics are
+    the JSON line's and, before them, each command's median wall time, from
+    its line ``<workload> <command>_s <median> s (median of ...)``."""
+    results, commands, previous = {}, {}, ""
     for line in stdout.splitlines():
         if line.startswith("{"):
             final = json.loads(line)
             results[previous.split()[0]] = {
                 "failed": final["failed"], "attempted": final["attempted"],
-                "metrics": {name: m["value"] for name, m in final["metrics"].items()}}
+                "metrics": {**commands,
+                            **{name: m["value"] for name, m in final["metrics"].items()}}}
+            commands = {}
+        elif line.split()[3:6] == ["s", "(median", "of"]:
+            commands[line.split()[1]] = float(line.split()[2])
         previous = line
     return results
 
@@ -101,6 +110,17 @@ def compare(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> list[dict
                            sum(c[workload]["failed"] for _, c in pairs)),
             })
     return rows
+
+
+def format_commands(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> str:
+    """Each pair's parent/change value of every metric of `pairs` that is not
+    end to end: each command's median wall time, one line a command."""
+    shown = {metric["name"] for metric in end_to_end}
+    return "\n".join(
+        f"{workload} {name} pairs parent/change: " + "  ".join(
+            f"{p[workload]['metrics'][name]:.4f}/{c[workload]['metrics'][name]:.4f}"
+            for p, c in pairs)
+        for workload, run in pairs[0][0].items() for name in run["metrics"] if name not in shown)
 
 
 def format_rows(rows: list[dict]) -> str:
@@ -254,6 +274,7 @@ def main(argv: list[str] | None = None) -> int:
         workload = args.workload or "all"
         results = ab(args.parent, args.pairs,
                      lambda tree, seed: run_bench(tree, workload, seed, args.seconds))
+        print(format_commands(results, end_to_end))
         print(format_rows(compare(results, end_to_end)))
     return 0
 

@@ -64,10 +64,12 @@ def _write_blocks(blocks: Generator, path: str | None = None) -> None:
         if path is None:
             for block in blocks:
                 _write_stdout(str(block, "ascii"))
+                del block  # not held while the next block is awaited
             return
         with open(path, "wb") as file:
             for block in blocks:
                 file.write(block)
+                del block
     except OSError as exc:
         raise io_formats.ConfigError(f"cannot write output: {exc}") from None
     finally:

@@ -37,14 +37,16 @@ ends into their last columns and drops the NULs.  A CSV or PGM block in
 which at most a quarter of the rows are distinct, bit for bit, formats and
 compacts each distinct row once and copies its text: a QCA's probabilities
 are periodic, and whole rows repeat (2 distinct rows of 65,536 in an 8-cell
-`h_both` run).  A writer takes a matrix of at least one column, as every
-command's is.  Each writer is a stream: it yields its header and then
-each block's characters in order, so the caller can write a block while
-the next ones are formatted, and at most `BLOCKS_IN_FLIGHT` blocks are
-alive at once.  On more than one CPU the blocks are formatted on the
-consuming thread and one helper thread: the bytes are the same on one
-thread or two.  `write_csv`, `render_pgm` and `write_operator_csv` join a
-stream into one text.
+`h_both` run).  An operator block does the same with segments of four
+entries, of which (U⊗…⊗U)·P's rows are made (17 distinct of 8,192 in a
+block of the 5-cell `h_s_then_cn` operator).  A writer takes a matrix of
+at least one column, as every command's is.  Each writer is a stream: it
+yields its header and then each block's characters in order, so the caller
+can write a block while the next ones are formatted, and at most
+`BLOCKS_IN_FLIGHT` blocks are alive at once.  On more than one CPU the
+blocks are formatted on the consuming thread and one helper thread: the
+bytes are the same on one thread or two.  `write_csv`, `render_pgm` and
+`write_operator_csv` join a stream into one text.
 """
 
 from __future__ import annotations
@@ -677,29 +679,47 @@ def render_pgm(matrix: np.ndarray) -> bytes:
     return b"".join(pgm_blocks(matrix))
 
 
+def _entries(values: np.ndarray, ends_rows: bool) -> Iterator[np.ndarray]:
+    """`_formatted` of rows of complex entries, given as their float64 real
+    and imaginary parts: ``<re><sign><im>i`` and a ``,`` after each entry, or
+    ``\\n`` after a row's last when `ends_rows`."""
+    for chars, sign in _formatted(values, 2):
+        # Odd columns are imaginary parts, which always show their sign.
+        width = chars.shape[2]
+        flat = chars.reshape(-1)
+        at = np.arange(width, flat.size, 2 * width) + sign[:, 1::2].reshape(-1)
+        flat[at] = np.where(flat[at] == _MINUS, _MINUS, _PLUS)
+        imag = chars[:, 1::2]
+        imag[:, :, -2] = ord("i")
+        imag[:, :, -1] = ord(",")
+        if ends_rows:
+            imag[:, -1, -1] = ord("\n")
+        yield chars
+
+
 def operator_blocks(op: np.ndarray) -> Iterator[np.ndarray]:
     """Dense operator as CSV of complex entries ``<re><sign><im>i``, one
     matrix row per line, as each block of rows' ASCII characters in uint8
     arrays.  The real and imaginary parts of a block of rows are formatted
-    together."""
+    together: all of them, or, when at most a quarter of the block's segments
+    of 4 entries (2 or 1 if 4 does not divide its width) are distinct, those
+    of each distinct segment once, and the block gathers their texts."""
     n_cols = op.shape[1]
 
     def block_chars(start: int, col: int, block: np.ndarray) -> list[np.ndarray]:
         values = np.ascontiguousarray(block, dtype=np.complex128).view(np.float64)
-        pieces = []
-        for chars, sign in _formatted(values, 2):
-            # Odd columns are imaginary parts, which always show their sign.
-            width = chars.shape[2]
-            flat = chars.reshape(-1)
-            at = np.arange(width, flat.size, 2 * width) + sign[:, 1::2].reshape(-1)
-            flat[at] = np.where(flat[at] == _MINUS, _MINUS, _PLUS)
-            imag = chars[:, 1::2]
-            imag[:, :, -2] = ord("i")
-            imag[:, :, -1] = ord(",")
-            if col + block.shape[1] == n_cols:
-                imag[:, -1, -1] = ord("\n")
-            pieces.append(chars[chars != 0])
-        return pieces
+        ends_rows = col + block.shape[1] == n_cols
+        segments = values.reshape(-1, 2 * min(4, block.shape[1] & -block.shape[1]))
+        if (found := _repeated_rows(segments.view(np.uint64))) is None:
+            return [chars[chars != 0] for chars in _entries(values, ends_rows)]
+        rows, codes = found[0], found[1].reshape(len(block), -1)
+        texts = [text for chars in _entries(segments[rows], False) for text in _row_texts(chars)]
+        texts += [text[:-1] + b"\n" for text in texts]  # each segment ending its row
+        codes[:, -1] += len(rows) * ends_rows
+        width = max(map(len, texts))
+        table = np.frombuffer(b"".join(text.ljust(width, b"\0") for text in texts), np.uint8)
+        chars = np.take(table.reshape(-1, width), codes, axis=0)
+        return [chars[chars != 0]]
 
     yield from _map_blocks(block_chars, op, 2 * n_cols)
 

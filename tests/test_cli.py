@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -323,6 +324,25 @@ def test_a_failed_write_stops_the_writers_helper(monkeypatch):
         cli._write_blocks(io_formats.csv_blocks(np.full((4096, 127), 0.5)), "/dev/full")
     assert threading.active_count() == before
     assert str(raised.value).startswith("cannot write output: [Errno 28]")
+
+
+# A written block is let go before the next one is asked for, to stdout and
+# to a file, so that the stream's blocks in flight are all it holds.
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "file"])
+def test_a_written_block_is_released_before_the_next(to_file, tmp_path, capsys):
+    held = []
+
+    def blocks():
+        for i in range(3):
+            assert not any(ref() is not None for ref in held)
+            block = np.frombuffer(f"{i}\n".encode(), np.uint8).copy()
+            held.append(weakref.ref(block))
+            yield block
+            del block
+
+    cli._write_blocks(blocks(), str(tmp_path / "out") if to_file else None)
+    out = (tmp_path / "out").read_text() if to_file else capsys.readouterr().out
+    assert out == "0\n1\n2\n"
 
 
 def test_memory_check_counts_states_at_the_state_dtype(tmp_path, capsys, monkeypatch):

@@ -545,16 +545,28 @@ _STREAMS = {
 
 def _matrix(rng, shape, pool):
     """Random values, values from `pool`, or, for pool "rows", rows repeated
-    from eight rows of random values."""
+    from eight rows of random values, and for pool "segments", rows made of
+    segments of four values from eight such segments."""
     if pool == "rows":
         return rng.random((8, shape[1]))[rng.integers(0, 8, size=shape[0])]
+    if pool == "segments":
+        return rng.random((8, 4))[rng.integers(0, 8, size=(shape[0], shape[1] // 4))].reshape(shape)
     return rng.random(shape) if pool is None else rng.choice(pool, size=shape)
 
 
-@pytest.mark.parametrize("shape", [(4096, 127), (3, 200_000)], ids=["blocks", "wide-rows"])
-@pytest.mark.parametrize("pool", [[0.0, 0.25, 1 / 3, 1.0], None, "rows"],
-                         ids=["few-patterns", "per-value", "repeated-rows"])
-@pytest.mark.parametrize("writer", _STREAMS)
+_IN_FLIGHT_POOLS = {"few-patterns": [0.0, 0.25, 1 / 3, 1.0], "per-value": None,
+                    "repeated-rows": "rows"}
+_IN_FLIGHT_SHAPES = {"blocks": (4096, 127), "wide-rows": (3, 200_000)}
+
+
+# An operator of 1,024 columns whose rows repeat segments of four entries,
+# as (U⊗…⊗U)·P's do, streams through the table of its distinct segments.
+@pytest.mark.parametrize("writer, shape, pool", [
+    *(pytest.param(writer, shape, pool, id=f"{writer}-{pool_id}-{shape_id}")
+      for writer in _STREAMS for pool_id, pool in _IN_FLIGHT_POOLS.items()
+      for shape_id, shape in _IN_FLIGHT_SHAPES.items()),
+    pytest.param("operator", (1024, 1024), "segments", id="operator-repeated-segments-1024"),
+])
 def test_the_blocks_in_flight_fit_the_estimate(two_cpus, rng, writer, shape, pool):
     matrix = _matrix(rng, shape, pool)
     stream, digest = _STREAMS[writer](matrix), hashlib.sha256()
@@ -664,6 +676,74 @@ def test_simulate_formats_only_the_distinct_rows(monkeypatch, tmp_path):
     assert len(distinct) == 3 and len(np.unique(matrix.view(np.uint64), axis=0)) == 25
     assert sorted(formatted) == sorted(distinct)
     assert csv_path.read_text() == _reference_csv(matrix)
+
+
+# Operators whose rows are made of segments of four entries from a small
+# pool, as the rows of (U⊗…⊗U)·P are: two segments differ only in the sign
+# of one zero part, and parts are nan, ±inf, 5e-324 and 1e-300.  Odd widths
+# cut a block into segments of one entry, widths of 2 mod 4 into segments
+# of two, and the rows span up to three blocks of 32,768 entries.
+_SEGMENT_PARTS = [0.0, 0.5, -0.5, 1 / 3, 1.0, np.nan, np.inf, -np.inf, 5e-324, 1e-300]
+
+
+def _segments_operator(width, n_rows, n_pool, seed):
+    rng = np.random.default_rng(seed)
+    pool = np.empty((n_pool, 4), np.complex128)
+    pool.real, pool.imag = rng.choice(_SEGMENT_PARTS, size=(2, n_pool, 4))
+    pool[:2] = 0.0
+    pool[1 % n_pool, 2] = complex(0.0, -0.0)  # row 1 is row 0 but for the sign of one zero
+    picks = rng.integers(0, n_pool, size=(n_rows, -(-width // 4)))
+    return pool[picks].reshape(n_rows, -1)[:, :width]
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    width=st.integers(1, 64),
+    blocks=st.floats(0.0, 2.5),
+    n_pool=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(width=64, blocks=2.5, n_pool=8, seed=0)
+@example(width=6, blocks=2.2, n_pool=3, seed=1)
+@example(width=1, blocks=1.5, n_pool=2, seed=2)
+def test_operator_matches_per_value_formatting_on_repeated_segments(width, blocks, n_pool, seed):
+    n_rows = 1 + int(blocks * rules.BLOCK_VALUES / (2 * width))
+    op = _segments_operator(width, n_rows, n_pool, seed)
+    outputs = []
+    for cpus in ({0}, {0, 1}):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            outputs.append(write_operator_csv(op))
+    assert outputs[0] == outputs[1] == _reference_operator(op)
+
+
+# When every segment hashes alike, the segments that differ send the block
+# back to formatting every entry: the bytes are the same.
+def test_a_segment_hash_collision_falls_back_to_formatting_every_entry(monkeypatch):
+    op = _segments_operator(12, 3000, 5, 0)
+    fast = write_operator_csv(op)
+    monkeypatch.setattr(io_formats, "_weights", lambda: np.zeros(io_formats._LAYOUT_VALUES,
+                                                                 dtype=np.uint64))
+    assert io_formats._repeated_rows(np.ascontiguousarray(op).view(np.uint64).reshape(-1, 8)) \
+        is None
+    assert write_operator_csv(op) == fast == _reference_operator(op)
+
+
+# The 5-cell both/cyclic/h_s_then_cn operator, 32 blocks of 32 rows, has 17
+# distinct segments of four entries in each block: `matrix` formats those
+# alone, far fewer than one value in 64, so its fast path cannot drop off
+# unseen.
+def test_matrix_formats_only_the_distinct_segments(monkeypatch, tmp_path, capsys):
+    config = tmp_path / "run.conf"
+    config.write_text("cells=5\nrule=both\nboundary=cyclic\neval=h_s_then_cn\nsteps=4\ninitial=0\n")
+    formatted, formatted_values = [], io_formats._formatted
+    monkeypatch.setattr(io_formats, "_formatted", lambda values, suffix: (
+        formatted.append(values.size) or formatted_values(values, suffix)))
+    assert main(["matrix", str(config)]) == 0
+    out = capsys.readouterr().out
+    assert 0 < 64 * sum(formatted) <= 2 * 4**10
+    monkeypatch.setattr(io_formats, "_repeated_rows", lambda words: None)
+    assert out == write_operator_csv(rules.build_dense_rule(parse_config(config.read_text())))
 
 
 class TestCsv:

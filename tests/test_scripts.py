@@ -134,6 +134,27 @@ def test_ab_statistics_on_canned_result_lines():
     assert ab.quartiles([3.0]) == (3.0, 3.0, 3.0)
 
 
+# Each command's median wall time, from the lines before a workload's JSON
+# line, joins its metrics, and each pair's two values are printed a line a
+# command; the end-to-end metrics are left to the table.
+def test_ab_keeps_each_commands_median_wall_time():
+    spec = importlib.util.spec_from_file_location("ab", SCRIPTS / "ab.py")
+    ab = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ab)
+    runs = []
+    for matrix_s in (0.08, 0.035):
+        output = _bench_output(presets=(0.2, 70.0, 0.15, 0), wide=(0.1, 80.0, 0.15, 0))
+        runs.append(ab.parse_run(output.replace(
+            "presets commands_s", f"presets matrix_s {matrix_s:.6f} s (median of 0.1 0.2)\n"
+                                  "presets commands_s")))
+    assert runs[1]["presets"]["metrics"] == {
+        "matrix_s": 0.035, "commands_s": 0.2, "peak_rss_mb": 70.0, "setup_s": 0.15}
+    assert runs[1]["wide"]["metrics"] == {"commands_s": 0.1, "peak_rss_mb": 80.0, "setup_s": 0.15}
+    end_to_end = [{"name": name} for name in ("commands_s", "peak_rss_mb", "setup_s")]
+    assert ab.format_commands([tuple(runs)] * 2, end_to_end) == \
+        "presets matrix_s pairs parent/change: 0.0800/0.0350  0.0800/0.0350"
+
+
 # Canned `python -X importtime` lines: qca2's own self time is the sum over
 # qca2 and its modules, at any depth, and nothing else: not numpy's, not a
 # module whose name merely starts with "qca2", not the header.
